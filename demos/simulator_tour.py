@@ -8,6 +8,9 @@ features via distance correlation.
 Run:  python demos/simulator_tour.py
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from carr.infometrics import distance_correlation
@@ -40,7 +43,7 @@ def main():
     print(f"beta=0.3: dcor(nd, pa) = {distance_correlation(data.nd, data.pa):.3f}, "
           f"dcor(nd, y) = {distance_correlation(data.nd, data.y.astype(float)):.3f}")
 
-    path = "/tmp/synth_demo.csv"
+    path = os.path.join(tempfile.gettempdir(), "synth_demo.csv")
     write_csv(data, path)
     print(f"\nwrote {len(data)} samples to {path}")
 

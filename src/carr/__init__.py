@@ -22,7 +22,6 @@ from .numkit import DenseLayer, Rng, dense_backward, dense_forward, elu, grad_ch
 from .objective import (
     LossBreakdown,
     assemble_loss,
-    cross_entropy_ll,
     intervene,
     kl_gaussian,
     loss_and_grads,

@@ -24,7 +24,6 @@ class AttackSpec:
     beta: float = 0.0
     steps: int = 10
     step_size: float | None = None  # default 2.5 * beta / steps
-    seed: int = 0
 
     def __post_init__(self):
         if self.p not in ("2", "inf"):
@@ -46,7 +45,7 @@ class AttackSpec:
 
     def to_dict(self) -> dict:
         return {"p": self.p, "beta": self.beta, "steps": self.steps,
-                "step_size": self.step_size, "seed": self.seed}
+                "step_size": self.step_size}
 
 
 def project(delta: np.ndarray, p: str, beta: float) -> np.ndarray:
@@ -72,13 +71,19 @@ def pgd_attack(params: ModelParams, z0_batch: np.ndarray, y_batch: np.ndarray,
     if spec.beta == 0.0 or spec.steps == 0:
         return z0.copy()
 
-    n = z0.shape[0]
     delta = np.zeros_like(z0)
     best_delta = delta.copy()
-    best_loss = _per_row_xent(params, z0, y)
+    best_loss = np.full(z0.shape[0], -np.inf)
     step = spec.effective_step
-    for _ in range(spec.steps):
-        _, grad = predictor_xent_grad(params, z0 + delta, y)
+    # Pass k scores iterate k and, before the last, gives the gradient for
+    # iterate k + 1: steps + 1 passes in all.
+    for k in range(spec.steps + 1):
+        loss, grad, _ = predictor_xent_grad(params, z0 + delta, y)
+        improved = loss > best_loss
+        best_delta[improved] = delta[improved]
+        best_loss = np.maximum(best_loss, loss)
+        if k == spec.steps:
+            break
         if not np.isfinite(grad).all():
             raise FloatingPointError("non-finite attack gradient")
         if spec.p == "inf":
@@ -87,18 +92,7 @@ def pgd_attack(params: ModelParams, z0_batch: np.ndarray, y_batch: np.ndarray,
             norms = np.linalg.norm(grad, axis=1, keepdims=True)
             direction = grad / np.maximum(norms, 1e-300)
         delta = project(delta + step * direction, spec.p, spec.beta)
-        loss = _per_row_xent(params, z0 + delta, y)
-        improved = loss > best_loss
-        best_delta[improved] = delta[improved]
-        best_loss = np.maximum(best_loss, loss)
     return z0 + best_delta
-
-
-def _per_row_xent(params: ModelParams, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    from .model import predict, softmax
-
-    probs = softmax(predict(params, z))
-    return -np.log(np.maximum(probs[np.arange(z.shape[0]), y], 1e-300))
 
 
 def random_ball(z_batch: np.ndarray, p: str, beta: float, rng: Rng) -> np.ndarray:

@@ -83,9 +83,12 @@ def _read_rows(path, expected_width=None):
                 raise DataError(f"{path}:{lineno}: expected {expected_width} "
                                 f"fields, got {len(row)}")
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
+                if not np.isfinite(values).all():
+                    raise ValueError("non-finite value")
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
+            rows.append(values)
     return header, np.array(rows, dtype=float)
 
 
@@ -121,6 +124,8 @@ def _binarize(values: np.ndarray, threshold: float) -> np.ndarray:
 def _load_id_pairs(path, threshold, vocab):
     _, data = _read_rows(path, expected_width=3)
     ids = data[:, :2].astype(int)
+    if (ids != data[:, :2]).any():
+        raise DataError(f"{path}: non-integer ids")
     if (ids < 0).any():
         raise DataError(f"{path}: negative ids")
     if vocab is not None:

@@ -7,7 +7,6 @@ predictor maps z through one hidden ELU layer to two logits.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +27,6 @@ __all__ = [
     "encode",
     "predict",
     "predictor_xent_grad",
-    "save_checkpoint",
-    "load_checkpoint",
     "DataError",
 ]
 
@@ -148,8 +145,8 @@ def encode(params: ModelParams, x_batch: np.ndarray, rng: Rng | None = None,
            deterministic: bool = False) -> EncoderOutput:
     """Posterior parameters and a reparameterized sample for a batch."""
     feats = featurize(params, x_batch)
-    hidden = dense_forward(params.enc_hidden, feats)
-    head = dense_forward(params.enc_head, hidden)
+    hidden, _ = dense_forward(params.enc_hidden, feats)
+    head, _ = dense_forward(params.enc_head, hidden)
     mean = head[:, : params.d_z]
     logvar = np.clip(head[:, params.d_z:], -LOGVAR_CLAMP, LOGVAR_CLAMP)
     if deterministic:
@@ -169,7 +166,8 @@ def predict(params: ModelParams, z_batch: np.ndarray) -> np.ndarray:
         raise ConfigurationError(
             f"z width {z.shape} does not match d_z={params.d_z}"
         )
-    return dense_forward(params.pred_out, dense_forward(params.pred_hidden, z))
+    hidden, _ = dense_forward(params.pred_hidden, z)
+    return dense_forward(params.pred_out, hidden)[0]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -179,70 +177,31 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def predictor_xent_grad(params: ModelParams, z_batch: np.ndarray,
-                        y_batch: np.ndarray):
-    """Mean cross-entropy of the predictor and its gradient w.r.t. z.
+                        y_batch: np.ndarray, coeff: float | None = None):
+    """Per-row cross-entropy of the predictor and the gradients of its mean.
 
-    This is the attacker's objective; predictor parameters are treated as
-    constants here.
+    Returns ``(xent, z_grad, (w1_grad, b1_grad, w2_grad, b2_grad))``: one
+    cross-entropy per row, and the gradients of ``coeff * xent.mean()``
+    w.r.t. z and the two predictor layers.  With ``coeff`` None the
+    gradient of the plain mean divides by n, which rounds differently from
+    multiplying by ``1.0 / n``: the attacker takes that form, the objective
+    passes each term's weight.
     """
     z = np.asarray(z_batch, dtype=float)
     y = np.asarray(y_batch, dtype=int)
     n = z.shape[0]
-    hidden = dense_forward(params.pred_hidden, z)
-    logits = dense_forward(params.pred_out, hidden)
+    rows = np.arange(n)
+    hidden, pre_hidden = dense_forward(params.pred_hidden, z)
+    logits, pre_logits = dense_forward(params.pred_out, hidden)
     probs = softmax(logits)
-    xent = float(-np.log(np.maximum(probs[np.arange(n), y], 1e-300)).mean())
-    g_logits = probs.copy()
-    g_logits[np.arange(n), y] -= 1.0
-    g_logits /= n
-    g_hidden, _, _ = dense_backward(params.pred_out, hidden, g_logits)
-    g_z, _, _ = dense_backward(params.pred_hidden, z, g_hidden)
-    return xent, g_z
-
-
-# ---------------------------------------------------------------------------
-# Checkpoints
-# ---------------------------------------------------------------------------
-
-
-def save_checkpoint(params: ModelParams, path, config_echo: dict | None = None):
-    """Persist parameters as JSON: shapes, flat arrays, config echo."""
-    doc = {
-        "d_z": params.d_z,
-        "layers": {},
-        "config": config_echo or {},
-    }
-    names = ["enc_hidden", "enc_head", "pred_hidden", "pred_out"]
-    for name in names:
-        layer = getattr(params, name)
-        doc["layers"][name] = {
-            "weights": layer.weights.tolist(),
-            "bias": layer.bias.tolist(),
-            "activation": layer.activation,
-        }
-    if params.uses_embeddings:
-        doc["user_emb"] = params.user_emb.tolist()
-        doc["item_emb"] = params.item_emb.tolist()
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-
-
-def load_checkpoint(path) -> ModelParams:
-    with open(path) as fh:
-        doc = json.load(fh)
-    layers = {}
-    for name, spec in doc["layers"].items():
-        layers[name] = DenseLayer(
-            weights=np.array(spec["weights"], dtype=float),
-            bias=np.array(spec["bias"], dtype=float),
-            activation=spec["activation"],
-        )
-    return ModelParams(
-        enc_hidden=layers["enc_hidden"],
-        enc_head=layers["enc_head"],
-        pred_hidden=layers["pred_hidden"],
-        pred_out=layers["pred_out"],
-        d_z=int(doc["d_z"]),
-        user_emb=np.array(doc["user_emb"], dtype=float) if "user_emb" in doc else None,
-        item_emb=np.array(doc["item_emb"], dtype=float) if "item_emb" in doc else None,
-    )
+    xent = -np.log(np.maximum(probs[rows, y], 1e-300))
+    # d(mean xent)/dlogits = (softmax - onehot) / n
+    g_logits = probs
+    g_logits[rows, y] -= 1.0
+    if coeff is None:
+        g_logits /= n
+    else:
+        g_logits *= coeff / n
+    g_hidden, gw2, gb2 = dense_backward(params.pred_out, hidden, pre_logits, g_logits)
+    g_z, gw1, gb1 = dense_backward(params.pred_hidden, z, pre_hidden, g_hidden)
+    return xent, g_z, (gw1, gb1, gw2, gb2)

@@ -110,8 +110,11 @@ def init_dense(rng: Rng, in_dim: int, out_dim: int, activation: str = "identity"
     return DenseLayer(weights=w, bias=np.zeros(out_dim), activation=activation)
 
 
-def dense_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
-    """Forward pass on a (n, in_dim) batch."""
+def dense_forward(layer: DenseLayer, x: np.ndarray):
+    """Forward pass on a (n, in_dim) batch.
+
+    Returns (output, pre_activation); the backward pass takes both back.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != layer.in_dim:
         raise ConfigurationError(
@@ -119,17 +122,16 @@ def dense_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
         )
     pre = x @ layer.weights.T + layer.bias
     if layer.activation == "elu":
-        return elu(pre)
-    return pre
+        return elu(pre), pre
+    return pre, pre
 
 
 def dense_backward(layer: DenseLayer, cached_input: np.ndarray,
-                   upstream_grad: np.ndarray):
+                   pre_activation: np.ndarray, upstream_grad: np.ndarray):
     """Gradients of a scalar loss given d(loss)/d(output).
 
-    Returns (input_grad, weight_grad, bias_grad).  The pre-activation is
-    recomputed from the cached input; the layers here are small enough that
-    this costs less than carrying extra state around.
+    Takes the input and pre-activation cached by :func:`dense_forward`.
+    Returns (input_grad, weight_grad, bias_grad).
     """
     x = np.asarray(cached_input, dtype=float)
     g = np.asarray(upstream_grad, dtype=float)
@@ -137,13 +139,9 @@ def dense_backward(layer: DenseLayer, cached_input: np.ndarray,
         raise ConfigurationError(
             f"upstream shape {g.shape} incompatible with cached input {x.shape}"
         )
-    pre = x @ layer.weights.T + layer.bias
     if layer.activation == "elu":
-        g = g * elu_grad(pre)
-    weight_grad = g.T @ x
-    bias_grad = g.sum(axis=0)
-    input_grad = g @ layer.weights
-    return input_grad, weight_grad, bias_grad
+        g = g * elu_grad(pre_activation)
+    return g @ layer.weights, g.T @ x, g.sum(axis=0)
 
 
 def grad_check(f, params: np.ndarray, eps: float = 1e-5) -> float:

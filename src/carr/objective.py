@@ -13,14 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LOGVAR_CLAMP, ModelParams, featurize, softmax
+from .model import LOGVAR_CLAMP, ModelParams, featurize, predictor_xent_grad
 from .numkit import ConfigurationError, dense_backward, dense_forward
 
 __all__ = [
     "LossBreakdown",
     "kl_gaussian",
     "intervene",
-    "cross_entropy_ll",
     "assemble_loss",
     "loss_and_grads",
     "METHODS",
@@ -41,14 +40,6 @@ class LossBreakdown:
     @property
     def use_kl(self) -> bool:
         return self.mode in ("ib", "rcvae", "carr")
-
-    @property
-    def use_negative(self) -> bool:
-        return self.mode == "carr"
-
-    @property
-    def use_attack(self) -> bool:
-        return self.mode in ("rcvae", "carr")
 
 
 def kl_gaussian(mean: np.ndarray, logvar: np.ndarray,
@@ -72,15 +63,6 @@ def intervene(z_batch: np.ndarray, y_batch: np.ndarray, b: float = 0.8) -> np.nd
     return z + shift
 
 
-def cross_entropy_ll(logits: np.ndarray, y_batch: np.ndarray) -> float:
-    """Mean log-likelihood log softmax(logits)[y] (a nonpositive number)."""
-    logits = np.asarray(logits, dtype=float)
-    y = np.asarray(y_batch, dtype=int)
-    n = logits.shape[0]
-    probs = softmax(logits)
-    return float(np.log(np.maximum(probs[np.arange(n), y], 1e-300)).mean())
-
-
 def assemble_loss(mode: str, positive_ll: float, kl: float | None = None,
                   negative_ll: float | None = None, lam: float = 0.0,
                   neg_weight: float = 1.0) -> LossBreakdown:
@@ -98,27 +80,6 @@ def assemble_loss(mode: str, positive_ll: float, kl: float | None = None,
         total += neg_weight * negative_ll
     return LossBreakdown(positive_ll=positive_ll, kl=kl, negative_ll=negative_ll,
                          total=total, lam=lam, mode=mode)
-
-
-def _predictor_pass(params: ModelParams, z: np.ndarray, y: np.ndarray,
-                    coeff: float):
-    """Forward the predictor and backprop ``coeff * d(-mean ll)/d(.)``.
-
-    Returns (mean_ll, grad_z, param_grads) where param_grads covers the two
-    predictor layers.
-    """
-    n = z.shape[0]
-    hidden = dense_forward(params.pred_hidden, z)
-    logits = dense_forward(params.pred_out, hidden)
-    probs = softmax(logits)
-    ll = float(np.log(np.maximum(probs[np.arange(n), y], 1e-300)).mean())
-    # d(-ll)/dlogits = (softmax - onehot)/n, scaled by coeff
-    g_logits = probs.copy()
-    g_logits[np.arange(n), y] -= 1.0
-    g_logits *= coeff / n
-    g_hidden, gw2, gb2 = dense_backward(params.pred_out, hidden, g_logits)
-    g_z, gw1, gb1 = dense_backward(params.pred_hidden, z, g_hidden)
-    return ll, g_z, (gw1, gb1, gw2, gb2)
 
 
 def loss_and_grads(params: ModelParams, x_batch: np.ndarray, y_batch: np.ndarray,
@@ -141,8 +102,8 @@ def loss_and_grads(params: ModelParams, x_batch: np.ndarray, y_batch: np.ndarray
 
     # Encoder forward
     feats = featurize(params, x_batch)
-    enc_hidden_out = dense_forward(params.enc_hidden, feats)
-    head = dense_forward(params.enc_head, enc_hidden_out)
+    enc_hidden_out, enc_hidden_pre = dense_forward(params.enc_hidden, feats)
+    head, _ = dense_forward(params.enc_head, enc_hidden_out)
     mean = head[:, : params.d_z]
     raw_logvar = head[:, params.d_z:]
     logvar = np.clip(raw_logvar, -LOGVAR_CLAMP, LOGVAR_CLAMP)
@@ -154,7 +115,8 @@ def loss_and_grads(params: ModelParams, x_batch: np.ndarray, y_batch: np.ndarray
 
     # Positive term (possibly on attacked z)
     z_pos = z if attack_delta is None else z + attack_delta
-    positive_ll, g_z_pos, pred_grads_pos = _predictor_pass(params, z_pos, y, 1.0)
+    xent_pos, g_z_pos, pred_grads_pos = predictor_xent_grad(params, z_pos, y, 1.0)
+    positive_ll = -float(xent_pos.mean())
 
     # KL against the conditional Gaussian prior N(y*1, I)
     prior = y[:, None].astype(float)
@@ -169,9 +131,10 @@ def loss_and_grads(params: ModelParams, x_batch: np.ndarray, y_batch: np.ndarray
         z_neg = z_bar if neg_delta is None else z_bar + neg_delta
         # the negative ll is ADDED to the minimized total, so its upstream
         # coefficient is -neg_weight relative to the positive branch
-        negative_ll, g_z_neg, pred_grads_neg = _predictor_pass(
+        xent_neg, g_z_neg, pred_grads_neg = predictor_xent_grad(
             params, z_neg, y, -neg_weight
         )
+        negative_ll = -float(xent_neg.mean())
 
     breakdown = assemble_loss(mode, positive_ll, kl, negative_ll, lam, neg_weight)
 
@@ -189,10 +152,10 @@ def loss_and_grads(params: ModelParams, x_batch: np.ndarray, y_batch: np.ndarray
 
     g_head = np.concatenate([g_mean, g_logvar], axis=1)
     g_enc_hidden_out, gw_head, gb_head = dense_backward(
-        params.enc_head, enc_hidden_out, g_head
+        params.enc_head, enc_hidden_out, head, g_head
     )
     g_feats, gw_enc, gb_enc = dense_backward(
-        params.enc_hidden, feats, g_enc_hidden_out
+        params.enc_hidden, feats, enc_hidden_pre, g_enc_hidden_out
     )
 
     parts = []

@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 from carr.attack import AttackSpec, pgd_attack, random_ball
-from carr.attack import _per_row_xent
 from carr.bounds import BoundInputs, bound_general, bound_ideal, min_samples
 from carr.infometrics import (
     JointTable,
@@ -34,7 +33,7 @@ from carr.infometrics import (
     pns,
     random_markov_chain,
 )
-from carr.model import ModelParams, init_params
+from carr.model import ModelParams, init_params, predictor_xent_grad
 from carr.numkit import DenseLayer, Rng, grad_check
 from carr.objective import METHODS, kl_gaussian, loss_and_grads
 from carr.scm import DiscreteSCM, enumerate_joint, random_scm
@@ -238,8 +237,8 @@ def test_attack_contracts():
         norm = (np.abs(delta).max() if p == "inf"
                 else np.linalg.norm(delta, axis=1).max())
         worst_excess = max(worst_excess, norm - 0.3)
-        clean_gap = min(clean_gap, (_per_row_xent(params, z_adv, y)
-                                    - _per_row_xent(params, z0, y)).min())
+        clean_gap = min(clean_gap, (predictor_xent_grad(params, z_adv, y)[0]
+                                    - predictor_xent_grad(params, z0, y)[0]).min())
 
     # predictor linear on the ball: the exact worst case is the boundary
     # point against the margin slope

@@ -57,6 +57,11 @@ def test_synthetic_csv_errors(tmp_path):
     with pytest.raises(DataError) as err:
         load_synthetic_csv(bad)
     assert ":2:" in str(err.value)  # line number in the message
+    for value in ("nan", "inf", "-inf"):
+        bad.write_text(f"pa_0,y\n0.1,1\n{value},0\n")
+        with pytest.raises(DataError) as err:
+            load_synthetic_csv(bad)
+        assert ":3: non-finite value" in str(err.value)
     bad.write_text("")
     with pytest.raises(DataError):
         load_synthetic_csv(bad)
@@ -82,6 +87,19 @@ def test_id_pairs_vocab_check(tmp_path):
     path.write_text("user_id,item_id\n0,1\n")
     with pytest.raises(DataError):
         load(DatasetSpec(kind="id_pairs", paths={"train": str(path)}))
+    path.write_text("user_id,item_id,rating\n1.5,0,5\n")
+    with pytest.raises(DataError, match="non-integer ids"):
+        load(DatasetSpec(kind="id_pairs", paths={"train": str(path)}))
+
+
+def test_non_finite_features_and_labels_rejected(tmp_path):
+    path = tmp_path / "feats.csv"
+    # a nan label used to switch the 0/1 column into rating-threshold mode
+    # and load every label as 0
+    for body in ("0.5,1\n0.1,0\n0.2,1\n0.3,nan\n", "nan,1\n", "0.5,1\ninf,0\n"):
+        path.write_text("f_0,label\n" + body)
+        with pytest.raises(DataError, match="non-finite value"):
+            load(DatasetSpec(kind="tabular", paths={"train": str(path)}))
 
 
 def test_tabular_and_ood_flag(tmp_path):

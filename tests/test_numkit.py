@@ -71,8 +71,9 @@ def test_dense_forward_shape_check():
 
 def test_dense_forward_identity_math():
     layer = DenseLayer(np.array([[1.0, 2.0], [0.0, -1.0]]), np.array([0.5, 0.0]))
-    out = dense_forward(layer, np.array([[1.0, 1.0]]))
+    out, pre = dense_forward(layer, np.array([[1.0, 1.0]]))
     assert np.allclose(out, [[3.5, -1.0]])
+    assert np.array_equal(pre, out)
 
 
 @pytest.mark.parametrize("activation", ["identity", "elu"])
@@ -86,10 +87,10 @@ def test_dense_backward_gradients(activation):
         w = vec[:12].reshape(3, 4)
         b = vec[12:]
         lyr = DenseLayer(w, b, activation)
-        out = dense_forward(lyr, x)
+        out, pre = dense_forward(lyr, x)
         value = 0.5 * ((out - target) ** 2).sum()
         upstream = out - target
-        _, gw, gb = dense_backward(lyr, x, upstream)
+        _, gw, gb = dense_backward(lyr, x, pre, upstream)
         return value, np.concatenate([gw.ravel(), gb.ravel()])
 
     vec0 = np.concatenate([layer.weights.ravel(), layer.bias.ravel()])
@@ -103,8 +104,8 @@ def test_dense_backward_input_grad():
 
     def loss_of(vec):
         x = vec.reshape(1, 3)
-        out = dense_forward(layer, x)
-        gx, _, _ = dense_backward(layer, x, out)
+        out, pre = dense_forward(layer, x)
+        gx, _, _ = dense_backward(layer, x, pre, out)
         return 0.5 * (out ** 2).sum(), gx.ravel()
 
     assert grad_check(loss_of, x0.ravel()) < 1e-7

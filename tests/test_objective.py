@@ -9,7 +9,6 @@ from carr.numkit import ConfigurationError, Rng, grad_check
 from carr.objective import (
     METHODS,
     assemble_loss,
-    cross_entropy_ll,
     intervene,
     kl_gaussian,
     loss_and_grads,
@@ -62,10 +61,6 @@ def test_intervene_shift():
     out = intervene(z, y, b=0.8)
     assert np.allclose(out[y == 0], 0.8)
     assert np.allclose(out[y == 1], -0.8)
-
-
-def test_cross_entropy_ll_uniform():
-    assert abs(cross_entropy_ll(np.zeros((2, 2)), [0, 1]) - np.log(0.5)) < 1e-12
 
 
 def test_assemble_loss_terms():
