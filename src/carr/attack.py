@@ -43,10 +43,6 @@ class AttackSpec:
             return 0.0
         return 2.5 * self.beta / self.steps
 
-    def to_dict(self) -> dict:
-        return {"p": self.p, "beta": self.beta, "steps": self.steps,
-                "step_size": self.step_size}
-
 
 def project(delta: np.ndarray, p: str, beta: float) -> np.ndarray:
     """Project each row of delta onto the p-ball of radius beta."""

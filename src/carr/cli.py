@@ -138,11 +138,8 @@ def run_audit(what: str, trials: int, seed: int, shape: str = "a"):
                 )
             except infometrics.QueryError:
                 continue
-            table = infometrics.JointTable(
-                names=("pa", "y"),
-                probs=scm_mod.enumerate_joint(model).marginal(("pa", "y")),
-            )
-            p_event = float(table.probs[0, 0])
+            joint = scm_mod.enumerate_joint(model).marginal(("pa", "y"))
+            p_event = float(joint[0, 0])
             margin = abs((combined - alt) - p_event)
             worst = max(worst, margin, max(0.0, combined - 1.0), -min(0.0, combined))
             if margin > 1e-10 or not 0.0 <= combined <= 1.0 + 1e-10:
@@ -209,6 +206,9 @@ def main(argv=None) -> int:
                 "audit": cmd_audit, "bound": cmd_bound}
     try:
         return handlers[args.command](args)
+    except infometrics.MetricError as exc:  # a ValueError, but a runtime failure
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ConfigurationError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -12,8 +12,8 @@ Two halves live here:
 from __future__ import annotations
 
 import csv
-import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +38,7 @@ __all__ = [
 PA_DIM = 5
 ND_DIM = 5
 DC_DIM = 5
+MAX_WORLDS = 10 ** 6  # cap on the exogenous worlds an oracle query enumerates
 
 
 class CapacityError(RuntimeError):
@@ -235,62 +236,57 @@ class DiscreteSCM:
                 raise ValueError(f"exogenous pmf for {v} is not a distribution")
 
     def evaluate(self, exo: dict, intervention: dict | None = None) -> dict:
-        """Deterministic world given exogenous values and optional do()."""
+        """Deterministic world(s) given exogenous values and optional do().
+
+        ``exo`` values are ints, or equal-shape integer arrays that evaluate
+        many worlds at once: one fancy index per node in topological order,
+        with do() values broadcast to the worlds' shape.
+        """
         intervention = intervention or {}
+        shape = np.broadcast(*exo.values()).shape
         values = {}
         for v in self.order:
             if v in intervention:
-                values[v] = intervention[v]
+                values[v] = np.broadcast_to(intervention[v], shape)
                 continue
             idx = tuple(values[p] for p in self.parents[v]) + (exo[v],)
-            values[v] = int(np.asarray(self.tables[v])[idx])
+            values[v] = np.asarray(self.tables[v])[idx]
+        if shape == ():
+            return {v: int(x) for v, x in values.items()}
         return values
 
-    def exo_worlds(self):
-        """Yield (exogenous assignment, probability) over all worlds."""
-        names = list(self.order)
-        sizes = [len(self.exo_dists[v]) for v in names]
-        for combo in itertools.product(*(range(s) for s in sizes)):
-            p = 1.0
-            for v, e in zip(names, combo):
-                p *= float(self.exo_dists[v][e])
-            if p == 0.0:
-                continue
-            yield dict(zip(names, combo)), p
+
+def _worlds(scm: DiscreteSCM):
+    """Every exogenous world at once, in ``itertools.product`` order.
+
+    Returns ({node: (W,) exogenous values}, (W,) probabilities); each
+    probability is the left-to-right product of the pmfs, starting from 1.0.
+    Raises :class:`CapacityError` above ``MAX_WORLDS`` worlds.
+    """
+    sizes = [len(scm.exo_dists[v]) for v in scm.order]
+    if math.prod(sizes) > MAX_WORLDS:
+        raise CapacityError(f"exogenous state space exceeds {MAX_WORLDS}")
+    exo = np.indices(sizes).reshape(len(sizes), -1)
+    prob = np.ones(exo.shape[1])
+    for v, e in zip(scm.order, exo):
+        prob *= np.asarray(scm.exo_dists[v], dtype=float)[e]
+    return dict(zip(scm.order, exo)), prob
 
 
-def enumerate_joint(scm: DiscreteSCM, max_states: int = 10 ** 6):
+def enumerate_joint(scm: DiscreteSCM):
     """Exact joint distribution over all endogenous variables.
 
-    Returns a :class:`carr.infometrics.JointTable`.  Sums over every
-    exogenous configuration, so the total exogenous state space must stay
-    below ``max_states``.
+    Returns a :class:`carr.infometrics.JointTable`, summed over every
+    exogenous world in world order.
     """
     from .infometrics import JointTable  # local import to avoid a cycle
 
-    total = 1
-    for v in scm.order:
-        total *= len(scm.exo_dists[v])
-        if total > max_states:
-            raise CapacityError(f"exogenous state space exceeds {max_states}")
-
+    exo, prob = _worlds(scm)
+    values = scm.evaluate(exo)
     shape = tuple(scm.domains[v] for v in scm.order)
-    probs = np.zeros(shape)
-    for exo, p in scm.exo_worlds():
-        values = scm.evaluate(exo)
-        probs[tuple(values[v] for v in scm.order)] += p
-    return JointTable(names=tuple(scm.order), probs=probs)
-
-
-def _match(values: dict, evidence: dict) -> bool:
-    for var, want in evidence.items():
-        v = values[var]
-        if isinstance(want, (set, frozenset, tuple, list)):
-            if v not in want:
-                return False
-        elif v != want:
-            return False
-    return True
+    flat = np.ravel_multi_index(tuple(values[v] for v in scm.order), shape)
+    probs = np.bincount(flat, weights=prob, minlength=math.prod(shape))
+    return JointTable(names=tuple(scm.order), probs=probs.reshape(shape))
 
 
 def counterfactual_query(scm: DiscreteSCM, evidence: dict, intervention: dict,
@@ -301,19 +297,22 @@ def counterfactual_query(scm: DiscreteSCM, evidence: dict, intervention: dict,
     be single values or sets of admissible values).  Action: apply the do()
     intervention.  Prediction: push the posterior through the mutated model.
     """
-    post = []
-    z = 0.0
-    for exo, p in scm.exo_worlds():
-        if _match(scm.evaluate(exo), evidence):
-            post.append((exo, p))
-            z += p
+    for var, val in intervention.items():
+        if var not in scm.domains or val not in range(scm.domains[var]):
+            raise ValueError(f"do({var}={val!r}) is outside the model's domains")
+    exo, prob = _worlds(scm)
+    values = scm.evaluate(exo)
+    mask = np.ones(prob.shape, dtype=bool)
+    for var, want in evidence.items():
+        if not isinstance(want, (set, frozenset, tuple, list)):
+            want = (want,)
+        mask &= np.isin(values[var], list(want))
+    z = np.cumsum(np.where(mask, prob, 0.0))[-1]
     if z <= 0.0:
         raise InferenceError(f"evidence {evidence} has zero probability")
-    dist = np.zeros(scm.domains[target])
-    for exo, p in post:
-        values = scm.evaluate(exo, intervention)
-        dist[values[target]] += p / z
-    return dist
+    after = scm.evaluate({v: e[mask] for v, e in exo.items()}, intervention)
+    return np.bincount(after[target], weights=prob[mask] / z,
+                       minlength=scm.domains[target])
 
 
 def random_scm(rng: Rng, shape: str = "a", max_domain: int = 4,

@@ -5,7 +5,7 @@ and experiment orchestration with persisted reports.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -62,24 +62,7 @@ class RunConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "training_mode": self.training_mode,
-            "attack": self.attack.to_dict(),
-            "eval_attack": self.eval_attack.to_dict(),
-            "lam": self.lam,
-            "b": self.b,
-            "neg_weight": self.neg_weight,
-            "lr": self.lr,
-            "momentum": self.momentum,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "patience": self.patience,
-            "seed": self.seed,
-            "d_z": self.d_z,
-            "stop_grad_negative": self.stop_grad_negative,
-            "dataset": dict(self.dataset),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
@@ -91,7 +74,7 @@ class RunConfig:
         for key in ("attack", "eval_attack"):
             if key in doc and isinstance(doc[key], dict):
                 spec = dict(doc[key])
-                unknown = set(spec) - {"p", "beta", "steps", "step_size"}
+                unknown = set(spec) - set(AttackSpec.__dataclass_fields__)
                 if unknown:
                     raise ConfigurationError(
                         f"unknown {key} keys: {sorted(unknown)}"
@@ -111,7 +94,7 @@ class MetricsReport:
     dcor_dc: float | None = None
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in self.__dict__.items()}
+        return asdict(self)
 
 
 def train(config: RunConfig, train_split: Split, val_split: Split | None = None):

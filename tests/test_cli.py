@@ -75,6 +75,19 @@ def test_train_bad_config_exit_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_train_single_class_metric_exit_1(tmp_path, capsys):
+    # n=6 leaves one class in the test split: AUC is undefined, which is a
+    # runtime failure, not a configuration error
+    config = {"method": "base", "training_mode": "standard",
+              "attack": {"p": "2", "beta": 0.0}, "epochs": 1, "d_z": 8,
+              "dataset": {"kind": "synthetic", "beta": 0.3, "n": 6}}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["train", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "both classes" in err
+
+
 def test_sweep_command(tmp_path, capsys):
     config = {"method": "base", "training_mode": "standard",
               "attack": {"p": "2", "beta": 0.0}, "lr": 0.001, "epochs": 1,

@@ -5,6 +5,7 @@ import pytest
 
 from carr.numkit import Rng
 from carr.scm import (
+    MAX_WORLDS,
     CapacityError,
     DiscreteSCM,
     InferenceError,
@@ -141,6 +142,11 @@ def test_evaluate_and_intervention():
     scm = _identity_chain()
     assert scm.evaluate({"x": 1, "y": 0}) == {"x": 1, "y": 1}
     assert scm.evaluate({"x": 1, "y": 0}, {"x": 0}) == {"x": 0, "y": 0}
+    # equal-shape arrays evaluate many worlds at once; do() values broadcast
+    exo = {"x": np.array([0, 1, 1]), "y": np.zeros(3, dtype=int)}
+    assert scm.evaluate(exo)["y"].tolist() == [0, 1, 1]
+    values = scm.evaluate(exo, {"x": 1})
+    assert values["x"].tolist() == values["y"].tolist() == [1, 1, 1]
 
 
 def test_enumerate_joint_identity_chain():
@@ -149,10 +155,34 @@ def test_enumerate_joint_identity_chain():
     assert np.allclose(table.probs, [[0.5, 0.0], [0.0, 0.5]])
 
 
+def _four_root_nodes(exo_size):
+    """Four independent binary roots, each with an exo_size-valued input."""
+    names = ("a", "b", "c", "d")
+    return DiscreteSCM(
+        order=names,
+        domains={v: 2 for v in names},
+        parents={v: () for v in names},
+        tables={v: np.arange(exo_size) % 2 for v in names},
+        exo_dists={v: np.full(exo_size, 1.0 / exo_size) for v in names},
+    )
+
+
 def test_enumerate_joint_capacity():
-    scm = _identity_chain()
+    # 32**4 = 1048576 exogenous worlds, just above MAX_WORLDS
+    assert 32 ** 4 > MAX_WORLDS
     with pytest.raises(CapacityError):
-        enumerate_joint(scm, max_states=1)
+        enumerate_joint(_four_root_nodes(32))
+
+
+def test_counterfactual_query_capacity():
+    with pytest.raises(CapacityError):
+        counterfactual_query(_four_root_nodes(32), {"a": 0}, {"b": 1}, "c")
+
+
+def test_enumerate_joint_at_capacity():
+    # 31**4 worlds fit under the cap; 16 of a root's 31 exogenous values give 0
+    table = enumerate_joint(_four_root_nodes(31))
+    assert np.allclose(table.marginal(("a",)), [16 / 31, 15 / 31])
 
 
 def test_counterfactual_identity():
@@ -169,6 +199,15 @@ def test_counterfactual_set_evidence():
 def test_counterfactual_zero_probability_evidence():
     with pytest.raises(InferenceError):
         counterfactual_query(_identity_chain(), {"x": 0, "y": 1}, {}, "y")
+
+
+@pytest.mark.parametrize("intervention", [
+    {"y": -1}, {"x": -1}, {"y": 2}, {"x": 2}, {"w": 0},
+])
+def test_counterfactual_rejects_bad_intervention(intervention):
+    # negative values used to wrap around inside the tables
+    with pytest.raises(ValueError, match="outside"):
+        counterfactual_query(_identity_chain(), {"x": 0}, intervention, "y")
 
 
 def test_random_scm_structure():
