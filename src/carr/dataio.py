@@ -89,6 +89,8 @@ def _read_rows(path, expected_width=None):
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
             rows.append(values)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
     return header, np.array(rows, dtype=float)
 
 
@@ -161,12 +163,12 @@ def infer_vocab(splits: dict) -> tuple[int, int]:
     return n_users, n_items
 
 
-def split_three_way(split: Split, seed: int, fractions=(0.8, 0.1, 0.1)):
-    """Seeded shuffle into train/val/test parts."""
+def split_three_way(split: Split, seed: int):
+    """Seeded shuffle into 80/10/10 train/val/test parts."""
     n = len(split)
     idx = Rng(seed).shuffle_index(n)
-    n_train = int(round(fractions[0] * n))
-    n_val = int(round(fractions[1] * n))
+    n_train = int(round(0.8 * n))
+    n_val = int(round(0.1 * n))
     return (
         split.take(idx[:n_train]),
         split.take(idx[n_train:n_train + n_val]),

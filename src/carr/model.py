@@ -7,7 +7,8 @@ predictor maps z through one hidden ELU layer to two logits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +50,13 @@ class EncoderOutput:
 
 @dataclass
 class ModelParams:
+    """Encoder/predictor parameters.
+
+    Every array is a view of the one float64 vector ``flat``, laid out as
+    the embeddings (if any), then weights and bias of each layer in field
+    order.  Update the arrays in place; rebinding one detaches it.
+    """
+
     enc_hidden: DenseLayer  # d_in -> 64, elu
     enc_head: DenseLayer  # 64 -> 2*d_z, identity
     pred_hidden: DenseLayer  # d_z -> 64, elu
@@ -56,52 +64,50 @@ class ModelParams:
     d_z: int
     user_emb: np.ndarray | None = None  # (n_users, 32)
     item_emb: np.ndarray | None = None  # (n_items, 32)
+    flat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        slots = self._slots()
+        self.flat = np.concatenate([np.ravel(getattr(owner, attr))
+                                    for _, owner, attr in slots], dtype=float)
+        for (_, owner, attr), view in zip(slots, self.views(self.flat).values()):
+            setattr(owner, attr, view)
 
     @property
     def uses_embeddings(self) -> bool:
         return self.user_emb is not None
 
-    # Flat-vector views keep the optimizer and gradient checker simple.
+    def _slots(self):
+        """(key, owner, attribute) of every parameter array, in layout order."""
+        emb = ("user_emb", "item_emb") if self.uses_embeddings else ()
+        return [(key, self, key) for key in emb] + [
+            (f"{name}.{attr}", getattr(self, name), attr)
+            for name in ("enc_hidden", "enc_head", "pred_hidden", "pred_out")
+            for attr in ("weights", "bias")
+        ]
 
-    def _arrays(self):
-        out = []
-        for layer in (self.enc_hidden, self.enc_head, self.pred_hidden, self.pred_out):
-            out.append(("w", layer))
-            out.append(("b", layer))
+    def views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """Views of a parameter-length vector shaped like each array, in
+        layout order, keyed "user_emb", "item_emb" (embedding models only)
+        and "<layer>.weights", "<layer>.bias"."""
+        out, start = {}, 0
+        for key, owner, attr in self._slots():
+            shape = getattr(owner, attr).shape
+            size = math.prod(shape)
+            out[key] = vec[start:start + size].reshape(shape)
+            start += size
         return out
 
     def to_vector(self) -> np.ndarray:
-        parts = []
-        if self.uses_embeddings:
-            parts += [self.user_emb.ravel(), self.item_emb.ravel()]
-        for kind, layer in self._arrays():
-            parts.append((layer.weights if kind == "w" else layer.bias).ravel())
-        return np.concatenate(parts)
+        return self.flat.copy()
 
     def from_vector(self, vec: np.ndarray) -> None:
         """Overwrite parameters in place from a flat vector."""
-        expected = self.to_vector().size
-        if vec.size != expected:
+        if vec.size != self.flat.size:
             raise ConfigurationError(
-                f"parameter vector has length {vec.size}, expected {expected}"
+                f"parameter vector has length {vec.size}, expected {self.flat.size}"
             )
-        i = 0
-
-        def take(shape):
-            nonlocal i
-            size = int(np.prod(shape))
-            out = vec[i:i + size].reshape(shape).copy()
-            i += size
-            return out
-
-        if self.uses_embeddings:
-            self.user_emb = take(self.user_emb.shape)
-            self.item_emb = take(self.item_emb.shape)
-        for kind, layer in self._arrays():
-            if kind == "w":
-                layer.weights = take(layer.weights.shape)
-            else:
-                layer.bias = take(layer.bias.shape)
+        self.flat[:] = vec
 
 
 def init_params(rng: Rng, d_in: int | None = None, d_z: int = 64,
@@ -180,12 +186,12 @@ def predictor_xent_grad(params: ModelParams, z_batch: np.ndarray,
                         y_batch: np.ndarray, coeff: float | None = None):
     """Per-row cross-entropy of the predictor and the gradients of its mean.
 
-    Returns ``(xent, z_grad, (w1_grad, b1_grad, w2_grad, b2_grad))``: one
-    cross-entropy per row, and the gradients of ``coeff * xent.mean()``
-    w.r.t. z and the two predictor layers.  With ``coeff`` None the
-    gradient of the plain mean divides by n, which rounds differently from
-    multiplying by ``1.0 / n``: the attacker takes that form, the objective
-    passes each term's weight.
+    Returns ``(xent, z_grad, layer_grads)``: one cross-entropy per row, the
+    gradient of ``coeff * xent.mean()`` w.r.t. z, and its gradients w.r.t.
+    the two predictor layers keyed as in :meth:`ModelParams.views`.  With
+    ``coeff`` None the gradient of the plain mean divides by n, which
+    rounds differently from multiplying by ``1.0 / n``: the attacker takes
+    that form, the objective passes each term's weight.
     """
     z = np.asarray(z_batch, dtype=float)
     y = np.asarray(y_batch, dtype=int)
@@ -204,4 +210,5 @@ def predictor_xent_grad(params: ModelParams, z_batch: np.ndarray,
         g_logits *= coeff / n
     g_hidden, gw2, gb2 = dense_backward(params.pred_out, hidden, pre_logits, g_logits)
     g_z, gw1, gb1 = dense_backward(params.pred_hidden, z, pre_hidden, g_hidden)
-    return xent, g_z, (gw1, gb1, gw2, gb2)
+    return xent, g_z, {"pred_hidden.weights": gw1, "pred_hidden.bias": gb1,
+                       "pred_out.weights": gw2, "pred_out.bias": gb2}

@@ -30,8 +30,7 @@ class ConfigurationError(ValueError):
 class Rng:
     """Counter-based deterministic random stream (Philox under the hood).
 
-    Identical (seed, stream) pairs produce bit-identical draws.  Sub-streams
-    for parallel work are derived with :meth:`spawn`; they never overlap.
+    Identical (seed, stream) pairs produce bit-identical draws.
     """
 
     def __init__(self, seed: int, stream: int = 0):
@@ -39,10 +38,6 @@ class Rng:
         self.stream = int(stream)
         key = (self.seed & 0xFFFFFFFFFFFFFFFF) | (self.stream << 64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
-
-    def spawn(self, offset: int) -> "Rng":
-        """Derive an independent sub-stream; offset must be unique per use."""
-        return Rng(self.seed, self.stream + 1 + int(offset))
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0, size=None) -> np.ndarray:
         return self._gen.uniform(lo, hi, size=size)

@@ -151,34 +151,19 @@ def loss_and_grads(params: ModelParams, x_batch: np.ndarray, y_batch: np.ndarray
     g_logvar *= clamp_mask
 
     g_head = np.concatenate([g_mean, g_logvar], axis=1)
-    g_enc_hidden_out, gw_head, gb_head = dense_backward(
+    grad = np.zeros_like(params.flat)
+    g = params.views(grad)
+    g_enc_hidden_out, g["enc_head.weights"][:], g["enc_head.bias"][:] = dense_backward(
         params.enc_head, enc_hidden_out, head, g_head
     )
-    g_feats, gw_enc, gb_enc = dense_backward(
+    g_feats, g["enc_hidden.weights"][:], g["enc_hidden.bias"][:] = dense_backward(
         params.enc_hidden, feats, enc_hidden_pre, g_enc_hidden_out
     )
-
-    parts = []
     if params.uses_embeddings:
-        ids = np.asarray(x_batch)
-        g_user = np.zeros_like(params.user_emb)
-        g_item = np.zeros_like(params.item_emb)
+        ids = np.asarray(x_batch).astype(int)
         half = params.user_emb.shape[1]
-        np.add.at(g_user, ids[:, 0].astype(int), g_feats[:, :half])
-        np.add.at(g_item, ids[:, 1].astype(int), g_feats[:, half:])
-        parts += [g_user.ravel(), g_item.ravel()]
-
-    gw_pred1, gb_pred1, gw_pred2, gb_pred2 = pred_grads_pos
-    if pred_grads_neg is not None:
-        gw_pred1 = gw_pred1 + pred_grads_neg[0]
-        gb_pred1 = gb_pred1 + pred_grads_neg[1]
-        gw_pred2 = gw_pred2 + pred_grads_neg[2]
-        gb_pred2 = gb_pred2 + pred_grads_neg[3]
-
-    parts += [
-        gw_enc.ravel(), gb_enc.ravel(),
-        gw_head.ravel(), gb_head.ravel(),
-        gw_pred1.ravel(), gb_pred1.ravel(),
-        gw_pred2.ravel(), gb_pred2.ravel(),
-    ]
-    return breakdown, np.concatenate(parts)
+        np.add.at(g["user_emb"], ids[:, 0], g_feats[:, :half])
+        np.add.at(g["item_emb"], ids[:, 1], g_feats[:, half:])
+    for key, value in pred_grads_pos.items():
+        g[key][:] = value if pred_grads_neg is None else value + pred_grads_neg[key]
+    return breakdown, grad

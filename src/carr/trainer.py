@@ -101,8 +101,8 @@ def train(config: RunConfig, train_split: Split, val_split: Split | None = None)
     """Optimize the configured objective; returns (params, history).
 
     history is a list of per-epoch dicts with the mean loss breakdown and,
-    when a validation split is given, the validation AUC used for early
-    stopping (patience in epochs, best parameters restored).
+    when a non-empty validation split is given, the validation AUC used for
+    early stopping (patience in epochs, best parameters restored).
     """
     cfg = config
     rng_init = Rng(cfg.seed, stream=1)
@@ -117,12 +117,12 @@ def train(config: RunConfig, train_split: Split, val_split: Split | None = None)
     else:
         params = init_params(rng_init, d_in=train_split.x.shape[1], d_z=cfg.d_z)
 
-    vec = params.to_vector()
-    velocity = np.zeros_like(vec)
+    velocity = np.zeros_like(params.flat)
     robust = cfg.training_mode == "robust"
+    validate = val_split is not None and len(val_split) > 0
     history = []
     best_val = -np.inf
-    best_vec = vec.copy()
+    best_vec = params.to_vector()
     stale = 0
 
     for epoch in range(cfg.epochs):
@@ -152,8 +152,7 @@ def train(config: RunConfig, train_split: Split, val_split: Split | None = None)
                     f"non-finite loss at epoch {epoch}, batch {batch_no}"
                 )
             velocity = cfg.momentum * velocity - cfg.lr * grad
-            vec = vec + velocity
-            params.from_vector(vec)
+            params.flat += velocity
             sums["total"] += breakdown.total
             sums["positive_ll"] += breakdown.positive_ll
             sums["kl"] += breakdown.kl or 0.0
@@ -162,19 +161,19 @@ def train(config: RunConfig, train_split: Split, val_split: Split | None = None)
 
         entry = {k: v / n_batches for k, v in sums.items()}
         entry["epoch"] = epoch
-        if val_split is not None and len(val_split) > 0:
+        if validate:
             entry["val_auc"] = _clean_auc(params, val_split)
             if entry["val_auc"] > best_val + 1e-12:
                 best_val = entry["val_auc"]
-                best_vec = vec.copy()
+                best_vec = params.to_vector()
                 stale = 0
             else:
                 stale += 1
         history.append(entry)
-        if val_split is not None and stale > cfg.patience:
+        if validate and stale > cfg.patience:
             break
 
-    if val_split is not None:
+    if validate:
         params.from_vector(best_vec)
     return params, history
 

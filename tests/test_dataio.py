@@ -65,6 +65,14 @@ def test_synthetic_csv_errors(tmp_path):
     bad.write_text("")
     with pytest.raises(DataError):
         load_synthetic_csv(bad)
+    # a header with no data rows used to load as a 1-D array and fail with
+    # an IndexError on the first column slice
+    for kind, header in (("synthetic_csv", "pa_0,y"),
+                         ("id_pairs", "user_id,item_id,label"),
+                         ("tabular", "f_0,label")):
+        bad.write_text(header + "\n")
+        with pytest.raises(DataError, match="bad.csv: no data rows"):
+            load(DatasetSpec(kind=kind, paths={"train": str(bad)}))
 
 
 def test_id_pairs_binarization(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from carr.model import (
     DataError,
     LOGVAR_CLAMP,
+    ModelParams,
     encode,
     featurize,
     init_params,
@@ -44,6 +45,45 @@ def test_vector_round_trip_with_embeddings():
     assert np.allclose(params.user_emb, 0.2 * Rng(1, stream=1).normal(size=(7, 32)))
 
 
+def _direct_params():
+    return ModelParams(
+        enc_hidden=DenseLayer(np.ones((4, 2)), np.zeros(4), "elu"),
+        enc_head=DenseLayer(np.ones((2, 4)), np.zeros(2)),
+        pred_hidden=DenseLayer(np.ones((3, 1)), np.zeros(3), "elu"),
+        pred_out=DenseLayer(np.ones((2, 3)), np.zeros(2)),
+        d_z=1,
+    )
+
+
+@pytest.mark.parametrize("make", [
+    _params,
+    lambda: init_params(Rng(1, stream=1), vocab=(7, 9), d_z=4),
+    _direct_params,
+], ids=["d_in", "vocab", "direct"])
+def test_arrays_are_views_of_flat(make):
+    params = make()
+    arrays = [params.enc_hidden, params.enc_head, params.pred_hidden, params.pred_out]
+    arrays = [a for layer in arrays for a in (layer.weights, layer.bias)]
+    if params.uses_embeddings:
+        arrays += [params.user_emb, params.item_emb]
+    assert params.flat.dtype == np.float64
+    assert sum(a.size for a in arrays) == params.flat.size
+    assert all(np.shares_memory(a, params.flat) for a in arrays)
+
+    vec = params.to_vector()
+    assert not np.shares_memory(vec, params.flat)
+    vec[:] = 0.0  # writing the copy leaves the parameters alone
+    assert params.flat.any()
+
+    params.from_vector(np.arange(params.flat.size, dtype=float))
+    n_emb = params.user_emb.size + params.item_emb.size if params.uses_embeddings else 0
+    first = params.enc_hidden.weights
+    assert first[0, 0] == n_emb and first[0, 1] == n_emb + 1  # layout order
+    assert params.pred_out.bias[-1] == params.flat.size - 1
+    if params.uses_embeddings:
+        assert params.user_emb[0, 1] == 1.0
+
+
 def test_encode_deterministic_repeatable():
     params = _params()
     x = Rng(2).uniform(-1, 1, size=(6, 5))
@@ -64,7 +104,7 @@ def test_encode_stochastic_needs_rng():
 
 def test_encode_logvar_clamped():
     params = _params()
-    params.enc_head.bias = params.enc_head.bias + 100.0  # push heads far out
+    params.enc_head.bias += 100.0  # push heads far out
     enc = encode(params, np.zeros((1, 5)), deterministic=True)
     assert enc.logvar.max() <= LOGVAR_CLAMP
 
@@ -103,7 +143,8 @@ def test_predictor_xent_grad_finite_difference():
 def test_predictor_xent_grad_uniform_logits():
     # a zeroed output layer gives uniform logits: log 2 nats on every row
     params = _params(d_z=3)
-    params.pred_out = DenseLayer(np.zeros((2, 64)), np.zeros(2))
+    params.pred_out.weights[:] = 0.0
+    params.pred_out.bias[:] = 0.0
     xent, _, _ = predictor_xent_grad(params, np.ones((2, 3)), [0, 1])
     assert xent.shape == (2,)
     assert np.abs(xent - np.log(2.0)).max() < 1e-12

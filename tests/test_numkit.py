@@ -28,14 +28,6 @@ def test_rng_streams_independent():
     assert not np.array_equal(a, b)
 
 
-def test_rng_spawn_distinct():
-    root = Rng(0, stream=5)
-    children = [root.spawn(k).normal(size=32) for k in range(4)]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            assert not np.array_equal(children[i], children[j])
-
-
 def test_rng_shuffle_is_permutation():
     idx = Rng(3).shuffle_index(50)
     assert sorted(idx.tolist()) == list(range(50))

@@ -94,6 +94,17 @@ def test_early_stopping_truncates_history():
     assert len(history) < 30
 
 
+def test_empty_validation_split_trains_like_none():
+    # an empty split used to restore the initial parameters after training
+    cfg = _cfg(method="carr", epochs=3)
+    split = _toy_gaussians(seed=5)
+    empty = split.take(np.arange(0))
+    params, history = train(cfg, split, empty)
+    ref_params, ref_history = train(cfg, split, None)
+    assert np.array_equal(params.flat, ref_params.flat)
+    assert history == ref_history
+
+
 def test_divergence_raises_training_error():
     cfg = RunConfig(method="base", training_mode="standard",
                     attack=AttackSpec(p="2", beta=0.0), lr=1e4, epochs=10,
