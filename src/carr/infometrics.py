@@ -134,7 +134,7 @@ def check_lemma2(scm: DiscreteSCM):
 
 
 def pns(scm: DiscreteSCM, z_var: str, z_val: int, y_var: str, y_val: int,
-        z_alt: int, weighted: bool = True):
+        z_alt: int):
     """Probability of necessity and sufficiency via exact counterfactuals.
 
     sufficient = P(Z!=z, Y!=y) * P(Y(do Z=z) = y | Z!=z, Y!=y)
@@ -144,8 +144,7 @@ def pns(scm: DiscreteSCM, z_var: str, z_val: int, y_var: str, y_val: int,
     ``combined = sufficient + necessary`` and ``alternative`` subtracts the
     positive-counterfactual necessary term instead; the two differ by
     exactly P(Z=z, Y=y).  "Z != z" as an intervention target is realized
-    by the single designated alternative value ``z_alt``.  ``weighted``
-    False drops the outer event probabilities.
+    by the single designated alternative value ``z_alt``.
     """
     table = enumerate_joint(scm)
     joint_zy = table.marginal((z_var, y_var))
@@ -168,13 +167,11 @@ def pns(scm: DiscreteSCM, z_var: str, z_val: int, y_var: str, y_val: int,
         scm, {z_var: z_val, y_var: y_val}, {z_var: z_alt}, y_var
     )
 
-    w_suff = p_event_suff if weighted else 1.0
-    w_nec = p_event_nec if weighted else 1.0
-    sufficient = w_suff * float(cf_suff[y_val])
+    sufficient = p_event_suff * float(cf_suff[y_val])
     # exogenous-posterior sums can overshoot 1 by an ulp or two
-    necessary = w_nec * max(0.0, 1.0 - float(cf_nec[y_val]))
+    necessary = p_event_nec * max(0.0, 1.0 - float(cf_nec[y_val]))
     pns_combined = sufficient + necessary
-    pns_alt = sufficient - w_nec * float(cf_nec[y_val])
+    pns_alt = sufficient - p_event_nec * float(cf_nec[y_val])
     return sufficient, necessary, pns_combined, pns_alt
 
 
@@ -240,9 +237,9 @@ def auc(scores, labels) -> float:
                  / (n_pos * n_neg))
 
 
-def acc(scores, labels, threshold: float = 0.5) -> float:
-    """Accuracy of thresholded scores."""
+def acc(scores, labels) -> float:
+    """Accuracy of scores thresholded at 0.5."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=int)
-    pred = (scores >= threshold).astype(int)
+    pred = (scores >= 0.5).astype(int)
     return float((pred == labels).mean())

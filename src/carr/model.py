@@ -42,10 +42,18 @@ class DataError(ValueError):
 
 @dataclass
 class EncoderOutput:
+    """One encoder forward for a batch and the cache its backward takes."""
+
+    feats: np.ndarray  # (n, d_in) encoder input
+    hidden: np.ndarray  # (n, 64) hidden-layer output
+    hidden_pre: np.ndarray  # (n, 64) hidden-layer pre-activation
+    head: np.ndarray  # (n, 2*d_z) mean and unclamped log-variance
     mean: np.ndarray  # (n, d_z)
     logvar: np.ndarray  # (n, d_z), clamped
-    z: np.ndarray  # (n, d_z)
+    std: np.ndarray  # (n, d_z)
     eps_std: np.ndarray  # (n, d_z) standard-normal draw used for z
+    z: np.ndarray  # (n, d_z)
+    ids: np.ndarray | None  # (n, 2) id pairs of embedding models
 
 
 @dataclass
@@ -65,9 +73,21 @@ class ModelParams:
     user_emb: np.ndarray | None = None  # (n_users, 32)
     item_emb: np.ndarray | None = None  # (n_items, 32)
     flat: np.ndarray = field(init=False, repr=False)
+    _layout: list = field(init=False, repr=False)  # (key, start, stop, shape)
 
     def __post_init__(self):
-        slots = self._slots()
+        emb = ("user_emb", "item_emb") if self.uses_embeddings else ()
+        slots = [(key, self, key) for key in emb] + [
+            (f"{name}.{attr}", getattr(self, name), attr)
+            for name in ("enc_hidden", "enc_head", "pred_hidden", "pred_out")
+            for attr in ("weights", "bias")
+        ]
+        self._layout, start = [], 0
+        for key, owner, attr in slots:
+            shape = getattr(owner, attr).shape
+            stop = start + math.prod(shape)
+            self._layout.append((key, start, stop, shape))
+            start = stop
         self.flat = np.concatenate([np.ravel(getattr(owner, attr))
                                     for _, owner, attr in slots], dtype=float)
         for (_, owner, attr), view in zip(slots, self.views(self.flat).values()):
@@ -77,26 +97,12 @@ class ModelParams:
     def uses_embeddings(self) -> bool:
         return self.user_emb is not None
 
-    def _slots(self):
-        """(key, owner, attribute) of every parameter array, in layout order."""
-        emb = ("user_emb", "item_emb") if self.uses_embeddings else ()
-        return [(key, self, key) for key in emb] + [
-            (f"{name}.{attr}", getattr(self, name), attr)
-            for name in ("enc_hidden", "enc_head", "pred_hidden", "pred_out")
-            for attr in ("weights", "bias")
-        ]
-
     def views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
         """Views of a parameter-length vector shaped like each array, in
         layout order, keyed "user_emb", "item_emb" (embedding models only)
         and "<layer>.weights", "<layer>.bias"."""
-        out, start = {}, 0
-        for key, owner, attr in self._slots():
-            shape = getattr(owner, attr).shape
-            size = math.prod(shape)
-            out[key] = vec[start:start + size].reshape(shape)
-            start += size
-        return out
+        return {key: vec[start:stop].reshape(shape)
+                for key, start, stop, shape in self._layout}
 
     def to_vector(self) -> np.ndarray:
         return self.flat.copy()
@@ -147,22 +153,27 @@ def featurize(params: ModelParams, x_batch: np.ndarray) -> np.ndarray:
     return np.concatenate([params.user_emb[u], params.item_emb[v]], axis=1)
 
 
-def encode(params: ModelParams, x_batch: np.ndarray, rng: Rng | None = None,
-           deterministic: bool = False) -> EncoderOutput:
-    """Posterior parameters and a reparameterized sample for a batch."""
+def encode(params: ModelParams, x_batch: np.ndarray,
+           eps_std: np.ndarray | None = None) -> EncoderOutput:
+    """Posterior parameters, z = mean + std * eps_std and the cache the loss
+    backpropagates from, for a batch.  ``eps_std`` is the (n, d_z)
+    standard-normal draw; None means z = mean."""
     feats = featurize(params, x_batch)
-    hidden, _ = dense_forward(params.enc_hidden, feats)
+    hidden, hidden_pre = dense_forward(params.enc_hidden, feats)
     head, _ = dense_forward(params.enc_head, hidden)
     mean = head[:, : params.d_z]
     logvar = np.clip(head[:, params.d_z:], -LOGVAR_CLAMP, LOGVAR_CLAMP)
-    if deterministic:
-        eps = np.zeros_like(mean)
-    else:
-        if rng is None:
-            raise ConfigurationError("stochastic encoding needs an rng")
-        eps = rng.normal(size=mean.shape)
-    z = mean + np.exp(0.5 * logvar) * eps
-    return EncoderOutput(mean=mean, logvar=logvar, z=z, eps_std=eps)
+    if eps_std is None:
+        eps_std = np.zeros_like(mean)
+    elif np.shape(eps_std) != mean.shape:
+        raise ConfigurationError(
+            f"eps_std has shape {np.shape(eps_std)}, expected {mean.shape}"
+        )
+    std = np.exp(0.5 * logvar)
+    ids = np.asarray(x_batch).astype(int) if params.uses_embeddings else None
+    return EncoderOutput(feats=feats, hidden=hidden, hidden_pre=hidden_pre,
+                         head=head, mean=mean, logvar=logvar, std=std,
+                         eps_std=eps_std, z=mean + std * eps_std, ids=ids)
 
 
 def predict(params: ModelParams, z_batch: np.ndarray) -> np.ndarray:

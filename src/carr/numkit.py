@@ -54,14 +54,15 @@ class Rng:
 
 def elu(x):
     """ELU activation: x for x > 0, exp(x) - 1 otherwise."""
+    # the max picks x where x > 0 (expm1(0) = 0) and expm1(x) elsewhere,
+    # because expm1(x) >= x
     x = np.asarray(x, dtype=float)
-    return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+    return np.maximum(x, np.expm1(np.minimum(x, 0.0)))
 
 
 def elu_grad(x):
     """Derivative of ELU: 1 for x > 0, exp(x) for x <= 0."""
-    x = np.asarray(x, dtype=float)
-    return np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
+    return np.exp(np.minimum(np.asarray(x, dtype=float), 0.0))
 
 
 _ACTIVATIONS = ("identity", "elu")
@@ -96,11 +97,10 @@ class DenseLayer:
         return self.weights.shape[0]
 
 
-def init_dense(rng: Rng, in_dim: int, out_dim: int, activation: str = "identity",
-               scale: float | None = None) -> DenseLayer:
+def init_dense(rng: Rng, in_dim: int, out_dim: int,
+               activation: str = "identity") -> DenseLayer:
     """Glorot-uniform initialized layer with zero bias."""
-    if scale is None:
-        scale = np.sqrt(6.0 / (in_dim + out_dim))
+    scale = np.sqrt(6.0 / (in_dim + out_dim))
     w = rng.uniform(-scale, scale, size=(out_dim, in_dim))
     return DenseLayer(weights=w, bias=np.zeros(out_dim), activation=activation)
 

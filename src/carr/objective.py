@@ -2,9 +2,10 @@
 
 Minimization form throughout: the assembled total is
 ``-positive_ll + lambda * kl + neg_weight * negative_ll`` with terms
-included per method.  ``loss_and_grads`` runs the whole pipeline with
-hand-derived gradients; perturbations (adversarial and random) enter as
-fixed offsets, so parameter gradients treat them as constants.
+included per method.  ``encoded_loss_and_grads`` takes one encoder forward
+(:func:`carr.model.encode`) to the loss and its hand-derived gradient, and
+``loss_and_grads`` runs both; perturbations (adversarial and random) enter
+as fixed offsets, so parameter gradients treat them as constants.
 """
 
 from __future__ import annotations
@@ -13,14 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LOGVAR_CLAMP, ModelParams, featurize, predictor_xent_grad
-from .numkit import ConfigurationError, dense_backward, dense_forward
+from .model import LOGVAR_CLAMP, EncoderOutput, ModelParams, encode, predictor_xent_grad
+from .numkit import ConfigurationError, dense_backward
+from .numkit import dense_forward  # noqa: F401  patched by benchmarks/tracing.py
 
 __all__ = [
     "LossBreakdown",
     "kl_gaussian",
     "intervene",
     "assemble_loss",
+    "encoded_loss_and_grads",
     "loss_and_grads",
     "METHODS",
 ]
@@ -34,12 +37,6 @@ class LossBreakdown:
     kl: float | None
     negative_ll: float | None
     total: float
-    lam: float
-    mode: str
-
-    @property
-    def use_kl(self) -> bool:
-        return self.mode in ("ib", "rcvae", "carr")
 
 
 def kl_gaussian(mean: np.ndarray, logvar: np.ndarray,
@@ -79,43 +76,41 @@ def assemble_loss(mode: str, positive_ll: float, kl: float | None = None,
             raise ConfigurationError("method 'carr' requires the negative term")
         total += neg_weight * negative_ll
     return LossBreakdown(positive_ll=positive_ll, kl=kl, negative_ll=negative_ll,
-                         total=total, lam=lam, mode=mode)
+                         total=total)
 
 
 def loss_and_grads(params: ModelParams, x_batch: np.ndarray, y_batch: np.ndarray,
-                   mode: str, lam: float = 0.001, b: float = 0.8,
-                   neg_weight: float = 1.0, eps_std: np.ndarray | None = None,
-                   attack_delta: np.ndarray | None = None,
-                   neg_delta: np.ndarray | None = None,
-                   stop_grad_negative: bool = False):
-    """Full loss for one batch plus its gradient as a flat vector.
+                   mode: str, *, eps_std: np.ndarray | None = None, **loss_kw):
+    """Full loss for one batch plus its flat gradient: :func:`carr.model.encode`
+    with ``eps_std`` (None means z = mean), then :func:`encoded_loss_and_grads`
+    with the keywords ``loss_kw``."""
+    return encoded_loss_and_grads(params, encode(params, x_batch, eps_std),
+                                  y_batch, mode, **loss_kw)
 
-    ``eps_std`` is the standard-normal draw of the reparameterization
-    (None means deterministic z = mean); ``attack_delta`` shifts z for the
-    positive term and ``neg_delta`` shifts the intervened representation for
-    the negative term.  Both shifts are constants during differentiation.
-    """
-    if mode not in METHODS:
-        raise ConfigurationError(f"unknown method {mode!r}")
+
+def encoded_loss_and_grads(params: ModelParams, enc: EncoderOutput,
+                           y_batch: np.ndarray, mode: str, lam: float = 0.001,
+                           b: float = 0.8, neg_weight: float = 1.0,
+                           attack_delta: np.ndarray | None = None,
+                           neg_delta: np.ndarray | None = None,
+                           stop_grad_negative: bool = False):
+    """Loss of one batch and its flat gradient, backpropagated from the
+    batch's encoder forward ``enc``.  ``attack_delta`` shifts z for the
+    positive term and ``neg_delta`` the intervened z for the negative term;
+    both have z's shape and are constants during differentiation."""
+    for name, delta in (("attack_delta", attack_delta), ("neg_delta", neg_delta)):
+        if delta is not None and np.shape(delta) != enc.z.shape:
+            raise ConfigurationError(
+                f"{name} has shape {np.shape(delta)}, expected {enc.z.shape}"
+            )
     y = np.asarray(y_batch, dtype=int)
     n = y.shape[0]
-
-    # Encoder forward
-    feats = featurize(params, x_batch)
-    enc_hidden_out, enc_hidden_pre = dense_forward(params.enc_hidden, feats)
-    head, _ = dense_forward(params.enc_head, enc_hidden_out)
-    mean = head[:, : params.d_z]
-    raw_logvar = head[:, params.d_z:]
-    logvar = np.clip(raw_logvar, -LOGVAR_CLAMP, LOGVAR_CLAMP)
-    clamp_mask = (np.abs(raw_logvar) < LOGVAR_CLAMP).astype(float)
-    if eps_std is None:
-        eps_std = np.zeros_like(mean)
-    std = np.exp(0.5 * logvar)
-    z = mean + std * eps_std
+    mean, logvar, std, eps_std, z = enc.mean, enc.logvar, enc.std, enc.eps_std, enc.z
+    clamp_mask = (np.abs(enc.head[:, params.d_z:]) < LOGVAR_CLAMP).astype(float)
 
     # Positive term (possibly on attacked z)
     z_pos = z if attack_delta is None else z + attack_delta
-    xent_pos, g_z_pos, pred_grads_pos = predictor_xent_grad(params, z_pos, y, 1.0)
+    xent_pos, g_z, pred_grads = predictor_xent_grad(params, z_pos, y, 1.0)
     positive_ll = -float(xent_pos.mean())
 
     # KL against the conditional Gaussian prior N(y*1, I)
@@ -124,8 +119,6 @@ def loss_and_grads(params: ModelParams, x_batch: np.ndarray, y_batch: np.ndarray
 
     # Negative term on the randomly perturbed intervened representation
     negative_ll = None
-    g_z_neg = None
-    pred_grads_neg = None
     if mode == "carr":
         z_bar = intervene(z, y, b)
         z_neg = z_bar if neg_delta is None else z_bar + neg_delta
@@ -135,14 +128,13 @@ def loss_and_grads(params: ModelParams, x_batch: np.ndarray, y_batch: np.ndarray
             params, z_neg, y, -neg_weight
         )
         negative_ll = -float(xent_neg.mean())
+        if not stop_grad_negative:
+            g_z = g_z + g_z_neg  # intervention shift is additive, identity jacobian
+        pred_grads = {k: v + pred_grads_neg[k] for k, v in pred_grads.items()}
 
     breakdown = assemble_loss(mode, positive_ll, kl, negative_ll, lam, neg_weight)
 
     # ----- backward through the encoder -----
-    g_z = g_z_pos.copy()
-    if g_z_neg is not None and not stop_grad_negative:
-        g_z += g_z_neg  # intervention shift is additive, identity jacobian
-
     g_mean = g_z.copy()
     g_logvar = g_z * eps_std * 0.5 * std
     if mode != "base":
@@ -154,16 +146,15 @@ def loss_and_grads(params: ModelParams, x_batch: np.ndarray, y_batch: np.ndarray
     grad = np.zeros_like(params.flat)
     g = params.views(grad)
     g_enc_hidden_out, g["enc_head.weights"][:], g["enc_head.bias"][:] = dense_backward(
-        params.enc_head, enc_hidden_out, head, g_head
+        params.enc_head, enc.hidden, enc.head, g_head
     )
     g_feats, g["enc_hidden.weights"][:], g["enc_hidden.bias"][:] = dense_backward(
-        params.enc_hidden, feats, enc_hidden_pre, g_enc_hidden_out
+        params.enc_hidden, enc.feats, enc.hidden_pre, g_enc_hidden_out
     )
-    if params.uses_embeddings:
-        ids = np.asarray(x_batch).astype(int)
+    if enc.ids is not None:
         half = params.user_emb.shape[1]
-        np.add.at(g["user_emb"], ids[:, 0], g_feats[:, :half])
-        np.add.at(g["item_emb"], ids[:, 1], g_feats[:, half:])
-    for key, value in pred_grads_pos.items():
-        g[key][:] = value if pred_grads_neg is None else value + pred_grads_neg[key]
+        np.add.at(g["user_emb"], enc.ids[:, 0], g_feats[:, :half])
+        np.add.at(g["item_emb"], enc.ids[:, 1], g_feats[:, half:])
+    for key, value in pred_grads.items():
+        g[key][:] = value
     return breakdown, grad

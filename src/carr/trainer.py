@@ -14,7 +14,8 @@ from .attack import AttackSpec, pgd_attack, random_ball
 from .dataio import DatasetSpec, Split, batch_iter, split_three_way
 from .model import ModelParams, encode, init_params, predict, softmax
 from .numkit import ConfigurationError, Rng
-from .objective import METHODS, loss_and_grads
+from .objective import METHODS, encoded_loss_and_grads
+from .objective import loss_and_grads  # noqa: F401  patched by benchmarks/tracing.py
 
 __all__ = ["RunConfig", "MetricsReport", "train", "evaluate", "run_experiment",
            "sweep", "TrainingError"]
@@ -132,7 +133,7 @@ def train(config: RunConfig, train_split: Split, val_split: Split | None = None)
             batch_iter(train_split.x, train_split.y, cfg.batch_size,
                        seed=cfg.seed * 100003 + epoch)
         ):
-            enc = encode(params, xb, rng=rng_eps)
+            enc = encode(params, xb, rng_eps.normal(size=(len(yb), cfg.d_z)))
             attack_delta = None
             if robust:
                 z_adv = pgd_attack(params, enc.z, yb, cfg.attack)
@@ -141,11 +142,10 @@ def train(config: RunConfig, train_split: Split, val_split: Split | None = None)
             if cfg.method == "carr":
                 neg_delta = random_ball(np.zeros_like(enc.z), cfg.attack.p,
                                         cfg.attack.beta, rng_neg)
-            breakdown, grad = loss_and_grads(
-                params, xb, yb, cfg.method, lam=cfg.lam, b=cfg.b,
-                neg_weight=cfg.neg_weight, eps_std=enc.eps_std,
-                attack_delta=attack_delta, neg_delta=neg_delta,
-                stop_grad_negative=cfg.stop_grad_negative,
+            breakdown, grad = encoded_loss_and_grads(
+                params, enc, yb, cfg.method, lam=cfg.lam, b=cfg.b,
+                neg_weight=cfg.neg_weight, attack_delta=attack_delta,
+                neg_delta=neg_delta, stop_grad_negative=cfg.stop_grad_negative,
             )
             if not np.isfinite(breakdown.total):
                 raise TrainingError(
@@ -183,15 +183,14 @@ def _scores(params: ModelParams, z: np.ndarray) -> np.ndarray:
 
 
 def _clean_auc(params: ModelParams, split: Split) -> float:
-    enc = encode(params, split.x, deterministic=True)
+    enc = encode(params, split.x)
     return infometrics.auc(_scores(params, enc.z), split.y)
 
 
 def evaluate(params: ModelParams, split: Split,
              eval_attack: AttackSpec) -> MetricsReport:
     """Clean and adversarial metrics on deterministic representations."""
-    enc = encode(params, split.x, deterministic=True)
-    z = enc.mean
+    z = encode(params, split.x).mean
     clean = _scores(params, z)
     z_adv = pgd_attack(params, z, split.y, eval_attack)
     adv = _scores(params, z_adv)

@@ -132,12 +132,6 @@ def test_pns_identity_scm_exact():
     assert abs((combined - alt) - 0.5) < 1e-12
 
 
-def test_pns_unweighted_reading():
-    suff, nec, combined, _ = pns(_identity_scm(), "z", 1, "y", 1, z_alt=0,
-                                 weighted=False)
-    assert abs(suff - 1.0) < 1e-12 and abs(nec - 1.0) < 1e-12
-
-
 def test_pns_difference_identity_random():
     checked = 0
     for i in range(80):
@@ -209,4 +203,3 @@ def test_auc_single_class():
 
 def test_acc_threshold():
     assert acc([0.9, 0.4, 0.6, 0.1], [1, 0, 0, 0]) == 0.75
-    assert acc([0.9, 0.1], [1, 0], threshold=0.95) == 0.5

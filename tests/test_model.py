@@ -87,26 +87,30 @@ def test_arrays_are_views_of_flat(make):
 def test_encode_deterministic_repeatable():
     params = _params()
     x = Rng(2).uniform(-1, 1, size=(6, 5))
-    a = encode(params, x, deterministic=True)
-    b = encode(params, x, deterministic=True)
+    a = encode(params, x)
+    b = encode(params, x)
     assert np.array_equal(a.z, b.z)
     assert np.array_equal(a.z, a.mean)
+    assert not a.eps_std.any()
 
 
-def test_encode_stochastic_needs_rng():
+def test_encode_stochastic_uses_draw():
     params = _params()
-    x = np.zeros((2, 5))
-    with pytest.raises(ConfigurationError):
-        encode(params, x)
-    enc = encode(params, x, rng=Rng(3))
-    assert np.allclose(enc.z, enc.mean + np.exp(0.5 * enc.logvar) * enc.eps_std)
+    x = Rng(2).uniform(-1, 1, size=(2, 5))
+    eps = Rng(3).normal(size=(2, 4))
+    enc = encode(params, x, eps)
+    assert enc.eps_std is eps
+    assert np.array_equal(enc.std, np.exp(0.5 * enc.logvar))
+    assert np.array_equal(enc.z, enc.mean + enc.std * eps)
+    assert not np.array_equal(enc.z, enc.mean)
 
 
 def test_encode_logvar_clamped():
     params = _params()
     params.enc_head.bias += 100.0  # push heads far out
-    enc = encode(params, np.zeros((1, 5)), deterministic=True)
+    enc = encode(params, np.zeros((1, 5)))
     assert enc.logvar.max() <= LOGVAR_CLAMP
+    assert enc.head[:, 4:].min() > LOGVAR_CLAMP  # the cache keeps the raw head
 
 
 def test_featurize_oov():

@@ -46,6 +46,20 @@ def test_elu_grad_matches_finite_difference():
     assert np.abs(elu_grad(x) - numeric).max() < 1e-6
 
 
+def test_elu_matches_where_forms_bit_for_bit():
+    # reference: the np.where forms the max/exp forms replaced
+    def elu_where(x):
+        return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+
+    def elu_grad_where(x):
+        return np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
+
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, -745.0, -746.0, np.inf, -np.inf])
+    for x in (edges, 3.0 * Rng(8).normal(size=100_000)):
+        assert elu(x).tobytes() == elu_where(x).tobytes()
+        assert elu_grad(x).tobytes() == elu_grad_where(x).tobytes()
+
+
 def test_dense_layer_validation():
     with pytest.raises(ConfigurationError):
         DenseLayer(np.zeros((3, 2)), np.zeros(4))

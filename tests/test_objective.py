@@ -68,7 +68,7 @@ def test_assemble_loss_terms():
                         lam=0.01, neg_weight=0.5)
     assert abs(out.total - (0.4 + 0.02 - 0.75)) < 1e-12
     base = assemble_loss("base", positive_ll=-0.4)
-    assert base.total == 0.4 and not base.use_kl
+    assert base.total == 0.4
 
 
 def test_assemble_loss_missing_components():
@@ -112,6 +112,17 @@ def test_loss_and_grads_finite_difference(mode):
         return breakdown.total, grad
 
     assert grad_check(f, params.to_vector()) < 1e-4
+
+
+@pytest.mark.parametrize("offset, shape", [
+    ("eps_std", (4, 1)), ("eps_std", (3,)), ("attack_delta", (1, 3)),
+    ("neg_delta", (4, 1)),
+])
+def test_loss_and_grads_rejects_wrong_shaped_offsets(offset, shape):
+    # each of these would broadcast against the (4, 3) representation
+    params, x, y, *_ = _batch(seed=7)
+    with pytest.raises(ConfigurationError):
+        loss_and_grads(params, x, y, "carr", **{offset: np.zeros(shape)})
 
 
 def test_loss_and_grads_embeddings_gradcheck():

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from carr import model, objective
 from carr.attack import AttackSpec
 from carr.dataio import Split
 from carr.numkit import ConfigurationError, Rng
@@ -103,6 +104,19 @@ def test_empty_validation_split_trains_like_none():
     ref_params, ref_history = train(cfg, split, None)
     assert np.array_equal(params.flat, ref_params.flat)
     assert history == ref_history
+
+
+def test_encoder_runs_once_per_batch(monkeypatch):
+    # the toy features are 4 wide and d_z is 16, so only the encoder's
+    # hidden layer takes 4 inputs
+    in_dims = []
+    for module in (model, objective):
+        def counted(layer, x, forward=module.dense_forward):
+            in_dims.append(layer.in_dim)
+            return forward(layer, x)
+        monkeypatch.setattr(module, "dense_forward", counted)
+    train(_cfg(method="carr", epochs=1, batch_size=32), _toy_gaussians(n=128))
+    assert in_dims.count(4) == 128 // 32
 
 
 def test_divergence_raises_training_error():
