@@ -20,7 +20,7 @@ from . import bounds as bounds_mod
 from . import infometrics, scm as scm_mod
 from .model import init_params
 from .numkit import ConfigurationError, Rng, grad_check
-from .objective import loss_and_grads
+from .objective import loss_and_grads, loss_values
 from .trainer import RunConfig, run_experiment, sweep
 
 __all__ = ["main", "build_parser", "run_audit"]
@@ -150,19 +150,14 @@ def run_audit(what: str, trials: int, seed: int, shape: str = "a"):
             params = init_params(rng, d_in=5, d_z=3)
             xb = rng.uniform(-1, 1, size=(4, 5))
             yb = rng.integers(0, 2, size=4)
-            eps = rng.normal(size=(4, 3))
-            delta = 0.05 * rng.normal(size=(4, 3))
-            neg_delta = 0.05 * rng.normal(size=(4, 3))
-
-            def f(vec):
-                params.from_vector(vec)
-                breakdown, grad = loss_and_grads(
-                    params, xb, yb, "carr", eps_std=eps,
-                    attack_delta=delta, neg_delta=neg_delta,
-                )
-                return breakdown.total, grad
-
-            err = grad_check(f, params.to_vector())
+            kw = dict(eps_std=rng.normal(size=(4, 3)),
+                      attack_delta=0.05 * rng.normal(size=(4, 3)),
+                      neg_delta=0.05 * rng.normal(size=(4, 3)))
+            _, analytic = loss_and_grads(params, xb, yb, "carr", **kw)
+            err = grad_check(
+                lambda vecs: loss_values(params, vecs, xb, yb, "carr", **kw),
+                analytic, params.flat,
+            )
             worst = max(worst, err)
             if err > 1e-4:
                 failures += 1

@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 _SLACK = 1e-10
+# distance_correlation holds 4 n-by-n float64 matrices: 2 GiB at this n
+_DCOR_MAX_N = 8192
 
 
 class QueryError(ValueError):
@@ -175,14 +177,14 @@ def pns(scm: DiscreteSCM, z_var: str, z_val: int, y_var: str, y_val: int,
     return sufficient, necessary, pns_combined, pns_alt
 
 
-def random_markov_chain(rng, sizes=(3, 3, 3)) -> JointTable:
-    """Random joint over a chain X - Z - Y: p(x) p(z|x) p(y|z)."""
-    kx, kz, ky = sizes
-    px = rng.uniform(0.05, 1.0, size=kx)
+def random_markov_chain(rng) -> JointTable:
+    """Random joint over a chain X - Z - Y of three-valued variables:
+    p(x) p(z|x) p(y|z)."""
+    px = rng.uniform(0.05, 1.0, size=3)
     px /= px.sum()
-    pzx = rng.uniform(0.05, 1.0, size=(kx, kz))
+    pzx = rng.uniform(0.05, 1.0, size=(3, 3))
     pzx /= pzx.sum(axis=1, keepdims=True)
-    pyz = rng.uniform(0.05, 1.0, size=(kz, ky))
+    pyz = rng.uniform(0.05, 1.0, size=(3, 3))
     pyz /= pyz.sum(axis=1, keepdims=True)
     probs = px[:, None, None] * pzx[:, :, None] * pyz[None, :, :]
     return JointTable(names=("x", "z", "y"), probs=probs)
@@ -197,7 +199,9 @@ def distance_correlation(a: np.ndarray, b: np.ndarray) -> float:
     """Sample distance correlation (biased V-statistic) between two blocks.
 
     Rows are joint observations; returns a value in [0, 1], with 0 when
-    either argument has zero distance variance (constant rows).
+    either argument has zero distance variance (constant rows).  The
+    computation holds 4 n-by-n float64 matrices at once, so n above
+    8192 (about 2 GiB) raises :class:`MetricError`.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -208,6 +212,11 @@ def distance_correlation(a: np.ndarray, b: np.ndarray) -> float:
     n = a.shape[0]
     if n < 2 or b.shape[0] != n:
         raise QueryError("need n >= 2 paired observations")
+    if n > _DCOR_MAX_N:
+        raise MetricError(
+            f"distance correlation of n={n} rows needs 4*n^2 float64 values; "
+            f"the limit is n={_DCOR_MAX_N}"
+        )
 
     def centered(m):
         d = cdist(m, m)

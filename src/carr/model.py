@@ -7,8 +7,9 @@ predictor maps z through one hidden ELU layer to two logits.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,13 +28,16 @@ __all__ = [
     "init_params",
     "encode",
     "predict",
+    "predictor_xent",
     "predictor_xent_grad",
+    "predictor_xent_backward",
     "DataError",
 ]
 
 LOGVAR_CLAMP = 10.0
 EMB_DIM = 32
 HIDDEN = 64
+_LAYERS = ("enc_hidden", "enc_head", "pred_hidden", "pred_out")
 
 
 class DataError(ValueError):
@@ -63,6 +67,7 @@ class ModelParams:
     Every array is a view of the one float64 vector ``flat``, laid out as
     the embeddings (if any), then weights and bias of each layer in field
     order.  Update the arrays in place; rebinding one detaches it.
+    :meth:`stacked` gives the same model over K such vectors at once.
     """
 
     enc_hidden: DenseLayer  # d_in -> 64, elu
@@ -79,8 +84,7 @@ class ModelParams:
         emb = ("user_emb", "item_emb") if self.uses_embeddings else ()
         slots = [(key, self, key) for key in emb] + [
             (f"{name}.{attr}", getattr(self, name), attr)
-            for name in ("enc_hidden", "enc_head", "pred_hidden", "pred_out")
-            for attr in ("weights", "bias")
+            for name in _LAYERS for attr in ("weights", "bias")
         ]
         self._layout, start = [], 0
         for key, owner, attr in slots:
@@ -98,11 +102,33 @@ class ModelParams:
         return self.user_emb is not None
 
     def views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
-        """Views of a parameter-length vector shaped like each array, in
-        layout order, keyed "user_emb", "item_emb" (embedding models only)
-        and "<layer>.weights", "<layer>.bias"."""
-        return {key: vec[start:stop].reshape(shape)
+        """Views of a (..., P) array shaped (...,) plus the shape of each
+        parameter array, in layout order, keyed "user_emb", "item_emb"
+        (embedding models only) and "<layer>.weights", "<layer>.bias"."""
+        return {key: vec[..., start:stop].reshape(vec.shape[:-1] + shape)
                 for key, start, stop, shape in self._layout}
+
+    def stacked(self, vecs: np.ndarray) -> ModelParams:
+        """Parameters over the (K, P) stack ``vecs``: row k is a parameter
+        vector of this model, and every array is a view of ``flat`` (``vecs``
+        itself when it is float64) with a leading K axis, which the forward
+        passes carry through."""
+        vecs = np.asarray(vecs, dtype=float)
+        if vecs.ndim != 2 or vecs.shape[1] != self.flat.size:
+            raise ConfigurationError(
+                f"parameter stack has shape {vecs.shape}, "
+                f"expected (K, {self.flat.size})"
+            )
+        v = self.views(vecs)
+        out = copy.copy(self)
+        out.flat = vecs
+        for name in _LAYERS:
+            layer = replace(getattr(self, name), weights=v[f"{name}.weights"],
+                            bias=v[f"{name}.bias"])
+            setattr(out, name, layer)
+        if self.uses_embeddings:
+            out.user_emb, out.item_emb = v["user_emb"], v["item_emb"]
+        return out
 
     def to_vector(self) -> np.ndarray:
         return self.flat.copy()
@@ -139,35 +165,38 @@ def init_params(rng: Rng, d_in: int | None = None, d_z: int = 64,
 
 
 def featurize(params: ModelParams, x_batch: np.ndarray) -> np.ndarray:
-    """Raw features pass through; id pairs are embedded and concatenated."""
+    """Raw features pass through; id pairs are embedded and concatenated,
+    with the leading axis of stacked embeddings in front."""
     x = np.asarray(x_batch)
     if not params.uses_embeddings:
         return np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != 2:
         raise DataError("id-pair input must have two integer columns")
     u, v = x[:, 0].astype(int), x[:, 1].astype(int)
-    if u.min() < 0 or u.max() >= params.user_emb.shape[0]:
+    if u.min() < 0 or u.max() >= params.user_emb.shape[-2]:
         raise DataError("user id out of vocabulary")
-    if v.min() < 0 or v.max() >= params.item_emb.shape[0]:
+    if v.min() < 0 or v.max() >= params.item_emb.shape[-2]:
         raise DataError("item id out of vocabulary")
-    return np.concatenate([params.user_emb[u], params.item_emb[v]], axis=1)
+    return np.concatenate([params.user_emb[..., u, :], params.item_emb[..., v, :]],
+                          axis=-1)
 
 
 def encode(params: ModelParams, x_batch: np.ndarray,
            eps_std: np.ndarray | None = None) -> EncoderOutput:
     """Posterior parameters, z = mean + std * eps_std and the cache the loss
     backpropagates from, for a batch.  ``eps_std`` is the (n, d_z)
-    standard-normal draw; None means z = mean."""
+    standard-normal draw; None means z = mean.  Stacked parameters give
+    every output but the draw a leading K axis."""
     feats = featurize(params, x_batch)
     hidden, hidden_pre = dense_forward(params.enc_hidden, feats)
     head, _ = dense_forward(params.enc_head, hidden)
-    mean = head[:, : params.d_z]
-    logvar = np.clip(head[:, params.d_z:], -LOGVAR_CLAMP, LOGVAR_CLAMP)
+    mean = head[..., : params.d_z]
+    logvar = np.clip(head[..., params.d_z:], -LOGVAR_CLAMP, LOGVAR_CLAMP)
     if eps_std is None:
-        eps_std = np.zeros_like(mean)
-    elif np.shape(eps_std) != mean.shape:
+        eps_std = np.zeros(mean.shape[-2:])
+    elif np.shape(eps_std) != mean.shape[-2:]:
         raise ConfigurationError(
-            f"eps_std has shape {np.shape(eps_std)}, expected {mean.shape}"
+            f"eps_std has shape {np.shape(eps_std)}, expected {mean.shape[-2:]}"
         )
     std = np.exp(0.5 * logvar)
     ids = np.asarray(x_batch).astype(int) if params.uses_embeddings else None
@@ -188,30 +217,51 @@ def predict(params: ModelParams, z_batch: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     ex = np.exp(shifted)
-    return ex / ex.sum(axis=1, keepdims=True)
+    return ex / ex.sum(axis=-1, keepdims=True)
+
+
+def predictor_xent(params: ModelParams, z_batch: np.ndarray, y_batch: np.ndarray):
+    """Per-row cross-entropy of the predictor, (..., n) over a (..., n, d_z)
+    batch, and the cache its backward takes."""
+    z = np.asarray(z_batch, dtype=float)
+    y = np.asarray(y_batch, dtype=int)
+    rows = np.arange(y.shape[0])
+    hidden, pre_hidden = dense_forward(params.pred_hidden, z)
+    logits, pre_logits = dense_forward(params.pred_out, hidden)
+    probs = softmax(logits)
+    # indexing a stack this way lays the result out batch-major; C order
+    # makes the mean over the batch sum each row as it sums a 2-D one
+    picked = np.ascontiguousarray(probs[..., rows, y])
+    xent = -np.log(np.maximum(picked, 1e-300))
+    return xent, (z, y, rows, hidden, pre_hidden, probs, pre_logits)
 
 
 def predictor_xent_grad(params: ModelParams, z_batch: np.ndarray,
                         y_batch: np.ndarray, coeff: float | None = None):
     """Per-row cross-entropy of the predictor and the gradients of its mean.
 
-    Returns ``(xent, z_grad, layer_grads)``: one cross-entropy per row, the
-    gradient of ``coeff * xent.mean()`` w.r.t. z, and its gradients w.r.t.
-    the two predictor layers keyed as in :meth:`ModelParams.views`.  With
-    ``coeff`` None the gradient of the plain mean divides by n, which
-    rounds differently from multiplying by ``1.0 / n``: the attacker takes
-    that form, the objective passes each term's weight.
+    Returns ``(xent, z_grad, layer_grads)``: :func:`predictor_xent` and then
+    :func:`predictor_xent_backward` on its cache.
     """
-    z = np.asarray(z_batch, dtype=float)
-    y = np.asarray(y_batch, dtype=int)
-    n = z.shape[0]
-    rows = np.arange(n)
-    hidden, pre_hidden = dense_forward(params.pred_hidden, z)
-    logits, pre_logits = dense_forward(params.pred_out, hidden)
-    probs = softmax(logits)
-    xent = -np.log(np.maximum(probs[rows, y], 1e-300))
+    xent, cache = predictor_xent(params, z_batch, y_batch)
+    return (xent, *predictor_xent_backward(params, cache, coeff))
+
+
+def predictor_xent_backward(params: ModelParams, cache: tuple,
+                            coeff: float | None = None):
+    """Gradients of ``coeff * xent.mean()`` from the cache of a 2-D
+    :func:`predictor_xent`, which it overwrites.
+
+    Returns ``(z_grad, layer_grads)``, the second keyed as in
+    :meth:`ModelParams.views`.  With ``coeff`` None the gradient of the
+    plain mean divides by n, which rounds differently from multiplying by
+    ``1.0 / n``: the attacker takes that form, the objective passes each
+    term's weight.
+    """
+    z, y, rows, hidden, pre_hidden, probs, pre_logits = cache
+    n = y.shape[0]
     # d(mean xent)/dlogits = (softmax - onehot) / n
     g_logits = probs
     g_logits[rows, y] -= 1.0
@@ -221,5 +271,5 @@ def predictor_xent_grad(params: ModelParams, z_batch: np.ndarray,
         g_logits *= coeff / n
     g_hidden, gw2, gb2 = dense_backward(params.pred_out, hidden, pre_logits, g_logits)
     g_z, gw1, gb1 = dense_backward(params.pred_hidden, z, pre_hidden, g_hidden)
-    return xent, g_z, {"pred_hidden.weights": gw1, "pred_hidden.bias": gb1,
-                       "pred_out.weights": gw2, "pred_out.bias": gb2}
+    return g_z, {"pred_hidden.weights": gw1, "pred_hidden.bias": gb1,
+                 "pred_out.weights": gw2, "pred_out.bias": gb2}

@@ -70,31 +70,38 @@ _ACTIVATIONS = ("identity", "elu")
 
 @dataclass
 class DenseLayer:
-    """Fully-connected layer: out = act(x @ W.T + b)."""
+    """Fully-connected layer: out = act(x @ W.T + b).
 
-    weights: np.ndarray  # (out_dim, in_dim)
-    bias: np.ndarray  # (out_dim,)
+    Leading axes of ``weights`` and ``bias`` stack independent parameter
+    sets, which :func:`dense_forward` evaluates side by side.
+    """
+
+    weights: np.ndarray  # (..., out_dim, in_dim)
+    bias: np.ndarray  # (..., out_dim)
     activation: str = "identity"
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
         self.bias = np.asarray(self.bias, dtype=float)
-        if self.weights.ndim != 2 or self.bias.ndim != 1:
-            raise ConfigurationError("weights must be 2-D and bias 1-D")
-        if self.weights.shape[0] != self.bias.shape[0]:
+        if self.weights.ndim < 2 or self.bias.ndim != self.weights.ndim - 1:
             raise ConfigurationError(
-                f"bias length {self.bias.shape[0]} != out_dim {self.weights.shape[0]}"
+                "weights must be at least 2-D and bias one axis less"
+            )
+        if self.weights.shape[:-1] != self.bias.shape:
+            raise ConfigurationError(
+                f"bias shape {self.bias.shape} != weights shape {self.weights.shape} "
+                "without its last axis"
             )
         if self.activation not in _ACTIVATIONS:
             raise ConfigurationError(f"unknown activation {self.activation!r}")
 
     @property
     def in_dim(self) -> int:
-        return self.weights.shape[1]
+        return self.weights.shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
 
 def init_dense(rng: Rng, in_dim: int, out_dim: int,
@@ -106,16 +113,18 @@ def init_dense(rng: Rng, in_dim: int, out_dim: int,
 
 
 def dense_forward(layer: DenseLayer, x: np.ndarray):
-    """Forward pass on a (n, in_dim) batch.
+    """Forward pass on a (..., n, in_dim) batch.
 
-    Returns (output, pre_activation); the backward pass takes both back.
+    Leading axes of the batch and of a stacked layer broadcast; a 2-D batch
+    through a 2-D layer is the plain (n, out_dim) forward.  Returns
+    (output, pre_activation); the backward pass takes both back.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != layer.in_dim:
+    if x.ndim < 2 or x.shape[-1] != layer.in_dim:
         raise ConfigurationError(
             f"input shape {x.shape} incompatible with in_dim {layer.in_dim}"
         )
-    pre = x @ layer.weights.T + layer.bias
+    pre = x @ layer.weights.swapaxes(-1, -2) + layer.bias[..., None, :]
     if layer.activation == "elu":
         return elu(pre), pre
     return pre, pre
@@ -125,7 +134,8 @@ def dense_backward(layer: DenseLayer, cached_input: np.ndarray,
                    pre_activation: np.ndarray, upstream_grad: np.ndarray):
     """Gradients of a scalar loss given d(loss)/d(output).
 
-    Takes the input and pre-activation cached by :func:`dense_forward`.
+    Takes the 2-D input and pre-activation cached by :func:`dense_forward`
+    of a 2-D layer.
     Returns (input_grad, weight_grad, bias_grad).
     """
     x = np.asarray(cached_input, dtype=float)
@@ -139,26 +149,38 @@ def dense_backward(layer: DenseLayer, cached_input: np.ndarray,
     return g @ layer.weights, g.T @ x, g.sum(axis=0)
 
 
-def grad_check(f, params: np.ndarray, eps: float = 1e-5) -> float:
+# Upper bound on the bytes of one chunk of perturbed parameter vectors.
+_CHUNK_BYTES = 2 << 20
+
+
+def grad_check(loss, analytic: np.ndarray, point: np.ndarray) -> float:
     """Compare an analytic gradient against central finite differences.
 
-    ``f(params)`` must return ``(value, grad)`` with grad the analytic
-    gradient of the scalar value.  Returns the max over coordinates of
-    ``|analytic - numeric| / max(1, |numeric|)``.
+    ``loss`` maps a (K, P) stack of parameter vectors to their K scalar
+    values; ``analytic`` is the gradient of that scalar at the 1-D
+    ``point``.  Coordinate i is bumped to ``point[i] + 1e-5`` and then
+    ``2e-5`` below that, and both vectors of a run of coordinates go to
+    ``loss`` in one stack of at most about 2 MiB.  Returns the max over
+    coordinates of ``|analytic - numeric| / max(1, |numeric|)``.
     """
-    params = np.asarray(params, dtype=float)
-    _, analytic = f(params)
+    eps = 1e-5
+    point = np.asarray(point, dtype=float)
     analytic = np.asarray(analytic, dtype=float)
+    per_chunk = max(1, _CHUNK_BYTES // (2 * point.itemsize * point.size))
+    # rows [0, k) of the chunk hold the upper points, rows [k, 2k) the lower
+    stack = np.tile(point, (2 * min(per_chunk, point.size), 1))
     worst = 0.0
-    for i in range(params.size):
-        bumped = params.copy()
-        bumped[i] += eps
-        hi, _ = f(bumped)
-        bumped[i] -= 2 * eps
-        lo, _ = f(bumped)
-        if not (np.isfinite(hi) and np.isfinite(lo)):
+    for start in range(0, point.size, per_chunk):
+        idx = np.arange(start, min(start + per_chunk, point.size))
+        k = idx.size
+        hi_rows, lo_rows = np.arange(k), np.arange(k, 2 * k)
+        stack[hi_rows, idx] = point[idx] + eps
+        stack[lo_rows, idx] = stack[hi_rows, idx] - 2 * eps
+        values = np.asarray(loss(stack[: 2 * k]), dtype=float)
+        stack[hi_rows, idx] = stack[lo_rows, idx] = point[idx]
+        if not np.all(np.isfinite(values)):
             raise FloatingPointError("non-finite loss during finite differencing")
-        numeric = (hi - lo) / (2 * eps)
-        err = abs(analytic[i] - numeric) / max(1.0, abs(numeric))
-        worst = max(worst, err)
+        numeric = (values[:k] - values[k:]) / (2 * eps)
+        err = np.abs(analytic[idx] - numeric) / np.maximum(1.0, np.abs(numeric))
+        worst = max(worst, float(err.max()))
     return worst

@@ -4,7 +4,8 @@ Minimization form throughout: the assembled total is
 ``-positive_ll + lambda * kl + neg_weight * negative_ll`` with terms
 included per method.  ``encoded_loss_and_grads`` takes one encoder forward
 (:func:`carr.model.encode`) to the loss and its hand-derived gradient, and
-``loss_and_grads`` runs both; perturbations (adversarial and random) enter
+``loss_and_grads`` runs both; ``loss_values`` runs their forward alone over
+a stack of parameter vectors.  Perturbations (adversarial and random) enter
 as fixed offsets, so parameter gradients treat them as constants.
 """
 
@@ -14,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LOGVAR_CLAMP, EncoderOutput, ModelParams, encode, predictor_xent_grad
+from .model import (
+    LOGVAR_CLAMP,
+    EncoderOutput,
+    ModelParams,
+    encode,
+    predictor_xent,
+    predictor_xent_backward,
+)
 from .numkit import ConfigurationError, dense_backward
 from .numkit import dense_forward  # noqa: F401  patched by benchmarks/tracing.py
 
@@ -25,6 +33,7 @@ __all__ = [
     "assemble_loss",
     "encoded_loss_and_grads",
     "loss_and_grads",
+    "loss_values",
     "METHODS",
 ]
 
@@ -33,23 +42,32 @@ METHODS = ("base", "ib", "rcvae", "carr")
 
 @dataclass
 class LossBreakdown:
+    """Terms and total of one batch's loss: floats, or (K,) arrays for a
+    stack of parameter sets."""
+
     positive_ll: float
     kl: float | None
     negative_ll: float | None
     total: float
 
 
+def _scalar(value):
+    """A Python float for one parameter set; the (K,) array for a stack."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
 def kl_gaussian(mean: np.ndarray, logvar: np.ndarray,
                 prior_mean: np.ndarray) -> float:
     """KL(N(mean, diag exp(logvar)) || N(prior_mean, I)), summed over
-    dimensions and averaged over the batch."""
+    dimensions and averaged over the batch: a float for an (n, d) batch,
+    a (K,) array for a stacked (K, n, d) one."""
     mean = np.atleast_2d(np.asarray(mean, dtype=float))
     logvar = np.atleast_2d(np.asarray(logvar, dtype=float))
     prior = np.broadcast_to(np.asarray(prior_mean, dtype=float), mean.shape)
     if logvar.shape != mean.shape:
         raise ConfigurationError("mean and logvar must have equal shape")
-    per_sample = 0.5 * (np.exp(logvar) + (mean - prior) ** 2 - 1.0 - logvar).sum(axis=1)
-    return float(per_sample.mean())
+    per_sample = 0.5 * (np.exp(logvar) + (mean - prior) ** 2 - 1.0 - logvar).sum(-1)
+    return _scalar(per_sample.mean(axis=-1))
 
 
 def intervene(z_batch: np.ndarray, y_batch: np.ndarray, b: float = 0.8) -> np.ndarray:
@@ -88,6 +106,55 @@ def loss_and_grads(params: ModelParams, x_batch: np.ndarray, y_batch: np.ndarray
                                   y_batch, mode, **loss_kw)
 
 
+def loss_values(params: ModelParams, vecs: np.ndarray, x_batch: np.ndarray,
+                y_batch: np.ndarray, mode: str, *, eps_std: np.ndarray | None = None,
+                **loss_kw) -> np.ndarray:
+    """Totals of one batch under each row of the (K, P) stack ``vecs`` of
+    parameter vectors of ``params``: the forward of :func:`loss_and_grads`
+    with the same keywords, run once over the stack, without the backward."""
+    stacked = params.stacked(vecs)
+    enc = encode(stacked, x_batch, eps_std)
+    return _loss_forward(stacked, enc, y_batch, mode, **loss_kw)[0].total
+
+
+def _loss_forward(params: ModelParams, enc: EncoderOutput, y_batch: np.ndarray,
+                  mode: str, lam: float = 0.001, b: float = 0.8,
+                  neg_weight: float = 1.0, attack_delta: np.ndarray | None = None,
+                  neg_delta: np.ndarray | None = None):
+    """Loss terms of one batch from its encoder forward ``enc``, assembled.
+
+    Returns the :class:`LossBreakdown` and the predictor caches of the
+    positive and (``carr`` only) negative terms.  Stacked parameters give
+    every term a leading K axis.
+    """
+    for name, delta in (("attack_delta", attack_delta), ("neg_delta", neg_delta)):
+        if delta is not None and np.shape(delta) != enc.z.shape[-2:]:
+            raise ConfigurationError(
+                f"{name} has shape {np.shape(delta)}, expected {enc.z.shape[-2:]}"
+            )
+    y = np.asarray(y_batch, dtype=int)
+
+    # Positive term (possibly on attacked z)
+    z_pos = enc.z if attack_delta is None else enc.z + attack_delta
+    xent_pos, cache_pos = predictor_xent(params, z_pos, y)
+    positive_ll = -_scalar(xent_pos.mean(axis=-1))
+
+    # KL against the conditional Gaussian prior N(y*1, I)
+    prior = y[:, None].astype(float)
+    kl = kl_gaussian(enc.mean, enc.logvar, prior) if mode != "base" else None
+
+    # Negative term on the randomly perturbed intervened representation
+    negative_ll = cache_neg = None
+    if mode == "carr":
+        z_bar = intervene(enc.z, y, b)
+        z_neg = z_bar if neg_delta is None else z_bar + neg_delta
+        xent_neg, cache_neg = predictor_xent(params, z_neg, y)
+        negative_ll = -_scalar(xent_neg.mean(axis=-1))
+
+    breakdown = assemble_loss(mode, positive_ll, kl, negative_ll, lam, neg_weight)
+    return breakdown, cache_pos, cache_neg
+
+
 def encoded_loss_and_grads(params: ModelParams, enc: EncoderOutput,
                            y_batch: np.ndarray, mode: str, lam: float = 0.001,
                            b: float = 0.8, neg_weight: float = 1.0,
@@ -98,41 +165,24 @@ def encoded_loss_and_grads(params: ModelParams, enc: EncoderOutput,
     batch's encoder forward ``enc``.  ``attack_delta`` shifts z for the
     positive term and ``neg_delta`` the intervened z for the negative term;
     both have z's shape and are constants during differentiation."""
-    for name, delta in (("attack_delta", attack_delta), ("neg_delta", neg_delta)):
-        if delta is not None and np.shape(delta) != enc.z.shape:
-            raise ConfigurationError(
-                f"{name} has shape {np.shape(delta)}, expected {enc.z.shape}"
-            )
+    breakdown, cache_pos, cache_neg = _loss_forward(
+        params, enc, y_batch, mode, lam, b, neg_weight, attack_delta, neg_delta)
     y = np.asarray(y_batch, dtype=int)
     n = y.shape[0]
-    mean, logvar, std, eps_std, z = enc.mean, enc.logvar, enc.std, enc.eps_std, enc.z
+    mean, logvar, std, eps_std = enc.mean, enc.logvar, enc.std, enc.eps_std
+    prior = y[:, None].astype(float)
     clamp_mask = (np.abs(enc.head[:, params.d_z:]) < LOGVAR_CLAMP).astype(float)
 
-    # Positive term (possibly on attacked z)
-    z_pos = z if attack_delta is None else z + attack_delta
-    xent_pos, g_z, pred_grads = predictor_xent_grad(params, z_pos, y, 1.0)
-    positive_ll = -float(xent_pos.mean())
-
-    # KL against the conditional Gaussian prior N(y*1, I)
-    prior = y[:, None].astype(float)
-    kl = kl_gaussian(mean, logvar, prior) if mode != "base" else None
-
-    # Negative term on the randomly perturbed intervened representation
-    negative_ll = None
+    # ----- backward through the predictor -----
+    g_z, pred_grads = predictor_xent_backward(params, cache_pos, 1.0)
     if mode == "carr":
-        z_bar = intervene(z, y, b)
-        z_neg = z_bar if neg_delta is None else z_bar + neg_delta
         # the negative ll is ADDED to the minimized total, so its upstream
         # coefficient is -neg_weight relative to the positive branch
-        xent_neg, g_z_neg, pred_grads_neg = predictor_xent_grad(
-            params, z_neg, y, -neg_weight
-        )
-        negative_ll = -float(xent_neg.mean())
+        g_z_neg, pred_grads_neg = predictor_xent_backward(params, cache_neg,
+                                                          -neg_weight)
         if not stop_grad_negative:
             g_z = g_z + g_z_neg  # intervention shift is additive, identity jacobian
         pred_grads = {k: v + pred_grads_neg[k] for k, v in pred_grads.items()}
-
-    breakdown = assemble_loss(mode, positive_ll, kl, negative_ll, lam, neg_weight)
 
     # ----- backward through the encoder -----
     g_mean = g_z.copy()

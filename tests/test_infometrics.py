@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from carr import infometrics
 from carr.infometrics import (
     JointTable,
     MetricError,
@@ -186,6 +187,22 @@ def test_distance_correlation_accepts_1d():
     rng = Rng(7)
     a = rng.normal(size=50)
     assert abs(distance_correlation(a, -3.0 * a) - 1.0) < 1e-10
+
+
+def test_distance_correlation_size_cap(monkeypatch):
+    # 4 n-by-n float64 matrices: 2 GiB at n = 8192, so n = 8193 is refused
+    # before anything n-by-n is built; a stub cdist marks getting past the cap
+    class PastCap(Exception):
+        pass
+
+    def cdist_stub(*_):
+        raise PastCap
+
+    monkeypatch.setattr(infometrics, "cdist", cdist_stub)
+    with pytest.raises(PastCap):
+        distance_correlation(np.zeros(8192), np.zeros(8192))
+    with pytest.raises(MetricError, match="n=8193"):
+        distance_correlation(np.zeros(8193), np.zeros(8193))
 
 
 def test_auc_textbook_example():

@@ -12,6 +12,7 @@ from carr.model import (
     featurize,
     init_params,
     predict,
+    predictor_xent,
     predictor_xent_grad,
 )
 from carr.numkit import ConfigurationError, DenseLayer, Rng, grad_check
@@ -84,6 +85,31 @@ def test_arrays_are_views_of_flat(make):
         assert params.user_emb[0, 1] == 1.0
 
 
+@pytest.mark.parametrize("make", [
+    _params,
+    lambda: init_params(Rng(1, stream=1), vocab=(7, 9), d_z=4),
+], ids=["d_in", "vocab"])
+def test_stacked_rows_are_parameter_vectors(make):
+    params = make()
+    vec = params.to_vector()
+    vecs = np.stack([vec, -vec, np.zeros_like(vec)])
+    stack = params.stacked(vecs)
+    assert stack.flat is vecs
+    names = ["enc_hidden", "enc_head", "pred_hidden", "pred_out"]
+    for k, vec in enumerate(vecs):
+        params.from_vector(vec)
+        for name in names:
+            layer, row = getattr(params, name), getattr(stack, name)
+            assert row.activation == layer.activation
+            assert np.array_equal(row.weights[k], layer.weights)
+            assert np.array_equal(row.bias[k], layer.bias)
+        if params.uses_embeddings:
+            assert np.array_equal(stack.user_emb[k], params.user_emb)
+            assert np.array_equal(stack.item_emb[k], params.item_emb)
+    with pytest.raises(ConfigurationError):
+        params.stacked(vecs[:, :-1])
+
+
 def test_encode_deterministic_repeatable():
     params = _params()
     x = Rng(2).uniform(-1, 1, size=(6, 5))
@@ -136,12 +162,11 @@ def test_predictor_xent_grad_finite_difference():
     z0 = rng.uniform(-1, 1, size=(4, 3))
     y = np.array([0, 1, 1, 0])
 
-    def f(vec):
-        z = vec.reshape(4, 3)
-        xent, gz, _ = predictor_xent_grad(params, z, y)
-        return xent.mean(), gz.ravel()
+    def loss(vecs):
+        return predictor_xent(params, vecs.reshape(-1, 4, 3), y)[0].mean(axis=-1)
 
-    assert grad_check(f, z0.ravel()) < 1e-6
+    _, gz, _ = predictor_xent_grad(params, z0, y)
+    assert grad_check(loss, gz.ravel(), z0.ravel()) < 1e-6
 
 
 def test_predictor_xent_grad_uniform_logits():

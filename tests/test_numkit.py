@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from carr import numkit
 from carr.numkit import (
     ConfigurationError,
     DenseLayer,
@@ -89,18 +90,15 @@ def test_dense_backward_gradients(activation):
     x = rng.uniform(-1, 1, size=(6, 4))
     target = rng.normal(size=(6, 3))
 
-    def loss_of(vec):
-        w = vec[:12].reshape(3, 4)
-        b = vec[12:]
-        lyr = DenseLayer(w, b, activation)
-        out, pre = dense_forward(lyr, x)
-        value = 0.5 * ((out - target) ** 2).sum()
-        upstream = out - target
-        _, gw, gb = dense_backward(lyr, x, pre, upstream)
-        return value, np.concatenate([gw.ravel(), gb.ravel()])
+    def loss_of(vecs):
+        lyr = DenseLayer(vecs[:, :12].reshape(-1, 3, 4), vecs[:, 12:], activation)
+        out, _ = dense_forward(lyr, x)
+        return 0.5 * ((out - target) ** 2).sum(axis=(-2, -1))
 
+    out, pre = dense_forward(layer, x)
+    _, gw, gb = dense_backward(layer, x, pre, out - target)
     vec0 = np.concatenate([layer.weights.ravel(), layer.bias.ravel()])
-    assert grad_check(loss_of, vec0) < 1e-7
+    assert grad_check(loss_of, np.concatenate([gw.ravel(), gb.ravel()]), vec0) < 1e-7
 
 
 def test_dense_backward_input_grad():
@@ -108,18 +106,91 @@ def test_dense_backward_input_grad():
     layer = init_dense(rng, 3, 2, "elu")
     x0 = rng.uniform(-1, 1, size=(1, 3))
 
-    def loss_of(vec):
-        x = vec.reshape(1, 3)
-        out, pre = dense_forward(layer, x)
-        gx, _, _ = dense_backward(layer, x, pre, out)
-        return 0.5 * (out ** 2).sum(), gx.ravel()
+    def loss_of(vecs):
+        out, _ = dense_forward(layer, vecs.reshape(-1, 1, 3))
+        return 0.5 * (out ** 2).sum(axis=(-2, -1))
 
-    assert grad_check(loss_of, x0.ravel()) < 1e-7
+    out, pre = dense_forward(layer, x0)
+    gx, _, _ = dense_backward(layer, x0, pre, out)
+    assert grad_check(loss_of, gx.ravel(), x0.ravel()) < 1e-7
+
+
+@pytest.mark.parametrize("activation", ["identity", "elu"])
+@pytest.mark.parametrize("shared_input", [True, False])
+def test_stacked_dense_forward_equals_slices(activation, shared_input):
+    rng = Rng(13)
+    layer = DenseLayer(rng.normal(size=(7, 64, 64)), rng.normal(size=(7, 64)),
+                       activation)
+    x = rng.normal(size=(5, 64) if shared_input else (7, 5, 64))
+    out, pre = dense_forward(layer, x)
+    assert out.shape == pre.shape == (7, 5, 64)
+    for k in range(7):
+        ref_out, ref_pre = dense_forward(
+            DenseLayer(layer.weights[k], layer.bias[k], activation),
+            x if shared_input else x[k])
+        assert out[k].tobytes() == ref_out.tobytes()
+        assert pre[k].tobytes() == ref_pre.tobytes()
+
+
+def test_stacked_dense_layer_validation():
+    with pytest.raises(ConfigurationError):
+        DenseLayer(np.zeros((2, 3, 4)), np.zeros(3))  # bias lacks the stack axis
+    with pytest.raises(ConfigurationError):
+        DenseLayer(np.zeros((2, 3, 4)), np.zeros((5, 3)))  # stack sizes differ
+    layer = DenseLayer(np.zeros((2, 3, 4)), np.zeros((2, 3)))
+    assert (layer.in_dim, layer.out_dim) == (4, 3)
 
 
 def test_grad_check_flags_wrong_gradient():
-    def bad(vec):
-        return float((vec ** 2).sum()), 3.0 * vec  # correct grad is 2*vec
-
-    err = grad_check(bad, np.array([1.0, -2.0]))
+    point = np.array([1.0, -2.0])
+    # correct grad is 2*point
+    err = grad_check(lambda vecs: (vecs ** 2).sum(axis=-1), 3.0 * point, point)
     assert err > 0.1
+
+
+def _loop_grad_check(f, analytic, point):
+    # one point at a time: the reference for the stacked checker
+    eps, worst = 1e-5, 0.0
+    for i in range(point.size):
+        bumped = point.copy()
+        bumped[i] += eps
+        hi = f(bumped)
+        bumped[i] -= 2 * eps
+        lo = f(bumped)
+        numeric = (hi - lo) / (2 * eps)
+        worst = max(worst, abs(analytic[i] - numeric) / max(1.0, abs(numeric)))
+    return worst
+
+
+@pytest.mark.parametrize("size, per_chunk, stacks", [
+    (1, 4, [2]),  # one coordinate
+    (5, 4, [8, 2]),  # one above the chunk size
+    (8, 4, [8, 8]),  # a multiple of it
+])
+def test_grad_check_chunk_edges(monkeypatch, size, per_chunk, stacks):
+    monkeypatch.setattr(numkit, "_CHUNK_BYTES", 2 * 8 * size * per_chunk)
+    rng = Rng(14)
+    point = rng.normal(size=size)
+    weights = rng.uniform(0.5, 2.0, size=size)
+    analytic = 3 * weights * point ** 2 + rng.normal(size=size) * 1e-3
+    seen = []
+
+    def loss(vecs):
+        seen.append(vecs.shape[0])
+        assert vecs.shape[1] == size
+        return (weights * vecs ** 3).sum(axis=-1)
+
+    err = grad_check(loss, analytic, point)
+    assert seen == stacks
+    reference = _loop_grad_check(lambda v: float((weights * v ** 3).sum()),
+                                 analytic, point)
+    assert err == reference
+    assert err > 1e-5  # the perturbed analytic gradient is flagged
+
+
+def test_grad_check_rejects_non_finite_loss():
+    def loss(vecs):  # infinite at the upper point only
+        return np.where(vecs[:, 0] > 0, np.inf, 0.0)
+
+    with pytest.raises(FloatingPointError):
+        grad_check(loss, np.array([0.0]), np.array([0.0]))

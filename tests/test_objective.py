@@ -12,6 +12,7 @@ from carr.objective import (
     intervene,
     kl_gaussian,
     loss_and_grads,
+    loss_values,
 )
 
 
@@ -98,20 +99,48 @@ def _batch(seed, n=4, d_in=5, d_z=3):
     return params, x, y, eps, delta, neg
 
 
+def _offsets(mode, eps, delta, neg):
+    return dict(eps_std=eps,
+                attack_delta=delta if mode in ("rcvae", "carr") else None,
+                neg_delta=neg if mode == "carr" else None)
+
+
+def _gradcheck(params, x, y, mode, **kw):
+    _, analytic = loss_and_grads(params, x, y, mode, **kw)
+    return grad_check(lambda vecs: loss_values(params, vecs, x, y, mode, **kw),
+                      analytic, params.flat)
+
+
 @pytest.mark.parametrize("mode", METHODS)
 def test_loss_and_grads_finite_difference(mode):
     params, x, y, eps, delta, neg = _batch(seed=3)
+    assert _gradcheck(params, x, y, mode, **_offsets(mode, eps, delta, neg)) < 1e-4
 
-    def f(vec):
+
+def _embedding_batch(seed, n=6):
+    # more rows than users (4) or items (5), so both columns repeat ids
+    rng = Rng(seed, stream=50)
+    params = init_params(rng, vocab=(4, 5), d_z=3)
+    x = np.stack([rng.integers(0, 4, size=n), rng.integers(0, 5, size=n)], axis=1)
+    y = rng.integers(0, 2, size=n)
+    eps, delta, neg = (s * rng.normal(size=(n, 3)) for s in (1.0, 0.05, 0.05))
+    return params, x, y, eps, delta, neg
+
+
+@pytest.mark.parametrize("make, n", [(_batch, 4), (_batch, 20), (_embedding_batch, 6)],
+                         ids=["d_in", "d_in-n20", "vocab"])
+@pytest.mark.parametrize("mode", METHODS)
+def test_loss_values_equals_loss_and_grads_totals(make, n, mode):
+    params, x, y, eps, delta, neg = make(1, n=n)
+    kw = _offsets(mode, eps, delta, neg)
+    vecs = params.flat + 0.01 * Rng(2).normal(size=(9, params.flat.size))
+    totals = loss_values(params, vecs, x, y, mode, **kw)
+    assert totals.shape == (9,)
+    for vec, total in zip(vecs, totals):
         params.from_vector(vec)
-        breakdown, grad = loss_and_grads(
-            params, x, y, mode, eps_std=eps,
-            attack_delta=delta if mode in ("rcvae", "carr") else None,
-            neg_delta=neg if mode == "carr" else None,
-        )
-        return breakdown.total, grad
-
-    assert grad_check(f, params.to_vector()) < 1e-4
+        breakdown, _ = loss_and_grads(params, x, y, mode, **kw)
+        assert type(breakdown.total) is float
+        assert breakdown.total == total  # bit for bit
 
 
 @pytest.mark.parametrize("offset, shape", [
@@ -125,19 +154,12 @@ def test_loss_and_grads_rejects_wrong_shaped_offsets(offset, shape):
         loss_and_grads(params, x, y, "carr", **{offset: np.zeros(shape)})
 
 
-def test_loss_and_grads_embeddings_gradcheck():
-    rng = Rng(9, stream=50)
-    params = init_params(rng, vocab=(4, 5), d_z=3)
-    x = np.stack([rng.integers(0, 4, size=4), rng.integers(0, 5, size=4)], axis=1)
-    y = rng.integers(0, 2, size=4)
-    eps = rng.normal(size=(4, 3))
-
-    def f(vec):
-        params.from_vector(vec)
-        breakdown, grad = loss_and_grads(params, x, y, "ib", eps_std=eps)
-        return breakdown.total, grad
-
-    assert grad_check(f, params.to_vector()) < 1e-4
+@pytest.mark.parametrize("mode", METHODS)
+def test_loss_and_grads_embeddings_gradcheck(mode):
+    params, x, y, eps, delta, neg = _embedding_batch(seed=9)
+    # repeated ids send several rows through one embedding row (np.add.at)
+    assert len(np.unique(x[:, 0])) < len(x) and len(np.unique(x[:, 1])) < len(x)
+    assert _gradcheck(params, x, y, mode, **_offsets(mode, eps, delta, neg)) < 1e-4
 
 
 def test_carr_zero_neg_weight_equals_rcvae():
