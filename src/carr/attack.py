@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, predictor_xent_grad
+from .model import ModelParams, predictor_xent, predictor_xent_grad
 from .numkit import Rng
 
 __all__ = ["AttackSpec", "project", "pgd_attack", "random_ball"]
@@ -28,12 +28,14 @@ class AttackSpec:
     def __post_init__(self):
         if self.p not in ("2", "inf"):
             raise ValueError(f"norm order must be '2' or 'inf', got {self.p!r}")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
-        if self.step_size is not None and self.step_size <= 0 and self.steps > 0:
-            raise ValueError("step_size must be positive")
+        if not np.isfinite(self.beta) or self.beta < 0:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
+        if (isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer))
+                or self.steps < 0):
+            raise ValueError(f"steps must be an int >= 0, got {self.steps!r}")
+        if self.step_size is not None and not (
+                np.isfinite(self.step_size) and (self.step_size > 0 or self.steps == 0)):
+            raise ValueError(f"step_size must be finite and > 0, got {self.step_size!r}")
 
     @property
     def effective_step(self) -> float:
@@ -44,12 +46,18 @@ class AttackSpec:
         return 2.5 * self.beta / self.steps
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=1, keepdims=True)`` bit for bit: its own
+    expression for a real 2-D array, without its dispatch."""
+    return np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))
+
+
 def project(delta: np.ndarray, p: str, beta: float) -> np.ndarray:
     """Project each row of delta onto the p-ball of radius beta."""
     delta = np.atleast_2d(np.asarray(delta, dtype=float))
     if p == "inf":
         return np.clip(delta, -beta, beta)
-    norms = np.linalg.norm(delta, axis=1, keepdims=True)
+    norms = _row_norms(delta)
     scale = np.where(norms > beta, beta / np.maximum(norms, 1e-300), 1.0)
     return delta * scale
 
@@ -72,11 +80,13 @@ def pgd_attack(params: ModelParams, z0_batch: np.ndarray, y_batch: np.ndarray,
     best_loss = np.full(z0.shape[0], -np.inf)
     step = spec.effective_step
     # Pass k scores iterate k and, before the last, gives the gradient for
-    # iterate k + 1: steps + 1 passes in all.
+    # iterate k + 1: steps + 1 passes in all, the last without a backward.
     for k in range(spec.steps + 1):
-        loss, grad, _ = predictor_xent_grad(params, z0 + delta, y)
-        improved = loss > best_loss
-        best_delta[improved] = delta[improved]
+        if k < spec.steps:
+            loss, grad = predictor_xent_grad(params, z0 + delta, y)
+        else:
+            loss = predictor_xent(params, z0 + delta, y)[0]
+        np.copyto(best_delta, delta, where=(loss > best_loss)[:, None])
         best_loss = np.maximum(best_loss, loss)
         if k == spec.steps:
             break
@@ -85,8 +95,7 @@ def pgd_attack(params: ModelParams, z0_batch: np.ndarray, y_batch: np.ndarray,
         if spec.p == "inf":
             direction = np.sign(grad)
         else:
-            norms = np.linalg.norm(grad, axis=1, keepdims=True)
-            direction = grad / np.maximum(norms, 1e-300)
+            direction = grad / np.maximum(_row_norms(grad), 1e-300)
         delta = project(delta + step * direction, spec.p, spec.beta)
     return z0 + best_delta
 
@@ -102,6 +111,6 @@ def random_ball(z_batch: np.ndarray, p: str, beta: float, rng: Rng) -> np.ndarra
     if p == "inf":
         return z + rng.uniform(-beta, beta, size=(n, d))
     direction = rng.normal(size=(n, d))
-    direction /= np.maximum(np.linalg.norm(direction, axis=1, keepdims=True), 1e-300)
+    direction /= np.maximum(_row_norms(direction), 1e-300)
     radius = beta * rng.uniform(0.0, 1.0, size=(n, 1)) ** (1.0 / d)
     return z + radius * direction

@@ -13,14 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .numkit import (
-    ConfigurationError,
-    DenseLayer,
-    Rng,
-    dense_backward,
-    dense_forward,
-    init_dense,
-)
+from .numkit import (ConfigurationError, DenseLayer, Rng, dense_backward, dense_forward,
+                     dense_input_grad, init_dense)
 
 __all__ = [
     "EncoderOutput",
@@ -238,38 +232,38 @@ def predictor_xent(params: ModelParams, z_batch: np.ndarray, y_batch: np.ndarray
     return xent, (z, y, rows, hidden, pre_hidden, probs, pre_logits)
 
 
-def predictor_xent_grad(params: ModelParams, z_batch: np.ndarray,
-                        y_batch: np.ndarray, coeff: float | None = None):
-    """Per-row cross-entropy of the predictor and the gradients of its mean.
-
-    Returns ``(xent, z_grad, layer_grads)``: :func:`predictor_xent` and then
-    :func:`predictor_xent_backward` on its cache.
-    """
+def predictor_xent_grad(params: ModelParams, z_batch: np.ndarray, y_batch: np.ndarray):
+    """Per-row cross-entropy of the predictor and the z-gradient of its mean,
+    ``(xent, z_grad)``: the attacker's pass, whose backward forms no layer
+    gradient.  ``z_grad`` is that of ``predictor_xent_backward(..., None)``."""
     xent, cache = predictor_xent(params, z_batch, y_batch)
-    return (xent, *predictor_xent_backward(params, cache, coeff))
+    *_, pre_hidden, _, pre_logits = cache
+    g_hidden = dense_input_grad(params.pred_out, pre_logits, _logit_grad(cache, None))[0]
+    return xent, dense_input_grad(params.pred_hidden, pre_hidden, g_hidden)[0]
+
+
+def _logit_grad(cache: tuple, coeff: float | None) -> np.ndarray:
+    """d(coeff * mean xent)/dlogits, written over the cached probabilities.
+    ``coeff`` None divides by n (the attacker's plain mean), which rounds
+    differently from multiplying by ``1.0 / n`` (each objective term's weight)."""
+    _, y, rows, _, _, probs, _ = cache
+    probs[rows, y] -= 1.0
+    if coeff is None:
+        probs /= y.shape[0]
+    else:
+        probs *= coeff / y.shape[0]
+    return probs
 
 
 def predictor_xent_backward(params: ModelParams, cache: tuple,
                             coeff: float | None = None):
-    """Gradients of ``coeff * xent.mean()`` from the cache of a 2-D
-    :func:`predictor_xent`, which it overwrites.
-
-    Returns ``(z_grad, layer_grads)``, the second keyed as in
-    :meth:`ModelParams.views`.  With ``coeff`` None the gradient of the
-    plain mean divides by n, which rounds differently from multiplying by
-    ``1.0 / n``: the attacker takes that form, the objective passes each
-    term's weight.
-    """
-    z, y, rows, hidden, pre_hidden, probs, pre_logits = cache
-    n = y.shape[0]
-    # d(mean xent)/dlogits = (softmax - onehot) / n
-    g_logits = probs
-    g_logits[rows, y] -= 1.0
-    if coeff is None:
-        g_logits /= n
-    else:
-        g_logits *= coeff / n
-    g_hidden, gw2, gb2 = dense_backward(params.pred_out, hidden, pre_logits, g_logits)
+    """Gradients of ``coeff * xent.mean()`` (the plain mean for ``coeff``
+    None) from the cache of a 2-D :func:`predictor_xent`, which it
+    overwrites.  Returns ``(z_grad, layer_grads)``, the second keyed as in
+    :meth:`ModelParams.views`."""
+    z, _, _, hidden, pre_hidden, _, pre_logits = cache
+    g_hidden, gw2, gb2 = dense_backward(params.pred_out, hidden, pre_logits,
+                                        _logit_grad(cache, coeff))
     g_z, gw1, gb1 = dense_backward(params.pred_hidden, z, pre_hidden, g_hidden)
     return g_z, {"pred_hidden.weights": gw1, "pred_hidden.bias": gb1,
                  "pred_out.weights": gw2, "pred_out.bias": gb2}

@@ -18,6 +18,7 @@ __all__ = [
     "DenseLayer",
     "dense_forward",
     "dense_backward",
+    "dense_input_grad",
     "grad_check",
     "ConfigurationError",
 ]
@@ -144,9 +145,16 @@ def dense_backward(layer: DenseLayer, cached_input: np.ndarray,
         raise ConfigurationError(
             f"upstream shape {g.shape} incompatible with cached input {x.shape}"
         )
+    g_in, g = dense_input_grad(layer, pre_activation, g)
+    return g_in, g.T @ x, g.sum(axis=0)
+
+
+def dense_input_grad(layer: DenseLayer, pre: np.ndarray, g: np.ndarray):
+    """(input_grad, pre_activation_grad) given d(loss)/d(output): the step
+    :func:`dense_backward` starts with, without the layer gradients."""
     if layer.activation == "elu":
-        g = g * elu_grad(pre_activation)
-    return g @ layer.weights, g.T @ x, g.sum(axis=0)
+        g = g * elu_grad(pre)
+    return g @ layer.weights, g
 
 
 # Upper bound on the bytes of one chunk of perturbed parameter vectors.

@@ -4,9 +4,50 @@ and uniform ball sampling."""
 import numpy as np
 import pytest
 
-from carr.attack import AttackSpec, pgd_attack, project, random_ball
-from carr.model import ModelParams, init_params, predictor_xent_grad
+import carr.attack
+from carr.attack import AttackSpec, _row_norms, pgd_attack, project, random_ball
+from carr.model import (
+    ModelParams,
+    init_params,
+    predictor_xent,
+    predictor_xent_backward,
+    predictor_xent_grad,
+)
 from carr.numkit import DenseLayer, Rng
+
+
+def reference_pgd(params, z0_batch, y_batch, spec):
+    """PGD with a full predictor backward on all steps + 1 passes,
+    ``np.linalg.norm`` row norms and a boolean-mask copy of the best
+    iterate: the plain form :func:`pgd_attack` must equal bit for bit."""
+    z0 = np.asarray(z0_batch, dtype=float)
+    y = np.asarray(y_batch, dtype=int)
+    if spec.beta == 0.0 or spec.steps == 0:
+        return z0.copy()
+    delta = np.zeros_like(z0)
+    best_delta = delta.copy()
+    best_loss = np.full(z0.shape[0], -np.inf)
+    for k in range(spec.steps + 1):
+        loss, cache = predictor_xent(params, z0 + delta, y)
+        grad = predictor_xent_backward(params, cache, None)[0]
+        improved = loss > best_loss
+        best_delta[improved] = delta[improved]
+        best_loss = np.maximum(best_loss, loss)
+        if k == spec.steps:
+            break
+        if spec.p == "inf":
+            direction = np.sign(grad)
+        else:
+            norms = np.linalg.norm(grad, axis=1, keepdims=True)
+            direction = grad / np.maximum(norms, 1e-300)
+        delta = delta + spec.effective_step * direction
+        if spec.p == "inf":
+            delta = np.clip(delta, -spec.beta, spec.beta)
+        else:
+            norms = np.linalg.norm(delta, axis=1, keepdims=True)
+            delta = delta * np.where(norms > spec.beta,
+                                     spec.beta / np.maximum(norms, 1e-300), 1.0)
+    return z0 + best_delta
 
 
 def test_attack_spec_validation():
@@ -18,7 +59,19 @@ def test_attack_spec_validation():
         AttackSpec(p="2", beta=0.1, steps=-1)
     with pytest.raises(ValueError):
         AttackSpec(p="2", beta=0.1, step_size=0.0)
+    assert AttackSpec(p="2", beta=0.1, steps=np.int64(3)).steps == 3
     assert AttackSpec(p="inf", beta=0.2, steps=8).effective_step == 2.5 * 0.2 / 8
+
+
+@pytest.mark.parametrize("kw", [
+    {"beta": float("nan")}, {"beta": float("inf")},
+    {"beta": 0.3, "step_size": float("nan")}, {"beta": 0.3, "step_size": float("inf")},
+    {"beta": 0.3, "steps": 2.5}, {"beta": 0.3, "steps": True}, {"beta": 0.3, "steps": "3"},
+])
+def test_attack_spec_rejects_non_finite_and_non_int(kw):
+    # a NaN radius or step would make PGD return z0 unattacked
+    with pytest.raises(ValueError):
+        AttackSpec(p="2", **kw)
 
 
 def test_project_inf_clips():
@@ -146,3 +199,61 @@ def test_random_ball_zero_radius():
     z = Rng(13).normal(size=(3, 4))
     out = random_ball(z, "2", 0.0, Rng(14))
     assert np.array_equal(out, z)
+
+
+@pytest.mark.parametrize("p", ["2", "inf"])
+@pytest.mark.parametrize("n", [1, 16, 50, 64])
+def test_pgd_bit_identical_to_reference(p, n):
+    params, z0, y = _rand_setup(n, n, d_z=64)
+    spec = AttackSpec(p=p, beta=0.3, steps=10)
+    out = pgd_attack(params, z0, y, spec)
+    assert out.tobytes() == reference_pgd(params, z0, y, spec).tobytes()
+    assert not np.array_equal(out, z0)
+
+
+@pytest.mark.parametrize("p", ["2", "inf"])
+def test_pgd_bit_identical_to_reference_on_the_boundary(p):
+    # a step over twice the radius leaves the ball from anywhere inside it,
+    # so every row of every iterate is projected back onto the boundary
+    params, z0, y = _rand_setup(3, 50, d_z=64)
+    spec = AttackSpec(p=p, beta=0.3, steps=6, step_size=1.0)
+    out = pgd_attack(params, z0, y, spec)
+    assert out.tobytes() == reference_pgd(params, z0, y, spec).tobytes()
+    size = (np.abs(out - z0).max(axis=1) if p == "inf"
+            else np.linalg.norm(out - z0, axis=1))
+    moved = size > 0
+    assert moved.sum() > 25
+    assert np.abs(size[moved] - 0.3).max() < 1e-12
+
+
+@pytest.mark.parametrize("steps", [1, 3, 10])
+def test_pgd_pass_counts(monkeypatch, steps):
+    # steps gradient passes, then one pass that only scores the last iterate
+    counts = {"grad": 0, "score": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(carr.attack, "predictor_xent_grad",
+                        counting("grad", carr.attack.predictor_xent_grad))
+    monkeypatch.setattr(carr.attack, "predictor_xent",
+                        counting("score", carr.attack.predictor_xent))
+    params, z0, y = _rand_setup(15)
+    pgd_attack(params, z0, y, AttackSpec(p="2", beta=0.3, steps=steps))
+    assert counts == {"grad": steps, "score": 1}
+
+
+def test_row_norms_equal_linalg_norm():
+    rng = Rng(16)
+    tiny = np.finfo(float).smallest_subnormal
+    x = np.vstack([
+        np.zeros((2, 5)),
+        np.full((1, 5), tiny), [[tiny, 0.0, 3 * tiny, 0.0, 1e-310]],
+        1e154 * rng.normal(size=(3, 5)), [[1e154, 0, 0, 0, 0]],
+        [[1.3e154, 1.3e154, 0, 0, 0]],  # squares overflow: both give inf
+        rng.normal(size=(20, 5)),
+    ])
+    assert _row_norms(x).tobytes() == np.linalg.norm(x, axis=1, keepdims=True).tobytes()

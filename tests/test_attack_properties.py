@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from carr.attack import AttackSpec, pgd_attack, project, random_ball  # noqa: E402
 from carr.model import init_params, predictor_xent_grad  # noqa: E402
 from carr.numkit import Rng  # noqa: E402
+from test_attack import reference_pgd  # noqa: E402
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -69,3 +70,16 @@ def test_pgd_loss_never_below_start_and_monotone_in_steps(seed, n, d_z, p, beta,
         assert (loss >= start).all()
         assert (loss >= prev).all()
         prev = loss
+
+
+@SETTINGS
+@given(seeds, st.integers(1, 64), st.integers(1, 64), norms, radii,
+       st.integers(0, 12), st.one_of(st.none(), st.floats(0.01, 2.0)))
+def test_pgd_bit_identical_to_reference(seed, n, d_z, p, beta, steps, step_size):
+    rng = Rng(seed, stream=32)
+    params = init_params(rng, d_in=3, d_z=d_z)
+    z0 = rng.normal(size=(n, d_z))
+    y = rng.integers(0, 2, size=n)
+    spec = AttackSpec(p=p, beta=beta, steps=steps, step_size=step_size)
+    out = pgd_attack(params, z0, y, spec)
+    assert out.tobytes() == reference_pgd(params, z0, y, spec).tobytes()

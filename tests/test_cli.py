@@ -75,6 +75,23 @@ def test_train_bad_config_exit_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("attack", [
+    {"p": "2", "beta": float("nan"), "steps": 1},
+    {"p": "2", "beta": 0.3, "step_size": float("nan")},
+    {"p": "2", "beta": 0.3, "steps": 2.5},
+])
+def test_train_non_finite_or_fractional_attack_exit_2(tmp_path, capsys, attack):
+    # json writes NaN as a bare token and reads it back as a float NaN; a NaN
+    # radius would otherwise train a "robust" model that was never attacked
+    config = {"method": "base", "training_mode": "robust", "attack": attack,
+              "epochs": 1, "d_z": 8, "dataset": {"kind": "synthetic", "n": 60}}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and ("finite" in err or "int" in err)
+
+
 def test_train_single_class_metric_exit_1(tmp_path, capsys):
     # n=6 leaves one class in the test split: AUC is undefined, which is a
     # runtime failure, not a configuration error

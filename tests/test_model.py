@@ -13,6 +13,7 @@ from carr.model import (
     init_params,
     predict,
     predictor_xent,
+    predictor_xent_backward,
     predictor_xent_grad,
 )
 from carr.numkit import ConfigurationError, DenseLayer, Rng, grad_check
@@ -165,7 +166,7 @@ def test_predictor_xent_grad_finite_difference():
     def loss(vecs):
         return predictor_xent(params, vecs.reshape(-1, 4, 3), y)[0].mean(axis=-1)
 
-    _, gz, _ = predictor_xent_grad(params, z0, y)
+    _, gz = predictor_xent_grad(params, z0, y)
     assert grad_check(loss, gz.ravel(), z0.ravel()) < 1e-6
 
 
@@ -174,6 +175,22 @@ def test_predictor_xent_grad_uniform_logits():
     params = _params(d_z=3)
     params.pred_out.weights[:] = 0.0
     params.pred_out.bias[:] = 0.0
-    xent, _, _ = predictor_xent_grad(params, np.ones((2, 3)), [0, 1])
+    xent, _ = predictor_xent_grad(params, np.ones((2, 3)), [0, 1])
     assert xent.shape == (2,)
     assert np.abs(xent - np.log(2.0)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 9, 50, 64])
+def test_predictor_xent_grad_is_the_full_backwards_z_gradient(n):
+    # the attacker's input-only backward forms the same z-gradient, bit for
+    # bit, as the objective's backward with layer gradients; n other than a
+    # power of two makes the division by n round
+    params = _params(seed=n, d_z=16)
+    rng = Rng(n, stream=7)
+    z = rng.normal(size=(n, 16))
+    y = rng.integers(0, 2, size=n)
+    xent, gz = predictor_xent_grad(params, z, y)
+    xent_full, cache = predictor_xent(params, z, y)
+    gz_full = predictor_xent_backward(params, cache, None)[0]
+    assert xent.tobytes() == xent_full.tobytes()
+    assert gz.tobytes() == gz_full.tobytes()
