@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, predictor_xent, predictor_xent_grad
-from .numkit import Rng
+from .numkit import Rng, check_numbers
 
 __all__ = ["AttackSpec", "project", "pgd_attack", "random_ball"]
 
@@ -28,10 +28,11 @@ class AttackSpec:
     def __post_init__(self):
         if self.p not in ("2", "inf"):
             raise ValueError(f"norm order must be '2' or 'inf', got {self.p!r}")
+        check_numbers(self, ("beta",) + ("step_size",) * (self.step_size is not None),
+                      ("steps",))
         if not np.isfinite(self.beta) or self.beta < 0:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
-        if (isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer))
-                or self.steps < 0):
+        if self.steps < 0:
             raise ValueError(f"steps must be an int >= 0, got {self.steps!r}")
         if self.step_size is not None and not (
                 np.isfinite(self.step_size) and (self.step_size > 0 or self.steps == 0)):

@@ -9,10 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.stats import rankdata
 
-from .scm import DiscreteSCM, counterfactual_query, enumerate_joint
+from .scm import DiscreteSCM, _joint, _query, _worlds, enumerate_joint
+from .scm import counterfactual_query  # noqa: F401  patched by benchmarks/tracing.py
 
 __all__ = [
     "JointTable",
@@ -148,8 +147,8 @@ def pns(scm: DiscreteSCM, z_var: str, z_val: int, y_var: str, y_val: int,
     exactly P(Z=z, Y=y).  "Z != z" as an intervention target is realized
     by the single designated alternative value ``z_alt``.
     """
-    table = enumerate_joint(scm)
-    joint_zy = table.marginal((z_var, y_var))
+    worlds = _worlds(scm)
+    joint_zy = _joint(scm, worlds).marginal((z_var, y_var))
     not_z = frozenset(range(scm.domains[z_var])) - {z_val}
     not_y = frozenset(range(scm.domains[y_var])) - {y_val}
 
@@ -162,12 +161,8 @@ def pns(scm: DiscreteSCM, z_var: str, z_val: int, y_var: str, y_val: int,
     if p_event_suff <= 0 or p_event_nec <= 0:
         raise QueryError("PNS conditioning events must have nonzero probability")
 
-    cf_suff = counterfactual_query(
-        scm, {z_var: not_z, y_var: not_y}, {z_var: z_val}, y_var
-    )
-    cf_nec = counterfactual_query(
-        scm, {z_var: z_val, y_var: y_val}, {z_var: z_alt}, y_var
-    )
+    cf_suff = _query(scm, worlds, {z_var: not_z, y_var: not_y}, {z_var: z_val}, y_var)
+    cf_nec = _query(scm, worlds, {z_var: z_val, y_var: y_val}, {z_var: z_alt}, y_var)
 
     sufficient = p_event_suff * float(cf_suff[y_val])
     # exogenous-posterior sums can overshoot 1 by an ulp or two
@@ -218,6 +213,8 @@ def distance_correlation(a: np.ndarray, b: np.ndarray) -> float:
             f"the limit is n={_DCOR_MAX_N}"
         )
 
+    # imported on first use, so that `import carr` loads no scipy module
+    from scipy.spatial.distance import cdist
     def centered(m):
         d = cdist(m, m)
         return d - d.mean(axis=0) - d.mean(axis=1)[:, None] + d.mean()
@@ -232,6 +229,19 @@ def distance_correlation(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(max(r2, 0.0)))
 
 
+def _midranks(x: np.ndarray) -> np.ndarray:
+    """``scipy.stats.rankdata(x)`` bit for bit: ties share their mean rank,
+    and any NaN makes every rank NaN."""
+    if np.isnan(x).any():
+        return np.full(x.shape, np.nan)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    new = np.r_[True, xs[1:] != xs[:-1]]
+    dense = np.cumsum(new)[np.argsort(order)]
+    count = np.r_[np.flatnonzero(new), len(x)]
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
+
+
 def auc(scores, labels) -> float:
     """Probability a random positive outranks a random negative; midranks
     for ties."""
@@ -241,7 +251,7 @@ def auc(scores, labels) -> float:
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise MetricError("AUC needs both classes present")
-    ranks = rankdata(scores)
+    ranks = _midranks(scores)
     return float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0)
                  / (n_pos * n_neg))
 

@@ -8,6 +8,7 @@ determinism is worth more than speed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -26,6 +27,16 @@ __all__ = [
 
 class ConfigurationError(ValueError):
     """Shape or configuration mismatch in a kernel operation."""
+
+
+def check_numbers(obj, reals=(), ints=()) -> None:
+    """Raise ConfigurationError unless the attributes of ``obj`` named in
+    ``reals`` are real numbers and those in ``ints`` ints; a bool is neither."""
+    for name in (*reals, *ints):
+        value = getattr(obj, name)
+        kind, what = (Integral, "an int") if name in ints else (Real, "a number")
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigurationError(f"{name} must be {what}, got {value!r}")
 
 
 class Rng:

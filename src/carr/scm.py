@@ -259,18 +259,18 @@ class DiscreteSCM:
 def _worlds(scm: DiscreteSCM):
     """Every exogenous world at once, in ``itertools.product`` order.
 
-    Returns ({node: (W,) exogenous values}, (W,) probabilities); each
-    probability is the left-to-right product of the pmfs, starting from 1.0.
-    Raises :class:`CapacityError` above ``MAX_WORLDS`` worlds.
+    Returns ({node: (W,) exogenous values}, (W,) probabilities, {node: (W,)
+    factual values}); each probability is the left-to-right product of the
+    pmfs, from 1.0.  Raises :class:`CapacityError` above ``MAX_WORLDS``.
     """
     sizes = [len(scm.exo_dists[v]) for v in scm.order]
     if math.prod(sizes) > MAX_WORLDS:
         raise CapacityError(f"exogenous state space exceeds {MAX_WORLDS}")
-    exo = np.indices(sizes).reshape(len(sizes), -1)
-    prob = np.ones(exo.shape[1])
-    for v, e in zip(scm.order, exo):
+    exo = dict(zip(scm.order, np.indices(sizes).reshape(len(sizes), -1)))
+    prob = np.ones(math.prod(sizes))
+    for v, e in exo.items():
         prob *= np.asarray(scm.exo_dists[v], dtype=float)[e]
-    return dict(zip(scm.order, exo)), prob
+    return exo, prob, scm.evaluate(exo)
 
 
 def enumerate_joint(scm: DiscreteSCM):
@@ -279,10 +279,13 @@ def enumerate_joint(scm: DiscreteSCM):
     Returns a :class:`carr.infometrics.JointTable`, summed over every
     exogenous world in world order.
     """
+    return _joint(scm, None)
+
+
+def _joint(scm, worlds):
     from .infometrics import JointTable  # local import to avoid a cycle
 
-    exo, prob = _worlds(scm)
-    values = scm.evaluate(exo)
+    _, prob, values = worlds or _worlds(scm)
     shape = tuple(scm.domains[v] for v in scm.order)
     flat = np.ravel_multi_index(tuple(values[v] for v in scm.order), shape)
     probs = np.bincount(flat, weights=prob, minlength=math.prod(shape))
@@ -297,16 +300,19 @@ def counterfactual_query(scm: DiscreteSCM, evidence: dict, intervention: dict,
     be single values or sets of admissible values).  Action: apply the do()
     intervention.  Prediction: push the posterior through the mutated model.
     """
+    return _query(scm, None, evidence, intervention, target)
+
+
+def _query(scm, worlds, evidence, intervention, target):
     for var, val in intervention.items():
         if var not in scm.domains or val not in range(scm.domains[var]):
             raise ValueError(f"do({var}={val!r}) is outside the model's domains")
-    exo, prob = _worlds(scm)
-    values = scm.evaluate(exo)
+    exo, prob, values = worlds or _worlds(scm)
     mask = np.ones(prob.shape, dtype=bool)
     for var, want in evidence.items():
         if not isinstance(want, (set, frozenset, tuple, list)):
             want = (want,)
-        mask &= np.isin(values[var], list(want))
+        mask &= np.logical_or.reduce([values[var] == w for w in want])
     z = np.cumsum(np.where(mask, prob, 0.0))[-1]
     if z <= 0.0:
         raise InferenceError(f"evidence {evidence} has zero probability")

@@ -13,7 +13,7 @@ from . import dataio, infometrics, scm as scm_mod
 from .attack import AttackSpec, pgd_attack, random_ball
 from .dataio import DatasetSpec, Split, batch_iter, split_three_way
 from .model import ModelParams, encode, init_params, predict, softmax
-from .numkit import ConfigurationError, Rng
+from .numkit import ConfigurationError, Rng, check_numbers
 from .objective import METHODS, encoded_loss_and_grads
 from .objective import loss_and_grads  # noqa: F401  patched by benchmarks/tracing.py
 
@@ -49,6 +49,8 @@ class RunConfig:
                                                    "n": 500})
 
     def __post_init__(self):
+        check_numbers(self, ("lam", "b", "neg_weight", "lr", "momentum"),
+                      ("batch_size", "epochs", "patience", "seed", "d_z"))
         if self.method not in METHODS:
             raise ConfigurationError(f"unknown method {self.method!r}")
         if self.training_mode not in _MODES:

@@ -92,6 +92,27 @@ def test_train_non_finite_or_fractional_attack_exit_2(tmp_path, capsys, attack):
     assert err.startswith("config error:") and ("finite" in err or "int" in err)
 
 
+@pytest.mark.parametrize("name, override", [
+    ("beta", {"attack": {"p": "2", "beta": "0.3"}}),
+    ("beta", {"attack": {"p": "2", "beta": True}}),
+    ("step_size", {"attack": {"p": "2", "beta": 0.3, "step_size": "0.1"}}),
+    ("lr", {"lr": "0.01"}), ("lam", {"lam": None}), ("b", {"b": [0.8]}),
+    ("neg_weight", {"neg_weight": True}), ("momentum", {"momentum": "0.9"}),
+    ("epochs", {"epochs": 1.5}), ("batch_size", {"batch_size": "64"}),
+    ("patience", {"patience": 2.0}), ("seed", {"seed": True}), ("d_z", {"d_z": 8.0}),
+])
+def test_train_config_number_of_wrong_type_exit_2(tmp_path, capsys, name, override):
+    # each would otherwise fail later, inside training, with exit 1
+    config = {"method": "base", "training_mode": "robust",
+              "attack": {"p": "2", "beta": 0.3}, "epochs": 1, "d_z": 8,
+              "dataset": {"kind": "synthetic", "n": 60}}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**config, **override}))
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{name} must be" in err
+
+
 def test_train_single_class_metric_exit_1(tmp_path, capsys):
     # n=6 leaves one class in the test split: AUC is undefined, which is a
     # runtime failure, not a configuration error

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from carr import infometrics
 from carr.infometrics import (
     JointTable,
     MetricError,
@@ -198,7 +197,8 @@ def test_distance_correlation_size_cap(monkeypatch):
     def cdist_stub(*_):
         raise PastCap
 
-    monkeypatch.setattr(infometrics, "cdist", cdist_stub)
+    # cdist is imported from scipy at each call, so the stub goes on scipy
+    monkeypatch.setattr("scipy.spatial.distance.cdist", cdist_stub)
     with pytest.raises(PastCap):
         distance_correlation(np.zeros(8192), np.zeros(8192))
     with pytest.raises(MetricError, match="n=8193"):

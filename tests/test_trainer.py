@@ -43,6 +43,19 @@ def test_config_validation():
         RunConfig(training_mode="robust", attack=AttackSpec(p="2", beta=0.0))
 
 
+def test_config_numbers_typed():
+    # an int is a float here, numpy scalars are numbers, a bool is neither
+    cfg = RunConfig(lr=1, lam=np.float64(0.01), seed=np.int64(3),
+                    attack=AttackSpec(p="2", beta=1, step_size=np.float32(0.1)))
+    assert cfg.lr == 1 and cfg.seed == 3
+    with pytest.raises(ConfigurationError, match="lr must be a number"):
+        RunConfig(lr=False)
+    with pytest.raises(ConfigurationError, match="epochs must be an int"):
+        RunConfig(epochs=np.float64(2.0))
+    with pytest.raises(ConfigurationError, match="beta must be a number"):
+        AttackSpec(p="2", beta="0.3")
+
+
 def test_config_dict_round_trip():
     cfg = _cfg(method="ib", training_mode="standard",
                attack=AttackSpec(p="2", beta=0.0), seed=3)
