@@ -30,13 +30,12 @@ class AttackSpec:
             raise ValueError(f"norm order must be '2' or 'inf', got {self.p!r}")
         check_numbers(self, ("beta",) + ("step_size",) * (self.step_size is not None),
                       ("steps",))
-        if not np.isfinite(self.beta) or self.beta < 0:
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
+        if self.beta < 0:
+            raise ValueError(f"beta must be >= 0, got {self.beta!r}")
         if self.steps < 0:
             raise ValueError(f"steps must be an int >= 0, got {self.steps!r}")
-        if self.step_size is not None and not (
-                np.isfinite(self.step_size) and (self.step_size > 0 or self.steps == 0)):
-            raise ValueError(f"step_size must be finite and > 0, got {self.step_size!r}")
+        if self.step_size is not None and not (self.step_size > 0 or self.steps == 0):
+            raise ValueError(f"step_size must be > 0, got {self.step_size!r}")
 
     @property
     def effective_step(self) -> float:

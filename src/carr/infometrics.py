@@ -31,6 +31,8 @@ __all__ = [
 _SLACK = 1e-10
 # distance_correlation holds 4 n-by-n float64 matrices: 2 GiB at this n
 _DCOR_MAX_N = 8192
+# float64 values of squared differences per block of _pairwise_distances
+_DIST_BLOCK = 1 << 15
 
 
 class QueryError(ValueError):
@@ -190,6 +192,30 @@ def random_markov_chain(rng) -> JointTable:
 # ---------------------------------------------------------------------------
 
 
+def _pairwise_distances(m: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``m``, byte for byte those of
+    the reference ``cdist(m, m)`` (tests/test_metric_properties.py).
+
+    ``cdist`` sums ``(x_k - y_k) ** 2`` over the columns in order, starting
+    from 0, and takes the square root; ``np.add.reduce`` over axis 0 of a
+    (columns, rows, rows) block adds in that same sequential order, where a
+    sum over the last axis would add pairwise.  Blocks of rows hold about
+    256 KiB of squared differences.  ``x - y`` is ``-(y - x)`` exactly, so
+    the matrix is symmetric: each block covers the columns from its own
+    first row on and is mirrored below the diagonal.
+    """
+    n, d = m.shape
+    mt = np.ascontiguousarray(m.T)
+    out = np.empty((n, n))
+    rows = max(1, _DIST_BLOCK // (max(d, 1) * n))
+    for r in range(0, n, rows):
+        sq = mt[:, r:r + rows, None] - mt[:, None, r:]
+        np.square(sq, out=sq)
+        block = np.add.reduce(sq, axis=0, out=out[r:r + rows, r:])
+        out[r:, r:r + rows] = block.T
+    return np.sqrt(out, out=out)
+
+
 def distance_correlation(a: np.ndarray, b: np.ndarray) -> float:
     """Sample distance correlation (biased V-statistic) between two blocks.
 
@@ -213,10 +239,8 @@ def distance_correlation(a: np.ndarray, b: np.ndarray) -> float:
             f"the limit is n={_DCOR_MAX_N}"
         )
 
-    # imported on first use, so that `import carr` loads no scipy module
-    from scipy.spatial.distance import cdist
     def centered(m):
-        d = cdist(m, m)
+        d = _pairwise_distances(m)
         return d - d.mean(axis=0) - d.mean(axis=1)[:, None] + d.mean()
 
     ca, cb = centered(a), centered(b)
@@ -230,8 +254,8 @@ def distance_correlation(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _midranks(x: np.ndarray) -> np.ndarray:
-    """``scipy.stats.rankdata(x)`` bit for bit: ties share their mean rank,
-    and any NaN makes every rank NaN."""
+    """The reference ``rankdata(x)`` of tests/test_metric_properties.py bit
+    for bit: ties share their mean rank, and any NaN makes every rank NaN."""
     if np.isnan(x).any():
         return np.full(x.shape, np.nan)
     order = np.argsort(x, kind="stable")

@@ -7,6 +7,7 @@ determinism is worth more than speed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 
@@ -29,14 +30,24 @@ class ConfigurationError(ValueError):
     """Shape or configuration mismatch in a kernel operation."""
 
 
+def _finite_float(value) -> bool:
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def check_numbers(obj, reals=(), ints=()) -> None:
     """Raise ConfigurationError unless the attributes of ``obj`` named in
-    ``reals`` are real numbers and those in ``ints`` ints; a bool is neither."""
+    ``reals`` are real numbers that convert to finite floats and those in
+    ``ints`` ints; a bool is neither."""
     for name in (*reals, *ints):
         value = getattr(obj, name)
         kind, what = (Integral, "an int") if name in ints else (Real, "a number")
         if isinstance(value, bool) or not isinstance(value, kind):
             raise ConfigurationError(f"{name} must be {what}, got {value!r}")
+        if kind is Real and not _finite_float(value):
+            raise ConfigurationError(f"{name} must be finite, got {value!r}")
 
 
 class Rng:

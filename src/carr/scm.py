@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import Rng
+from .numkit import Rng, check_numbers
 
 __all__ = [
     "SynthConfig",
@@ -84,6 +84,7 @@ class SynthConfig:
     nc_cols: int = 0  # extra uncorrelated Uniform(-1,1) columns
 
     def __post_init__(self):
+        check_numbers(self, ("beta", "q", "noise_mean"))
         if self.beta < 0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
         if self.n < 1:

@@ -100,17 +100,27 @@ def test_train_non_finite_or_fractional_attack_exit_2(tmp_path, capsys, attack):
     ("neg_weight", {"neg_weight": True}), ("momentum", {"momentum": "0.9"}),
     ("epochs", {"epochs": 1.5}), ("batch_size", {"batch_size": "64"}),
     ("patience", {"patience": 2.0}), ("seed", {"seed": True}), ("d_z", {"d_z": 8.0}),
+    ("lr", {"lr": 1e400}), ("momentum", {"momentum": float("nan")}),
+    ("beta", {"attack": {"p": "2", "beta": 10 ** 400}}),
+    ("beta", {"dataset": {"kind": "synthetic", "n": 60, "beta": 10 ** 400}}),
+    ("beta", {"dataset": {"kind": "synthetic", "n": 60, "beta": float("nan")}}),
+    ("q", {"dataset": {"kind": "synthetic", "n": 60, "q": float("inf")}}),
+    ("noise_mean", {"dataset": {"kind": "synthetic", "n": 60, "noise_mean": -1e400}}),
 ])
 def test_train_config_number_of_wrong_type_exit_2(tmp_path, capsys, name, override):
-    # each would otherwise fail later, inside training, with exit 1
+    # each would otherwise fail later, inside training, with exit 1, or (an
+    # inf rate, a NaN momentum; json reads 1e400 as inf) train to a garbage
+    # report with exit 0
     config = {"method": "base", "training_mode": "robust",
               "attack": {"p": "2", "beta": 0.3}, "epochs": 1, "d_z": 8,
               "dataset": {"kind": "synthetic", "n": 60}}
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({**config, **override}))
-    assert main(["train", "--config", str(cfg_path)]) == 2
+    out = tmp_path / "report.json"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and f"{name} must be" in err
+    assert not out.exists()
 
 
 def test_train_single_class_metric_exit_1(tmp_path, capsys):

@@ -1,6 +1,7 @@
-"""A fresh interpreter that imports carr, runs an oracle audit and prints
-the bound table loads no scipy module: scipy is imported only by the first
-distance-correlation call."""
+"""A fresh interpreter that imports carr, runs an oracle audit, prints the
+bound table and trains and evaluates one short synthetic run, distance
+correlation included, loads no scipy module; no file of the package names
+scipy."""
 
 import os
 import subprocess
@@ -21,8 +22,11 @@ carr.cli.run_audit("pns", 3, 0)
 with contextlib.redirect_stdout(io.StringIO()):
     assert carr.cli.main(["bound"]) == 0
 assert not scipy_modules(), scipy_modules()[:5]
-carr.distance_correlation([0.0, 1.0, 2.0], [1.0, 0.0, 2.0])
-assert "scipy.spatial.distance" in sys.modules
+config = carr.RunConfig(method="carr", epochs=1, d_z=8,
+                        dataset={"kind": "synthetic", "n": 60})
+report = carr.run_experiment(config)
+assert report["metrics"]["dcor_pa"] is not None
+assert not scipy_modules(), scipy_modules()[:5]
 """
 
 
@@ -32,3 +36,8 @@ def test_import_and_oracles_load_no_scipy():
     done = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_package_names_no_scipy():
+    named = [p.name for p in (SRC / "carr").rglob("*.py") if "scipy" in p.read_text()]
+    assert not named, named

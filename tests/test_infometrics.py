@@ -1,5 +1,7 @@
 """Information measures, inequality checkers, PNS, and sample statistics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -190,19 +192,33 @@ def test_distance_correlation_accepts_1d():
 
 def test_distance_correlation_size_cap(monkeypatch):
     # 4 n-by-n float64 matrices: 2 GiB at n = 8192, so n = 8193 is refused
-    # before anything n-by-n is built; a stub cdist marks getting past the cap
+    # before anything n-by-n is built; a stub distance helper marks getting
+    # past the cap
     class PastCap(Exception):
         pass
 
-    def cdist_stub(*_):
+    def distances_stub(*_):
         raise PastCap
 
-    # cdist is imported from scipy at each call, so the stub goes on scipy
-    monkeypatch.setattr("scipy.spatial.distance.cdist", cdist_stub)
+    monkeypatch.setattr("carr.infometrics._pairwise_distances", distances_stub)
     with pytest.raises(PastCap):
         distance_correlation(np.zeros(8192), np.zeros(8192))
     with pytest.raises(MetricError, match="n=8193"):
         distance_correlation(np.zeros(8193), np.zeros(8193))
+
+
+def test_distance_correlation_peak_memory():
+    # the cap's 2 GiB assumes at most 4 n-by-n float64 matrices alive at once
+    n = 1000
+    rng = Rng(8)
+    a, b = rng.normal(size=(n, 64)), rng.normal(size=(n, 5))
+    tracemalloc.start()
+    try:
+        distance_correlation(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.01 * 4 * n * n * 8, peak / (n * n * 8)
 
 
 def test_auc_textbook_example():
