@@ -18,6 +18,11 @@ from .numkit import Rng, check_numbers
 __all__ = ["AttackSpec", "project", "pgd_attack", "random_ball"]
 
 
+def _check_norm(p: str) -> None:
+    if p not in ("2", "inf"):
+        raise ValueError(f"norm order must be '2' or 'inf', got {p!r}")
+
+
 @dataclass(frozen=True)
 class AttackSpec:
     p: str = "2"  # "2" or "inf"
@@ -26,8 +31,7 @@ class AttackSpec:
     step_size: float | None = None  # default 2.5 * beta / steps
 
     def __post_init__(self):
-        if self.p not in ("2", "inf"):
-            raise ValueError(f"norm order must be '2' or 'inf', got {self.p!r}")
+        _check_norm(self.p)
         check_numbers(self, ("beta",) + ("step_size",) * (self.step_size is not None),
                       ("steps",))
         if self.beta < 0:
@@ -54,12 +58,16 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 def project(delta: np.ndarray, p: str, beta: float) -> np.ndarray:
     """Project each row of delta onto the p-ball of radius beta."""
-    delta = np.atleast_2d(np.asarray(delta, dtype=float))
+    _check_norm(p)
+    return _project_in_place(np.array(delta, dtype=float, ndmin=2), p, beta)
+
+
+def _project_in_place(delta: np.ndarray, p: str, beta: float) -> np.ndarray:
     if p == "inf":
-        return np.clip(delta, -beta, beta)
+        return np.clip(delta, -beta, beta, out=delta)
     norms = _row_norms(delta)
-    scale = np.where(norms > beta, beta / np.maximum(norms, 1e-300), 1.0)
-    return delta * scale
+    delta *= np.where(norms > beta, beta / np.maximum(norms, 1e-300), 1.0)
+    return delta
 
 
 def pgd_attack(params: ModelParams, z0_batch: np.ndarray, y_batch: np.ndarray,
@@ -68,7 +76,8 @@ def pgd_attack(params: ModelParams, z0_batch: np.ndarray, y_batch: np.ndarray,
 
     Deterministic: initialization is zero.  Per-row best-loss iterates are
     retained, which makes the attacker objective monotone in step count at
-    the returned point.
+    the returned point.  It stops once an iterate repeats the one before it
+    byte for byte (bytes, not ``==``, so a -0.0/+0.0 flip is a move).
     """
     z0 = np.asarray(z0_batch, dtype=float)
     y = np.asarray(y_batch, dtype=int)
@@ -77,10 +86,13 @@ def pgd_attack(params: ModelParams, z0_batch: np.ndarray, y_batch: np.ndarray,
 
     delta = np.zeros_like(z0)
     best_delta = delta.copy()
+    moved = np.empty_like(z0)  # the next iterate
     best_loss = np.full(z0.shape[0], -np.inf)
     step = spec.effective_step
     # Pass k scores iterate k and, before the last, gives the gradient for
     # iterate k + 1: steps + 1 passes in all, the last without a backward.
+    # A repeated iterate would score as its twin did and step to itself
+    # again, so best_delta is final.
     for k in range(spec.steps + 1):
         if k < spec.steps:
             loss, grad = predictor_xent_grad(params, z0 + delta, y)
@@ -93,18 +105,22 @@ def pgd_attack(params: ModelParams, z0_batch: np.ndarray, y_batch: np.ndarray,
         if not np.isfinite(grad).all():
             raise FloatingPointError("non-finite attack gradient")
         if spec.p == "inf":
-            direction = np.sign(grad)
+            np.sign(grad, out=grad)
         else:
-            direction = grad / np.maximum(_row_norms(grad), 1e-300)
-        delta = project(delta + step * direction, spec.p, spec.beta)
+            grad /= np.maximum(_row_norms(grad), 1e-300)
+        np.multiply(grad, step, out=moved)
+        moved += delta
+        _project_in_place(moved, spec.p, spec.beta)
+        if np.array_equal(moved.view(np.int64), delta.view(np.int64)):
+            break
+        delta, moved = moved, delta
     return z0 + best_delta
 
 
 def random_ball(z_batch: np.ndarray, p: str, beta: float, rng: Rng) -> np.ndarray:
     """Add an independent uniform draw from the p-ball to every row."""
     z = np.asarray(z_batch, dtype=float)
-    if p not in ("2", "inf"):
-        raise ValueError(f"norm order must be '2' or 'inf', got {p!r}")
+    _check_norm(p)
     if beta == 0.0:
         return z.copy()
     n, d = z.shape

@@ -266,11 +266,18 @@ def _midranks(x: np.ndarray) -> np.ndarray:
     return 0.5 * (count[dense] + count[dense - 1] + 1)
 
 
+def _binary_labels(labels) -> np.ndarray:
+    labels = np.asarray(labels)
+    if not ((labels == 0) | (labels == 1)).all():
+        raise MetricError("labels must be 0 or 1")
+    return labels.astype(int)
+
+
 def auc(scores, labels) -> float:
     """Probability a random positive outranks a random negative; midranks
-    for ties."""
+    for ties.  Labels must be 0 or 1."""
     scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=int)
+    labels = _binary_labels(labels)
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
@@ -281,8 +288,8 @@ def auc(scores, labels) -> float:
 
 
 def acc(scores, labels) -> float:
-    """Accuracy of scores thresholded at 0.5."""
+    """Accuracy of scores thresholded at 0.5 against 0/1 labels."""
     scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=int)
+    labels = _binary_labels(labels)
     pred = (scores >= 0.5).astype(int)
     return float((pred == labels).mean())

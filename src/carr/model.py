@@ -44,7 +44,7 @@ class EncoderOutput:
 
     feats: np.ndarray  # (n, d_in) encoder input
     hidden: np.ndarray  # (n, 64) hidden-layer output
-    hidden_pre: np.ndarray  # (n, 64) hidden-layer pre-activation
+    hidden_neg: np.ndarray  # (n, 64) min(hidden pre-activation, 0), the ELU cache
     head: np.ndarray  # (n, 2*d_z) mean and unclamped log-variance
     mean: np.ndarray  # (n, d_z)
     logvar: np.ndarray  # (n, d_z), clamped
@@ -182,7 +182,7 @@ def encode(params: ModelParams, x_batch: np.ndarray,
     standard-normal draw; None means z = mean.  Stacked parameters give
     every output but the draw a leading K axis."""
     feats = featurize(params, x_batch)
-    hidden, hidden_pre = dense_forward(params.enc_hidden, feats)
+    hidden, hidden_neg = dense_forward(params.enc_hidden, feats)
     head, _ = dense_forward(params.enc_head, hidden)
     mean = head[..., : params.d_z]
     logvar = np.clip(head[..., params.d_z:], -LOGVAR_CLAMP, LOGVAR_CLAMP)
@@ -194,7 +194,7 @@ def encode(params: ModelParams, x_batch: np.ndarray,
         )
     std = np.exp(0.5 * logvar)
     ids = np.asarray(x_batch).astype(int) if params.uses_embeddings else None
-    return EncoderOutput(feats=feats, hidden=hidden, hidden_pre=hidden_pre,
+    return EncoderOutput(feats=feats, hidden=hidden, hidden_neg=hidden_neg,
                          head=head, mean=mean, logvar=logvar, std=std,
                          eps_std=eps_std, z=mean + std * eps_std, ids=ids)
 
@@ -211,9 +211,10 @@ def predict(params: ModelParams, z_batch: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    """Softmax over the two columns of (..., n, 2) logits."""
+    shifted = logits - np.maximum(logits[..., 0], logits[..., 1])[..., None]
     ex = np.exp(shifted)
-    return ex / ex.sum(axis=-1, keepdims=True)
+    return ex / (ex[..., 0] + ex[..., 1])[..., None]
 
 
 def predictor_xent(params: ModelParams, z_batch: np.ndarray, y_batch: np.ndarray):
@@ -222,14 +223,14 @@ def predictor_xent(params: ModelParams, z_batch: np.ndarray, y_batch: np.ndarray
     z = np.asarray(z_batch, dtype=float)
     y = np.asarray(y_batch, dtype=int)
     rows = np.arange(y.shape[0])
-    hidden, pre_hidden = dense_forward(params.pred_hidden, z)
-    logits, pre_logits = dense_forward(params.pred_out, hidden)
+    hidden, hidden_neg = dense_forward(params.pred_hidden, z)
+    logits, _ = dense_forward(params.pred_out, hidden)
     probs = softmax(logits)
     # indexing a stack this way lays the result out batch-major; C order
     # makes the mean over the batch sum each row as it sums a 2-D one
     picked = np.ascontiguousarray(probs[..., rows, y])
     xent = -np.log(np.maximum(picked, 1e-300))
-    return xent, (z, y, rows, hidden, pre_hidden, probs, pre_logits)
+    return xent, (z, y, rows, hidden, hidden_neg, probs, logits)
 
 
 def predictor_xent_grad(params: ModelParams, z_batch: np.ndarray, y_batch: np.ndarray):
@@ -237,9 +238,9 @@ def predictor_xent_grad(params: ModelParams, z_batch: np.ndarray, y_batch: np.nd
     ``(xent, z_grad)``: the attacker's pass, whose backward forms no layer
     gradient.  ``z_grad`` is that of ``predictor_xent_backward(..., None)``."""
     xent, cache = predictor_xent(params, z_batch, y_batch)
-    *_, pre_hidden, _, pre_logits = cache
-    g_hidden = dense_input_grad(params.pred_out, pre_logits, _logit_grad(cache, None))[0]
-    return xent, dense_input_grad(params.pred_hidden, pre_hidden, g_hidden)[0]
+    *_, hidden_neg, _, logits = cache
+    g_hidden = dense_input_grad(params.pred_out, logits, _logit_grad(cache, None))[0]
+    return xent, dense_input_grad(params.pred_hidden, hidden_neg, g_hidden)[0]
 
 
 def _logit_grad(cache: tuple, coeff: float | None) -> np.ndarray:
@@ -261,9 +262,9 @@ def predictor_xent_backward(params: ModelParams, cache: tuple,
     None) from the cache of a 2-D :func:`predictor_xent`, which it
     overwrites.  Returns ``(z_grad, layer_grads)``, the second keyed as in
     :meth:`ModelParams.views`."""
-    z, _, _, hidden, pre_hidden, _, pre_logits = cache
-    g_hidden, gw2, gb2 = dense_backward(params.pred_out, hidden, pre_logits,
+    z, _, _, hidden, hidden_neg, _, logits = cache
+    g_hidden, gw2, gb2 = dense_backward(params.pred_out, hidden, logits,
                                         _logit_grad(cache, coeff))
-    g_z, gw1, gb1 = dense_backward(params.pred_hidden, z, pre_hidden, g_hidden)
+    g_z, gw1, gb1 = dense_backward(params.pred_hidden, z, hidden_neg, g_hidden)
     return g_z, {"pred_hidden.weights": gw1, "pred_hidden.bias": gb1,
                  "pred_out.weights": gw2, "pred_out.bias": gb2}

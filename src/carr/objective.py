@@ -199,7 +199,7 @@ def encoded_loss_and_grads(params: ModelParams, enc: EncoderOutput,
         params.enc_head, enc.hidden, enc.head, g_head
     )
     g_feats, g["enc_hidden.weights"][:], g["enc_hidden.bias"][:] = dense_backward(
-        params.enc_hidden, enc.feats, enc.hidden_pre, g_enc_hidden_out
+        params.enc_hidden, enc.feats, enc.hidden_neg, g_enc_hidden_out
     )
     if enc.ids is not None:
         half = params.user_emb.shape[1]

@@ -87,6 +87,21 @@ def test_project_l2_rescales():
     assert np.allclose(out[1], [0.1, 0.0])  # interior row untouched
 
 
+@pytest.mark.parametrize("p", ["1", "0", "l2", 2, None])
+def test_project_rejects_unknown_norm(p):
+    # any order but "inf" used to be projected as L2
+    with pytest.raises(ValueError):
+        project(np.array([[3.0, 4.0]]), p, 1.0)
+
+
+def test_project_leaves_its_input_alone():
+    delta = np.array([[3.0, 4.0], [0.5, -0.9]])
+    before = delta.copy()
+    for p in ("2", "inf"):
+        project(delta, p, 0.3)
+        assert np.array_equal(delta, before)
+
+
 def _per_row_xent(params, z, y):
     return predictor_xent_grad(params, z, y)[0]
 
@@ -244,6 +259,51 @@ def test_pgd_pass_counts(monkeypatch, steps):
     params, z0, y = _rand_setup(15)
     pgd_attack(params, z0, y, AttackSpec(p="2", beta=0.3, steps=steps))
     assert counts == {"grad": steps, "score": 1}
+
+
+def _count_passes(monkeypatch):
+    counts = {"grad": 0, "score": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(carr.attack, "predictor_xent_grad",
+                        counting("grad", carr.attack.predictor_xent_grad))
+    monkeypatch.setattr(carr.attack, "predictor_xent",
+                        counting("score", carr.attack.predictor_xent))
+    return counts
+
+
+@pytest.mark.parametrize("p", ["2", "inf"])
+def test_pgd_stops_at_once_on_a_flat_predictor(monkeypatch, p):
+    # zero output weights make every z-gradient exactly 0, so the first
+    # step lands on iterate 0 again
+    params, z0, y = _rand_setup(17)
+    params.pred_out.weights[:] = 0.0
+    spec = AttackSpec(p=p, beta=0.3, steps=10)
+    counts = _count_passes(monkeypatch)
+    out = pgd_attack(params, z0, y, spec)
+    assert counts == {"grad": 1, "score": 0}
+    assert np.array_equal(out, z0)
+    assert out.tobytes() == reference_pgd(params, z0, y, spec).tobytes()
+
+
+def test_pgd_stops_once_linf_iterate_settles_on_a_corner(monkeypatch):
+    # the margin is linear on the ball, so every sign step points the same
+    # way: 0.25 * beta a step reaches the corner at iterate 4, and iterate 5
+    # repeats it
+    params = _linear_1d_params()
+    z0 = np.array([[0.3], [-0.5], [1.2]])
+    y = np.array([0, 1, 0])
+    spec = AttackSpec(p="inf", beta=0.25, steps=10)
+    counts = _count_passes(monkeypatch)
+    out = pgd_attack(params, z0, y, spec)
+    assert counts == {"grad": 5, "score": 0}
+    assert out.tobytes() == reference_pgd(params, z0, y, spec).tobytes()
+    assert np.array_equal(np.abs(out - z0), np.full((3, 1), 0.25))
 
 
 def test_row_norms_equal_linalg_norm():

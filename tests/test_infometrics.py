@@ -236,3 +236,20 @@ def test_auc_single_class():
 
 def test_acc_threshold():
     assert acc([0.9, 0.4, 0.6, 0.1], [1, 0, 0, 0]) == 0.75
+
+
+@pytest.mark.parametrize("metric", [auc, acc])
+@pytest.mark.parametrize("labels", [[0, 1, 2, 1], [0, 1, -1, 1], [0, 1, 0.5, 1],
+                                    [0, 1, np.nan, 1]])
+def test_metrics_reject_non_binary_labels(metric, labels):
+    # a label 2 used to count as neither class, and auc read 1.5 here
+    with pytest.raises(MetricError):
+        metric([0.1, 0.9, 0.5, 0.2], labels)
+
+
+@pytest.mark.parametrize("metric", [auc, acc])
+def test_metrics_take_bool_and_float_labels(metric):
+    scores, labels = [0.1, 0.9, 0.5, 0.2], [0, 1, 1, 0]
+    expected = metric(scores, labels)
+    assert metric(scores, np.array(labels, dtype=bool)) == expected
+    assert metric(scores, np.array(labels, dtype=float)) == expected

@@ -15,6 +15,7 @@ from carr.model import (
     predictor_xent,
     predictor_xent_backward,
     predictor_xent_grad,
+    softmax,
 )
 from carr.numkit import ConfigurationError, DenseLayer, Rng, grad_check
 
@@ -194,3 +195,18 @@ def test_predictor_xent_grad_is_the_full_backwards_z_gradient(n):
     gz_full = predictor_xent_backward(params, cache, None)[0]
     assert xent.tobytes() == xent_full.tobytes()
     assert gz.tobytes() == gz_full.tobytes()
+
+
+def test_softmax_two_column_form_matches_axis_reductions():
+    # reference: the max/sum reductions over the last axis it replaced
+    def softmax_axis(logits):
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        ex = np.exp(shifted)
+        return ex / ex.sum(axis=-1, keepdims=True)
+
+    edges = np.array([0.0, -0.0, 5e-324, -745.0, 710.0, 1e308, -1e308, np.inf, -np.inf])
+    pairs = np.stack(np.meshgrid(edges, edges), axis=-1).reshape(-1, 2)
+    logits = np.vstack([pairs, 40.0 * Rng(5).normal(size=(500, 2))])
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf
+        for x in (logits, np.stack([logits, logits[::-1], -logits])):
+            assert softmax(x).tobytes() == softmax_axis(x).tobytes()

@@ -10,11 +10,15 @@ from carr.numkit import (
     Rng,
     dense_backward,
     dense_forward,
+    dense_input_grad,
     elu,
     elu_grad,
     grad_check,
     init_dense,
 )
+
+# ELU edge inputs: signed zeros, signed subnormals, where exp underflows, infinities
+_EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, -745.0, -746.0, np.inf, -np.inf])
 
 
 def test_rng_same_key_identical():
@@ -55,8 +59,7 @@ def test_elu_matches_where_forms_bit_for_bit():
     def elu_grad_where(x):
         return np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
 
-    edges = np.array([0.0, -0.0, 5e-324, -5e-324, -745.0, -746.0, np.inf, -np.inf])
-    for x in (edges, 3.0 * Rng(8).normal(size=100_000)):
+    for x in (_EDGES, 3.0 * Rng(8).normal(size=100_000)):
         assert elu(x).tobytes() == elu_where(x).tobytes()
         assert elu_grad(x).tobytes() == elu_grad_where(x).tobytes()
 
@@ -130,6 +133,52 @@ def test_stacked_dense_forward_equals_slices(activation, shared_input):
             x if shared_input else x[k])
         assert out[k].tobytes() == ref_out.tobytes()
         assert pre[k].tobytes() == ref_pre.tobytes()
+
+
+def _pre_activation(layer, x):
+    return dense_forward(DenseLayer(layer.weights, layer.bias, "identity"), x)[0]
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_elu_cache_is_min_of_pre_activation(stacked):
+    rng = Rng(15)
+    shape = (3, 9, 6) if stacked else (9, 6)
+    layer = DenseLayer(3.0 * rng.normal(size=shape), rng.normal(size=shape[:-1]), "elu")
+    x = rng.normal(size=(5, 6))
+    pre = _pre_activation(layer, x)
+    out, cache = dense_forward(layer, x)
+    assert cache.tobytes() == np.minimum(pre, 0.0).tobytes()
+    assert out.tobytes() == elu(pre).tobytes()
+
+
+def test_elu_backward_through_cache_matches_elu_grad_on_edges():
+    # one input of 1.0 and the edge values as weights: the pre-activation
+    # is the edge values (BLAS turns the -0.0 product into +0.0)
+    layer = DenseLayer(_EDGES[:, None], np.zeros(_EDGES.size), "elu")
+    x = np.ones((1, 1))
+    pre = _pre_activation(layer, x)
+    assert np.array_equal(pre, _EDGES[None])
+    out, cache = dense_forward(layer, x)
+    assert cache.tobytes() == np.minimum(pre, 0.0).tobytes()
+    assert out.tobytes() == elu(pre).tobytes()
+    g = Rng(16).normal(size=pre.shape)
+    with np.errstate(invalid="ignore"):  # the inf weights meet a zero
+        for edges in (pre, _EDGES[None]):  # the second keeps -0.0
+            g_in, g_pre = dense_input_grad(layer, np.minimum(edges, 0.0), g)
+            assert g_pre.tobytes() == (g * elu_grad(edges)).tobytes()
+            assert g_in.tobytes() == ((g * elu_grad(edges)) @ layer.weights).tobytes()
+
+
+def test_elu_backward_through_cache_matches_elu_grad():
+    rng = Rng(17)
+    layer = DenseLayer(3.0 * rng.normal(size=(64, 8)), rng.normal(size=64), "elu")
+    x = rng.normal(size=(32, 8))
+    g = rng.normal(size=(32, 64))
+    _, cache = dense_forward(layer, x)
+    g_pre = g * elu_grad(_pre_activation(layer, x))
+    for got, want in zip(dense_backward(layer, x, cache, g),
+                         (g_pre @ layer.weights, g_pre.T @ x, g_pre.sum(axis=0))):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_stacked_dense_layer_validation():
