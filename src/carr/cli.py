@@ -155,7 +155,8 @@ def run_audit(what: str, trials: int, seed: int, shape: str = "a"):
                       neg_delta=0.05 * rng.normal(size=(4, 3)))
             _, analytic = loss_and_grads(params, xb, yb, "carr", **kw)
             err = grad_check(
-                lambda vecs: loss_values(params, vecs, xb, yb, "carr", **kw),
+                lambda vecs, first: loss_values(params, vecs, xb, yb, "carr",
+                                                unchanged_below=first, **kw),
                 analytic, params.flat,
             )
             worst = max(worst, err)

@@ -266,18 +266,23 @@ def _midranks(x: np.ndarray) -> np.ndarray:
     return 0.5 * (count[dense] + count[dense - 1] + 1)
 
 
-def _binary_labels(labels) -> np.ndarray:
+def _scores_and_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Float scores and int labels, checked: non-empty 1-D arrays of one
+    length, and every label 0 or 1."""
+    scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
+    if scores.ndim != 1 or scores.shape != labels.shape or scores.size == 0:
+        raise MetricError(f"scores {scores.shape} and labels {labels.shape} must "
+                          "be non-empty 1-D arrays of one length")
     if not ((labels == 0) | (labels == 1)).all():
         raise MetricError("labels must be 0 or 1")
-    return labels.astype(int)
+    return scores, labels.astype(int)
 
 
 def auc(scores, labels) -> float:
     """Probability a random positive outranks a random negative; midranks
     for ties.  Labels must be 0 or 1."""
-    scores = np.asarray(scores, dtype=float)
-    labels = _binary_labels(labels)
+    scores, labels = _scores_and_labels(scores, labels)
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
@@ -289,7 +294,6 @@ def auc(scores, labels) -> float:
 
 def acc(scores, labels) -> float:
     """Accuracy of scores thresholded at 0.5 against 0/1 labels."""
-    scores = np.asarray(scores, dtype=float)
-    labels = _binary_labels(labels)
+    scores, labels = _scores_and_labels(scores, labels)
     pred = (scores >= 0.5).astype(int)
     return float((pred == labels).mean())

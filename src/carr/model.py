@@ -102,25 +102,38 @@ class ModelParams:
         return {key: vec[..., start:stop].reshape(vec.shape[:-1] + shape)
                 for key, start, stop, shape in self._layout}
 
-    def stacked(self, vecs: np.ndarray) -> ModelParams:
+    def stacked(self, vecs: np.ndarray, unchanged_below: int = 0) -> ModelParams:
         """Parameters over the (K, P) stack ``vecs``: row k is a parameter
         vector of this model, and every array is a view of ``flat`` (``vecs``
         itself when it is float64) with a leading K axis, which the forward
-        passes carry through."""
+        passes carry through.
+
+        The caller promises that every row equals ``flat`` below index
+        ``unchanged_below``.  A layer, or the embedding pair, whose
+        parameters all lie below it keeps this model's own unstacked
+        arrays, so the forward runs it once for all K rows.
+        """
         vecs = np.asarray(vecs, dtype=float)
         if vecs.ndim != 2 or vecs.shape[1] != self.flat.size:
             raise ConfigurationError(
                 f"parameter stack has shape {vecs.shape}, "
                 f"expected (K, {self.flat.size})"
             )
+        if not 0 <= unchanged_below < self.flat.size:
+            raise ConfigurationError(
+                f"unchanged_below must lie in [0, {self.flat.size}), "
+                f"got {unchanged_below}"
+            )
+        stops = {key: stop for key, _, stop, _ in self._layout}
         v = self.views(vecs)
         out = copy.copy(self)
         out.flat = vecs
         for name in _LAYERS:
-            layer = replace(getattr(self, name), weights=v[f"{name}.weights"],
-                            bias=v[f"{name}.bias"])
-            setattr(out, name, layer)
-        if self.uses_embeddings:
+            if stops[f"{name}.bias"] > unchanged_below:
+                layer = replace(getattr(self, name), weights=v[f"{name}.weights"],
+                                bias=v[f"{name}.bias"])
+                setattr(out, name, layer)
+        if self.uses_embeddings and stops["item_emb"] > unchanged_below:
             out.user_emb, out.item_emb = v["user_emb"], v["item_emb"]
         return out
 

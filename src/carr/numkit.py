@@ -198,12 +198,15 @@ _CHUNK_BYTES = 2 << 20
 def grad_check(loss, analytic: np.ndarray, point: np.ndarray) -> float:
     """Compare an analytic gradient against central finite differences.
 
-    ``loss`` maps a (K, P) stack of parameter vectors to their K scalar
-    values; ``analytic`` is the gradient of that scalar at the 1-D
+    ``loss(vecs, first)`` maps a (K, P) stack of parameter vectors to their
+    K scalar values; ``analytic`` is the gradient of that scalar at the 1-D
     ``point``.  Coordinate i is bumped to ``point[i] + 1e-5`` and then
     ``2e-5`` below that, and both vectors of a run of coordinates go to
-    ``loss`` in one stack of at most about 2 MiB.  Returns the max over
-    coordinates of ``|analytic - numeric| / max(1, |numeric|)``.
+    ``loss`` in one stack of at most about 2 MiB.  ``first`` is the run's
+    first coordinate: every row of the stack equals ``point`` below it, so
+    the loss may compute what depends only on those coordinates once.
+    Returns the max over coordinates of
+    ``|analytic - numeric| / max(1, |numeric|)``.
     """
     eps = 1e-5
     point = np.asarray(point, dtype=float)
@@ -218,7 +221,7 @@ def grad_check(loss, analytic: np.ndarray, point: np.ndarray) -> float:
         hi_rows, lo_rows = np.arange(k), np.arange(k, 2 * k)
         stack[hi_rows, idx] = point[idx] + eps
         stack[lo_rows, idx] = stack[hi_rows, idx] - 2 * eps
-        values = np.asarray(loss(stack[: 2 * k]), dtype=float)
+        values = np.asarray(loss(stack[: 2 * k], start), dtype=float)
         stack[hi_rows, idx] = stack[lo_rows, idx] = point[idx]
         if not np.all(np.isfinite(values)):
             raise FloatingPointError("non-finite loss during finite differencing")

@@ -67,7 +67,11 @@ def kappa2(x):
 
 
 def kappa3(x):
-    """x + 0.5 where x < 0, else 0."""
+    """x + 0.5 where x < 0, else 0.
+
+    The paper's second branch ``kappa3(kappa2(-u))`` is 0 everywhere,
+    since ``kappa2`` is never negative, so the simulator no longer calls
+    this."""
     x = np.asarray(x, dtype=float)
     return np.where(x < 0, x + 0.5, 0.0)
 
@@ -116,15 +120,13 @@ def _mix(a_rows: np.ndarray, u: np.ndarray, q: float) -> np.ndarray:
 
 def _two_branch(a_rows: np.ndarray, base: np.ndarray, noise: np.ndarray,
                 q: float) -> np.ndarray:
-    """The simulator's shared two-branch nonlinearity.
-
-    v1 = A . k1(k2([base, noise])) + q,  v2 = A . k3(k2([-base, -noise])) + q,
-    output = sigmoid(v1 + v1 * v2), elementwise per output coordinate.
+    """The simulator's shared two-branch composition before its sigmoid, as
+    it acts: v1 + v1 * q with v1 = A . k1(k2([base, noise])) + q, per output
+    coordinate.  The second branch v2 = A . k3(k2([-base, -noise])) + q of
+    v1 + v1 * v2 is q itself, because k3(k2(.)) is identically 0.
     """
-    u = np.concatenate([base, noise], axis=1)
-    v1 = _mix(a_rows, kappa1(kappa2(u)), q)
-    v2 = _mix(a_rows, kappa3(kappa2(-u)), q)
-    return _sigmoid(v1 + v1 * v2)
+    v1 = _mix(a_rows, kappa1(kappa2(np.concatenate([base, noise], axis=1))), q)
+    return v1 + v1 * q
 
 
 def _sigmoid(x):
@@ -162,14 +164,9 @@ def generate(config: SynthConfig) -> SCMDataset:
         eps2 = cfg.noise_mean + sd * rng.normal(size=(n, PA_DIM))
         eps3 = cfg.noise_mean + sd * rng.normal(size=(n, PA_DIM))
 
-    nd = _two_branch(a_nd, pa, eps2, cfg.q)
-
-    u = np.concatenate([pa, eps1], axis=1)
-    y1 = _mix(a_y, kappa1(kappa2(u)), cfg.q)[:, 0]
-    y2 = _mix(a_y, kappa3(kappa2(-u)), cfg.q)[:, 0]
-    y = (y1 + y1 * y2 > 0).astype(int)
-
-    dc = _two_branch(a_dc, y[:, None].astype(float), eps3, cfg.q)
+    nd = _sigmoid(_two_branch(a_nd, pa, eps2, cfg.q))
+    y = (_two_branch(a_y, pa, eps1, cfg.q)[:, 0] > 0).astype(int)
+    dc = _sigmoid(_two_branch(a_dc, y[:, None].astype(float), eps3, cfg.q))
 
     cols = [pa, nd, dc]
     if cfg.nc_cols > 0:

@@ -248,6 +248,18 @@ def test_metrics_reject_non_binary_labels(metric, labels):
 
 
 @pytest.mark.parametrize("metric", [auc, acc])
+@pytest.mark.parametrize("scores, labels", [
+    ([0.9], [1, 0]),  # acc broadcast this to 0.5
+    ([0.9, 0.1, 0.3], [1, 0]),  # auc raised numpy's IndexError
+    ([], []),  # acc gave NaN and two warnings
+    ([[0.9, 0.1]], [[1, 0]]),
+])
+def test_metrics_reject_mismatched_or_empty_input(metric, scores, labels):
+    with pytest.raises(MetricError):
+        metric(scores, labels)
+
+
+@pytest.mark.parametrize("metric", [auc, acc])
 def test_metrics_take_bool_and_float_labels(metric):
     scores, labels = [0.1, 0.9, 0.5, 0.2], [0, 1, 1, 0]
     expected = metric(scores, labels)

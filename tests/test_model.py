@@ -112,6 +112,26 @@ def test_stacked_rows_are_parameter_vectors(make):
         params.stacked(vecs[:, :-1])
 
 
+def test_stacked_keeps_layers_below_unchanged_below():
+    params = init_params(Rng(1, stream=1), vocab=(7, 9), d_z=4)
+    size = params.flat.size
+    vecs = np.tile(params.flat, (3, 1))
+    names = ["enc_hidden", "enc_head", "pred_hidden", "pred_out"]
+    item_stop = params.user_emb.size + params.item_emb.size
+    stack = params.stacked(vecs, item_stop - 1)  # inside the embeddings
+    assert stack.user_emb.shape == (3,) + params.user_emb.shape
+    assert all(getattr(stack, name).weights.ndim == 3 for name in names)
+    stack = params.stacked(vecs, item_stop + params.enc_hidden.weights.size)
+    assert stack.user_emb is params.user_emb and stack.item_emb is params.item_emb
+    assert stack.enc_hidden.weights.ndim == 3  # its bias is not below
+    stack = params.stacked(vecs, size - 1)
+    assert [getattr(stack, name) is getattr(params, name) for name in names] == [
+        True, True, True, False]
+    for bad in (-1, size):
+        with pytest.raises(ConfigurationError):
+            params.stacked(vecs, bad)
+
+
 def test_encode_deterministic_repeatable():
     params = _params()
     x = Rng(2).uniform(-1, 1, size=(6, 5))
@@ -164,7 +184,7 @@ def test_predictor_xent_grad_finite_difference():
     z0 = rng.uniform(-1, 1, size=(4, 3))
     y = np.array([0, 1, 1, 0])
 
-    def loss(vecs):
+    def loss(vecs, first):
         return predictor_xent(params, vecs.reshape(-1, 4, 3), y)[0].mean(axis=-1)
 
     _, gz = predictor_xent_grad(params, z0, y)

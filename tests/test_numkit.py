@@ -93,7 +93,7 @@ def test_dense_backward_gradients(activation):
     x = rng.uniform(-1, 1, size=(6, 4))
     target = rng.normal(size=(6, 3))
 
-    def loss_of(vecs):
+    def loss_of(vecs, first):
         lyr = DenseLayer(vecs[:, :12].reshape(-1, 3, 4), vecs[:, 12:], activation)
         out, _ = dense_forward(lyr, x)
         return 0.5 * ((out - target) ** 2).sum(axis=(-2, -1))
@@ -109,7 +109,7 @@ def test_dense_backward_input_grad():
     layer = init_dense(rng, 3, 2, "elu")
     x0 = rng.uniform(-1, 1, size=(1, 3))
 
-    def loss_of(vecs):
+    def loss_of(vecs, first):
         out, _ = dense_forward(layer, vecs.reshape(-1, 1, 3))
         return 0.5 * (out ** 2).sum(axis=(-2, -1))
 
@@ -193,7 +193,7 @@ def test_stacked_dense_layer_validation():
 def test_grad_check_flags_wrong_gradient():
     point = np.array([1.0, -2.0])
     # correct grad is 2*point
-    err = grad_check(lambda vecs: (vecs ** 2).sum(axis=-1), 3.0 * point, point)
+    err = grad_check(lambda vecs, first: (vecs ** 2).sum(axis=-1), 3.0 * point, point)
     assert err > 0.1
 
 
@@ -222,15 +222,20 @@ def test_grad_check_chunk_edges(monkeypatch, size, per_chunk, stacks):
     point = rng.normal(size=size)
     weights = rng.uniform(0.5, 2.0, size=size)
     analytic = 3 * weights * point ** 2 + rng.normal(size=size) * 1e-3
-    seen = []
+    seen, seen_first = [], []
 
-    def loss(vecs):
+    def loss(vecs, first):
         seen.append(vecs.shape[0])
+        seen_first.append(first)
         assert vecs.shape[1] == size
+        # the promise a loss may rely on: every row is the point below first
+        assert (vecs[:, :first] == point[:first]).all()
+        assert not (vecs[:, first] == point[first]).all()
         return (weights * vecs ** 3).sum(axis=-1)
 
     err = grad_check(loss, analytic, point)
     assert seen == stacks
+    assert seen_first == list(range(0, size, per_chunk))
     reference = _loop_grad_check(lambda v: float((weights * v ** 3).sum()),
                                  analytic, point)
     assert err == reference
@@ -238,7 +243,7 @@ def test_grad_check_chunk_edges(monkeypatch, size, per_chunk, stacks):
 
 
 def test_grad_check_rejects_non_finite_loss():
-    def loss(vecs):  # infinite at the upper point only
+    def loss(vecs, first):  # infinite at the upper point only
         return np.where(vecs[:, 0] > 0, np.inf, 0.0)
 
     with pytest.raises(FloatingPointError):

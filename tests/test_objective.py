@@ -1,8 +1,13 @@
 """Loss-term tests: KL closed form, intervention shift, method assembly,
-and end-to-end analytic gradients."""
+and end-to-end analytic gradients, also as a derandomized property test."""
 
 import numpy as np
 import pytest
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # in the `test` extra; only the property test needs it
+    given = None
 
 from carr.model import init_params
 from carr.numkit import ConfigurationError, Rng, grad_check
@@ -107,7 +112,8 @@ def _offsets(mode, eps, delta, neg):
 
 def _gradcheck(params, x, y, mode, **kw):
     _, analytic = loss_and_grads(params, x, y, mode, **kw)
-    return grad_check(lambda vecs: loss_values(params, vecs, x, y, mode, **kw),
+    return grad_check(lambda vecs, first: loss_values(params, vecs, x, y, mode,
+                                                      unchanged_below=first, **kw),
                       analytic, params.flat)
 
 
@@ -141,6 +147,33 @@ def test_loss_values_equals_loss_and_grads_totals(make, n, mode):
         breakdown, _ = loss_and_grads(params, x, y, mode, **kw)
         assert type(breakdown.total) is float
         assert breakdown.total == total  # bit for bit
+
+
+def _unchanged_below_cases(params):
+    # 0, each parameter array's start and one either side of it, and the
+    # middle of each array (inside the embeddings of an embedding model)
+    stops = np.cumsum([a.size for a in params.views(params.flat).values()])
+    cases = {0}
+    for start, stop in zip(np.r_[0, stops[:-1]], stops):
+        cases |= {start - 1, start, start + 1, (start + stop) // 2}
+    return sorted(int(c) for c in cases if 0 <= c < params.flat.size)
+
+
+@pytest.mark.parametrize("make, n", [(_batch, 4), (_batch, 20), (_embedding_batch, 6)],
+                         ids=["d_in", "d_in-n20", "vocab"])
+@pytest.mark.parametrize("mode", METHODS)
+def test_loss_values_unchanged_below_is_bit_identical(make, n, mode):
+    params, x, y, eps, delta, neg = make(8, n=n)
+    kw = _offsets(mode, eps, delta, neg)
+    size = params.flat.size
+    for first in _unchanged_below_cases(params):
+        # every row equals params.flat below first, as grad_check promises
+        vecs = np.tile(params.flat, (6, 1))
+        vecs[:, first:] += 0.01 * Rng(first).normal(size=(6, size - first))
+        want = loss_values(params, vecs, x, y, mode, **kw)
+        got = loss_values(params, vecs, x, y, mode, unchanged_below=first, **kw)
+        assert got.shape == (6,)
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("offset, shape", [
@@ -199,3 +232,29 @@ def test_attack_delta_is_constant_offset():
                                 attack_delta=delta)
     assert b_clean.total != b_shift.total
     assert b_clean.kl == b_shift.kl  # KL sees the unshifted posterior
+
+
+if given is not None:
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.integers(0, 2 ** 20), st.sampled_from(METHODS), st.floats(0.0, 10.0),
+           st.floats(0.0, 2.0), st.floats(0.0, 3.0), st.integers(1, 8),
+           st.integers(1, 4), st.integers(1, 8),
+           st.one_of(st.none(), st.tuples(st.integers(1, 3), st.integers(1, 3))))
+    def test_gradients_match_finite_differences(seed, mode, lam, b, neg_weight,
+                                                d_in, d_z, n, vocab):
+        # stop_grad_negative is left at False: with it the analytic gradient
+        # is by design not the gradient of the total
+        rng = Rng(seed, stream=60)
+        if vocab is None:
+            params = init_params(rng, d_in=d_in, d_z=d_z)
+            x = rng.uniform(-1, 1, size=(n, d_in))
+        else:  # more rows than ids in either column, so both repeat
+            params = init_params(rng, vocab=vocab, d_z=d_z)
+            n += max(vocab)
+            x = np.stack([rng.integers(0, vocab[0], size=n),
+                          rng.integers(0, vocab[1], size=n)], axis=1)
+        y = rng.integers(0, 2, size=n)
+        eps, delta, neg = (s * rng.normal(size=(n, d_z)) for s in (1.0, 0.05, 0.05))
+        kw = _offsets(mode, eps, delta, neg)
+        assert _gradcheck(params, x, y, mode, lam=lam, b=b, neg_weight=neg_weight,
+                          **kw) < 1e-4

@@ -31,6 +31,48 @@ def test_kappa_pointwise():
     assert np.allclose(kappa3(x), [-0.5, 0.25, 0.0, 0.0, 0.0])
 
 
+def _two_branch_generate(cfg):
+    # the simulator written with both branches, as the paper states it
+    from carr.scm import DC_DIM, ND_DIM, PA_DIM, _mix, _sigmoid
+
+    def two_branch(a, base, noise):
+        u = np.concatenate([base, noise], axis=1)
+        v1 = _mix(a, kappa1(kappa2(u)), cfg.q)
+        v2 = _mix(a, kappa3(kappa2(-u)), cfg.q)
+        return v1 + v1 * v2
+
+    wrng = Rng(cfg.weight_seed)
+    a_nd = wrng.normal(size=(ND_DIM, PA_DIM * 2))
+    a_y = wrng.normal(size=(1, PA_DIM * 2))
+    a_dc = wrng.normal(size=(DC_DIM, 1 + PA_DIM))
+    rng = Rng(cfg.seed)
+    pa = rng.uniform(-1.0, 1.0, size=(cfg.n, PA_DIM))
+    eps = [cfg.noise_mean + np.sqrt(cfg.beta) * rng.normal(size=(cfg.n, PA_DIM))]
+    eps += eps * 2 if cfg.shared_noise else [
+        cfg.noise_mean + np.sqrt(cfg.beta) * rng.normal(size=(cfg.n, PA_DIM))
+        for _ in range(2)]
+    nd = _sigmoid(two_branch(a_nd, pa, eps[1]))
+    y = (two_branch(a_y, pa, eps[0])[:, 0] > 0).astype(int)
+    dc = _sigmoid(two_branch(a_dc, y[:, None].astype(float), eps[2]))
+    cols = [pa, nd, dc]
+    if cfg.nc_cols > 0:
+        cols.append(rng.uniform(-1.0, 1.0, size=(cfg.n, cfg.nc_cols)))
+    return np.concatenate(cols, axis=1), y
+
+
+@pytest.mark.parametrize("seed, beta, q, shared_noise, nc_cols", [
+    (0, 0.3, 0.3, False, 0), (1, 0.0, 0.3, False, 0), (2, 1.5, -0.7, False, 2),
+    (3, 0.3, 0.0, True, 0), (4, 0.05, -0.0, False, 0), (5, 3.0, 2.5, True, 3),
+])
+def test_generate_equals_two_branch_form(seed, beta, q, shared_noise, nc_cols):
+    cfg = SynthConfig(beta=beta, n=400, seed=seed, q=q, shared_noise=shared_noise,
+                      nc_cols=nc_cols)
+    x, y = _two_branch_generate(cfg)
+    data = generate(cfg)
+    assert data.x.tobytes() == x.tobytes()
+    assert data.y.tobytes() == y.tobytes()
+
+
 def test_synth_config_validation():
     with pytest.raises(ValueError):
         SynthConfig(beta=-0.1, n=10)
