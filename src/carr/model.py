@@ -198,7 +198,7 @@ def encode(params: ModelParams, x_batch: np.ndarray,
     hidden, hidden_neg = dense_forward(params.enc_hidden, feats)
     head, _ = dense_forward(params.enc_head, hidden)
     mean = head[..., : params.d_z]
-    logvar = np.clip(head[..., params.d_z:], -LOGVAR_CLAMP, LOGVAR_CLAMP)
+    logvar = np.minimum(np.maximum(head[..., params.d_z:], -LOGVAR_CLAMP), LOGVAR_CLAMP)
     if eps_std is None:
         eps_std = np.zeros(mean.shape[-2:])
     elif np.shape(eps_std) != mean.shape[-2:]:
@@ -270,14 +270,17 @@ def _logit_grad(cache: tuple, coeff: float | None) -> np.ndarray:
 
 
 def predictor_xent_backward(params: ModelParams, cache: tuple,
-                            coeff: float | None = None):
+                            coeff: float | None = None, out: dict | None = None):
     """Gradients of ``coeff * xent.mean()`` (the plain mean for ``coeff``
     None) from the cache of a 2-D :func:`predictor_xent`, which it
     overwrites.  Returns ``(z_grad, layer_grads)``, the second keyed as in
-    :meth:`ModelParams.views`."""
+    :meth:`ModelParams.views` and written into ``out``'s arrays of those
+    keys (such as views of one flat gradient), new arrays if None."""
     z, _, _, hidden, hidden_neg, _, logits = cache
-    g_hidden, gw2, gb2 = dense_backward(params.pred_out, hidden, logits,
-                                        _logit_grad(cache, coeff))
-    g_z, gw1, gb1 = dense_backward(params.pred_hidden, z, hidden_neg, g_hidden)
-    return g_z, {"pred_hidden.weights": gw1, "pred_hidden.bias": gb1,
-                 "pred_out.weights": gw2, "pred_out.bias": gb2}
+    g, grads, out = _logit_grad(cache, coeff), {}, out or {}
+    for name, x, layer_cache in (("pred_out", hidden, logits),
+                                 ("pred_hidden", z, hidden_neg)):
+        w, b = f"{name}.weights", f"{name}.bias"
+        g, grads[w], grads[b] = dense_backward(getattr(params, name), x, layer_cache,
+                                               g, out.get(w), out.get(b))
+    return g, grads

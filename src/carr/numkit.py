@@ -164,13 +164,14 @@ def dense_forward(layer: DenseLayer, x: np.ndarray):
     return pre, pre
 
 
-def dense_backward(layer: DenseLayer, cached_input: np.ndarray,
-                   cache: np.ndarray, upstream_grad: np.ndarray):
+def dense_backward(layer: DenseLayer, cached_input: np.ndarray, cache: np.ndarray,
+                   upstream_grad: np.ndarray, weight_grad=None, bias_grad=None):
     """Gradients of a scalar loss given d(loss)/d(output).
 
     Takes the 2-D input of :func:`dense_forward` of a 2-D layer and the
-    cache it returned.
-    Returns (input_grad, weight_grad, bias_grad).
+    cache it returned.  Writes the weight and bias gradients into
+    ``weight_grad`` and ``bias_grad`` (new arrays if None), leaves
+    ``upstream_grad`` as it is and returns (input_grad, weight_grad, bias_grad).
     """
     x = np.asarray(cached_input, dtype=float)
     g = np.asarray(upstream_grad, dtype=float)
@@ -179,7 +180,7 @@ def dense_backward(layer: DenseLayer, cached_input: np.ndarray,
             f"upstream shape {g.shape} incompatible with cached input {x.shape}"
         )
     g_in, g = dense_input_grad(layer, cache, g)
-    return g_in, g.T @ x, g.sum(axis=0)
+    return g_in, np.matmul(g.T, x, out=weight_grad), g.sum(axis=0, out=bias_grad)
 
 
 def dense_input_grad(layer: DenseLayer, cache: np.ndarray, g: np.ndarray):
@@ -187,7 +188,8 @@ def dense_input_grad(layer: DenseLayer, cache: np.ndarray, g: np.ndarray):
     cache of :func:`dense_forward`: the step :func:`dense_backward` starts
     with, without the layer gradients."""
     if layer.activation == "elu":
-        g = g * np.exp(cache)  # elu_grad(pre), with the forward's min(pre, 0)
+        e = np.exp(cache)  # elu_grad(pre), with the forward's min(pre, 0)
+        g = np.multiply(g, e, out=e)
     return g @ layer.weights, g
 
 

@@ -56,18 +56,16 @@ def _scalar(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def kl_gaussian(mean: np.ndarray, logvar: np.ndarray,
-                prior_mean: np.ndarray) -> float:
+def kl_gaussian(mean: np.ndarray, logvar: np.ndarray, prior_mean: np.ndarray,
+                var: np.ndarray | None = None) -> float:
     """KL(N(mean, diag exp(logvar)) || N(prior_mean, I)), summed over
     dimensions and averaged over the batch: a float for an (n, d) batch,
-    a (K,) array for a stacked (K, n, d) one."""
-    mean = np.atleast_2d(np.asarray(mean, dtype=float))
-    logvar = np.atleast_2d(np.asarray(logvar, dtype=float))
-    prior = np.broadcast_to(np.asarray(prior_mean, dtype=float), mean.shape)
-    if logvar.shape != mean.shape:
-        raise ConfigurationError("mean and logvar must have equal shape")
-    per_sample = 0.5 * (np.exp(logvar) + (mean - prior) ** 2 - 1.0 - logvar).sum(-1)
-    return _scalar(per_sample.mean(axis=-1))
+    a (K,) array for a stacked (K, n, d) one.  ``var``: exp(logvar), if known."""
+    if np.ndim(mean) < 2 or np.shape(logvar) != np.shape(mean):
+        raise ConfigurationError("mean and logvar must be batches of equal shape")
+    var = np.exp(logvar) if var is None else var
+    per_sample = 0.5 * (var + (mean - prior_mean) ** 2 - 1.0 - logvar).sum(-1)
+    return _scalar(per_sample.sum(-1) / per_sample.shape[-1])  # the batch mean
 
 
 def intervene(z_batch: np.ndarray, y_batch: np.ndarray, b: float = 0.8) -> np.ndarray:
@@ -129,9 +127,10 @@ def _loss_forward(params: ModelParams, enc: EncoderOutput, y_batch: np.ndarray,
                   neg_delta: np.ndarray | None = None):
     """Loss terms of one batch from its encoder forward ``enc``, assembled.
 
-    Returns the :class:`LossBreakdown` and the predictor caches of the
-    positive and (``carr`` only) negative terms.  Stacked parameters give
-    every term a leading K axis.
+    Returns the :class:`LossBreakdown`, the predictor caches of the
+    positive and (``carr`` only) negative terms, and the KL's prior and
+    ``exp(logvar)`` (None for ``base``).  Stacked parameters give every
+    term a leading K axis.
     """
     for name, delta in (("attack_delta", attack_delta), ("neg_delta", neg_delta)):
         if delta is not None and np.shape(delta) != enc.z.shape[-2:]:
@@ -143,11 +142,12 @@ def _loss_forward(params: ModelParams, enc: EncoderOutput, y_batch: np.ndarray,
     # Positive term (possibly on attacked z)
     z_pos = enc.z if attack_delta is None else enc.z + attack_delta
     xent_pos, cache_pos = predictor_xent(params, z_pos, y)
-    positive_ll = -_scalar(xent_pos.mean(axis=-1))
+    positive_ll = -_scalar(xent_pos.sum(-1) / len(y))
 
     # KL against the conditional Gaussian prior N(y*1, I)
     prior = y[:, None].astype(float)
-    kl = kl_gaussian(enc.mean, enc.logvar, prior) if mode != "base" else None
+    var = np.exp(enc.logvar) if mode != "base" else None
+    kl = kl_gaussian(enc.mean, enc.logvar, prior, var) if mode != "base" else None
 
     # Negative term on the randomly perturbed intervened representation
     negative_ll = cache_neg = None
@@ -155,10 +155,10 @@ def _loss_forward(params: ModelParams, enc: EncoderOutput, y_batch: np.ndarray,
         z_bar = intervene(enc.z, y, b)
         z_neg = z_bar if neg_delta is None else z_bar + neg_delta
         xent_neg, cache_neg = predictor_xent(params, z_neg, y)
-        negative_ll = -_scalar(xent_neg.mean(axis=-1))
+        negative_ll = -_scalar(xent_neg.sum(-1) / len(y))
 
     breakdown = assemble_loss(mode, positive_ll, kl, negative_ll, lam, neg_weight)
-    return breakdown, cache_pos, cache_neg
+    return breakdown, cache_pos, cache_neg, (prior, var)
 
 
 def encoded_loss_and_grads(params: ModelParams, enc: EncoderOutput,
@@ -166,51 +166,49 @@ def encoded_loss_and_grads(params: ModelParams, enc: EncoderOutput,
                            b: float = 0.8, neg_weight: float = 1.0,
                            attack_delta: np.ndarray | None = None,
                            neg_delta: np.ndarray | None = None,
-                           stop_grad_negative: bool = False):
+                           stop_grad_negative: bool = False, out=None):
     """Loss of one batch and its flat gradient, backpropagated from the
     batch's encoder forward ``enc``.  ``attack_delta`` shifts z for the
     positive term and ``neg_delta`` the intervened z for the negative term;
-    both have z's shape and are constants during differentiation."""
-    breakdown, cache_pos, cache_neg = _loss_forward(
+    both have z's shape and are constants during differentiation.  The
+    gradient goes into ``out``, a float64 vector the size of ``params.flat``
+    and its :meth:`ModelParams.views` (new ones if None), and is returned."""
+    breakdown, cache_pos, cache_neg, (prior, var) = _loss_forward(
         params, enc, y_batch, mode, lam, b, neg_weight, attack_delta, neg_delta)
-    y = np.asarray(y_batch, dtype=int)
-    n = y.shape[0]
-    mean, logvar, std, eps_std = enc.mean, enc.logvar, enc.std, enc.eps_std
-    prior = y[:, None].astype(float)
-    clamp_mask = (np.abs(enc.head[:, params.d_z:]) < LOGVAR_CLAMP).astype(float)
+    grad = np.empty_like(params.flat) if out is None else out[0]
+    g = params.views(grad) if out is None else out[1]
+    n, d_z = enc.z.shape
 
     # ----- backward through the predictor -----
-    g_z, pred_grads = predictor_xent_backward(params, cache_pos, 1.0)
+    g_z = predictor_xent_backward(params, cache_pos, 1.0, g)[0]
     if mode == "carr":
         # the negative ll is ADDED to the minimized total, so its upstream
         # coefficient is -neg_weight relative to the positive branch
         g_z_neg, pred_grads_neg = predictor_xent_backward(params, cache_neg,
                                                           -neg_weight)
         if not stop_grad_negative:
-            g_z = g_z + g_z_neg  # intervention shift is additive, identity jacobian
-        pred_grads = {k: v + pred_grads_neg[k] for k, v in pred_grads.items()}
+            g_z += g_z_neg  # intervention shift is additive, identity jacobian
+        for key, value in pred_grads_neg.items():
+            g[key] += value
 
     # ----- backward through the encoder -----
-    g_mean = g_z.copy()
-    g_logvar = g_z * eps_std * 0.5 * std
-    if mode != "base":
-        g_mean += lam * (mean - prior) / n
-        g_logvar += lam * 0.5 * (np.exp(logvar) - 1.0) / n
-    g_logvar *= clamp_mask
+    g_head = np.empty((n, 2 * d_z))
+    g_mean, g_logvar = g_head[:, :d_z], g_head[:, d_z:]
+    g_mean[...] = g_z
+    np.multiply(g_z * enc.eps_std * 0.5, enc.std, out=g_logvar)
+    if var is not None:
+        g_mean += lam * (enc.mean - prior) / n
+        g_logvar += lam * 0.5 * (var - 1.0) / n
+    g_logvar *= np.abs(enc.head[:, d_z:]) < LOGVAR_CLAMP
 
-    g_head = np.concatenate([g_mean, g_logvar], axis=1)
-    grad = np.zeros_like(params.flat)
-    g = params.views(grad)
-    g_enc_hidden_out, g["enc_head.weights"][:], g["enc_head.bias"][:] = dense_backward(
-        params.enc_head, enc.hidden, enc.head, g_head
-    )
-    g_feats, g["enc_hidden.weights"][:], g["enc_hidden.bias"][:] = dense_backward(
-        params.enc_hidden, enc.feats, enc.hidden_neg, g_enc_hidden_out
-    )
+    g_enc_hidden_out = dense_backward(params.enc_head, enc.hidden, enc.head, g_head,
+                                      g["enc_head.weights"], g["enc_head.bias"])[0]
+    g_feats = dense_backward(params.enc_hidden, enc.feats, enc.hidden_neg,
+                             g_enc_hidden_out, g["enc_hidden.weights"],
+                             g["enc_hidden.bias"])[0]
     if enc.ids is not None:
         half = params.user_emb.shape[1]
+        g["user_emb"][...] = g["item_emb"][...] = 0.0
         np.add.at(g["user_emb"], enc.ids[:, 0], g_feats[:, :half])
         np.add.at(g["item_emb"], enc.ids[:, 1], g_feats[:, half:])
-    for key, value in pred_grads.items():
-        g[key][:] = value
     return breakdown, grad

@@ -51,6 +51,11 @@ class RunConfig:
     def __post_init__(self):
         check_numbers(self, ("lam", "b", "neg_weight", "lr", "momentum"),
                       ("batch_size", "epochs", "patience", "seed", "d_z"))
+        for name, low in (("d_z", 1), ("batch_size", 1), ("epochs", 1),
+                          ("patience", 0)):
+            if getattr(self, name) < low:
+                raise ConfigurationError(
+                    f"{name} must be at least {low}, got {getattr(self, name)}")
         if self.method not in METHODS:
             raise ConfigurationError(f"unknown method {self.method!r}")
         if self.training_mode not in _MODES:
@@ -121,6 +126,8 @@ def train(config: RunConfig, train_split: Split, val_split: Split | None = None)
         params = init_params(rng_init, d_in=train_split.x.shape[1], d_z=cfg.d_z)
 
     velocity = np.zeros_like(params.flat)
+    grad = np.empty_like(params.flat)  # every batch's gradient is written here
+    grad_views = params.views(grad)
     robust = cfg.training_mode == "robust"
     validate = val_split is not None and len(val_split) > 0
     history = []
@@ -148,12 +155,14 @@ def train(config: RunConfig, train_split: Split, val_split: Split | None = None)
                 params, enc, yb, cfg.method, lam=cfg.lam, b=cfg.b,
                 neg_weight=cfg.neg_weight, attack_delta=attack_delta,
                 neg_delta=neg_delta, stop_grad_negative=cfg.stop_grad_negative,
+                out=(grad, grad_views),
             )
             if not np.isfinite(breakdown.total):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}"
                 )
-            velocity = cfg.momentum * velocity - cfg.lr * grad
+            velocity *= cfg.momentum  # momentum * velocity - lr * grad, in place
+            velocity -= np.multiply(cfg.lr, grad, out=grad)
             params.flat += velocity
             sums["total"] += breakdown.total
             sums["positive_ll"] += breakdown.positive_ll

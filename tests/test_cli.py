@@ -123,6 +123,22 @@ def test_train_config_number_of_wrong_type_exit_2(tmp_path, capsys, name, overri
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, value", [
+    ("d_z", 0), ("batch_size", 0), ("epochs", -1), ("patience", -3),
+])
+def test_train_out_of_range_size_exit_2(tmp_path, capsys, name, value):
+    config = {"method": "base", "training_mode": "standard",
+              "attack": {"p": "2", "beta": 0.0}, "epochs": 1, "d_z": 8,
+              "dataset": {"kind": "synthetic", "beta": 0.3, "n": 60}, name: value}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "report.json"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{name} must be at least" in err
+    assert not out.exists()
+
+
 def test_train_single_class_metric_exit_1(tmp_path, capsys):
     # n=6 leaves one class in the test split: AUC is undefined, which is a
     # runtime failure, not a configuration error

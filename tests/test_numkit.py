@@ -181,6 +181,25 @@ def test_elu_backward_through_cache_matches_elu_grad():
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("activation", ["identity", "elu"])
+def test_dense_backward_writes_into_given_arrays(activation):
+    rng = Rng(18)
+    layer = DenseLayer(rng.normal(size=(16, 8)), rng.normal(size=16), activation)
+    x = rng.normal(size=(32, 8))
+    g = rng.normal(size=(32, 16))
+    g_before = g.copy()
+    _, cache = dense_forward(layer, x)
+    want = dense_backward(layer, x, cache, g)
+    # views of one flat vector holding garbage, as a training step passes them
+    flat = np.full(16 * 8 + 16, np.nan)
+    weight_grad, bias_grad = flat[:128].reshape(16, 8), flat[128:]
+    got = dense_backward(layer, x, cache, g, weight_grad, bias_grad)
+    assert got[1] is weight_grad and got[2] is bias_grad
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    assert g.tobytes() == g_before.tobytes()  # the upstream is left as it is
+
+
 def test_stacked_dense_layer_validation():
     with pytest.raises(ConfigurationError):
         DenseLayer(np.zeros((2, 3, 4)), np.zeros(3))  # bias lacks the stack axis

@@ -9,11 +9,12 @@ try:
 except ImportError:  # in the `test` extra; only the property test needs it
     given = None
 
-from carr.model import init_params
+from carr.model import LOGVAR_CLAMP, encode, init_params, predictor_xent
 from carr.numkit import ConfigurationError, Rng, grad_check
 from carr.objective import (
     METHODS,
     assemble_loss,
+    encoded_loss_and_grads,
     intervene,
     kl_gaussian,
     loss_and_grads,
@@ -43,6 +44,8 @@ def test_kl_gaussian_variance_term():
 def test_kl_gaussian_shape_check():
     with pytest.raises(ConfigurationError):
         kl_gaussian(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros(3))
+    with pytest.raises(ConfigurationError):  # one sample is a (1, d) batch
+        kl_gaussian(np.zeros(3), np.zeros(3), np.zeros(3))
 
 
 def test_kl_gaussian_monte_carlo():
@@ -234,14 +237,160 @@ def test_attack_delta_is_constant_offset():
     assert b_clean.kl == b_shift.kl  # KL sees the unshifted posterior
 
 
+def _reference_step(params, x, y, mode, eps, lam=0.001, b=0.8, neg_weight=1.0,
+                    attack_delta=None, neg_delta=None, stop_grad_negative=False):
+    """The training step's formulas as first written, with nothing shared or
+    written in place: np.clip, the KL over its own exp(logvar), a second
+    exp(logvar) in the backward, and the head and flat gradients
+    concatenated.  Returns the four breakdown numbers and the flat
+    gradient."""
+    d_z, n = params.d_z, len(y)
+    enc = encode(params, x, eps)  # its forward layers; its own formulas below
+    mean = enc.head[:, :d_z]
+    logvar = np.clip(enc.head[:, d_z:], -LOGVAR_CLAMP, LOGVAR_CLAMP)
+    std = np.exp(0.5 * logvar)
+    z = mean + std * eps
+    for got, want in ((enc.logvar, logvar), (enc.std, std), (enc.z, z)):
+        assert got.tobytes() == want.tobytes()
+    prior = y[:, None].astype(float)
+
+    def xent_term(z_in, coeff):
+        xent, cache = predictor_xent(params, z_in, y)
+        _, _, rows, hidden, hidden_neg, probs, _ = cache
+        g = probs.copy()
+        g[rows, y] -= 1.0
+        g *= coeff / n
+        g_hidden, grads = g @ params.pred_out.weights, [g.T @ hidden, g.sum(axis=0)]
+        g = g_hidden * np.exp(hidden_neg)
+        grads = [g.T @ z_in, g.sum(axis=0)] + grads
+        return -float(xent.mean(axis=-1)), g @ params.pred_hidden.weights, grads
+
+    z_pos = z if attack_delta is None else z + attack_delta
+    positive_ll, g_z, pred = xent_term(z_pos, 1.0)
+    kl = negative_ll = None
+    total = -positive_ll
+    if mode != "base":
+        kl = float((0.5 * (np.exp(logvar) + (mean - prior) ** 2 - 1.0 - logvar)
+                    .sum(-1)).mean(axis=-1))
+        total += lam * kl
+    if mode == "carr":
+        z_bar = z + np.where(y == 0, b, -b)[:, None]
+        negative_ll, g_z_neg, pred_neg = xent_term(
+            z_bar if neg_delta is None else z_bar + neg_delta, -neg_weight)
+        total += neg_weight * negative_ll
+        if not stop_grad_negative:
+            g_z = g_z + g_z_neg
+        pred = [p + q for p, q in zip(pred, pred_neg)]
+
+    g_mean = g_z.copy()
+    g_logvar = g_z * eps * 0.5 * std
+    if mode != "base":
+        g_mean += lam * (mean - prior) / n
+        g_logvar += lam * 0.5 * (np.exp(logvar) - 1.0) / n
+    g_logvar *= (np.abs(enc.head[:, d_z:]) < LOGVAR_CLAMP).astype(float)
+    g_head = np.concatenate([g_mean, g_logvar], axis=1)
+    g = (g_head @ params.enc_head.weights) * np.exp(enc.hidden_neg)
+    parts = [g.T @ enc.feats, g.sum(axis=0), g_head.T @ enc.hidden,
+             g_head.sum(axis=0)] + pred
+    if params.uses_embeddings:
+        g_feats, half = g @ params.enc_hidden.weights, params.user_emb.shape[1]
+        user, item = np.zeros_like(params.user_emb), np.zeros_like(params.item_emb)
+        np.add.at(user, enc.ids[:, 0], g_feats[:, :half])
+        np.add.at(item, enc.ids[:, 1], g_feats[:, half:])
+        parts = [user, item] + parts
+    grad = np.concatenate([part.ravel() for part in parts])
+    return (positive_ll, kl, negative_ll, total), grad
+
+
+def _step_cases():
+    for make in (_batch, _embedding_batch):
+        for mode in METHODS:
+            for offsets in (False, True):
+                for stop_grad_negative in (False, True):
+                    if stop_grad_negative and mode != "carr":
+                        continue
+                    yield make, mode, offsets, stop_grad_negative
+
+
+@pytest.mark.parametrize("make, mode, offsets, stop_grad_negative", list(_step_cases()))
+def test_step_bytes_equal_reference(make, mode, offsets, stop_grad_negative):
+    params, x, y, eps, delta, neg = make(11, n=12)
+    d_z = params.d_z
+    # unclamped log-variances: every row beyond the clamp in the first two
+    # coordinates, one on either side, and half the rows beyond it in the third
+    third = encode(params, x).head[:, d_z + 2]
+    params.enc_head.bias[d_z:] += [14.0, -14.0, LOGVAR_CLAMP - np.median(third)]
+    head = encode(params, x).head[:, d_z:]
+    assert (np.abs(head[:, :2]) > LOGVAR_CLAMP).all()
+    assert (head[:, 2] > LOGVAR_CLAMP).sum() == (head[:, 2] < LOGVAR_CLAMP).sum() > 0
+    kw = dict(lam=0.7, b=0.5, neg_weight=1.3, stop_grad_negative=stop_grad_negative)
+    if offsets:
+        kw.update(attack_delta=delta, neg_delta=neg)
+    want_terms, want = _reference_step(params, x, y, mode, eps, **kw)
+
+    breakdown, grad = loss_and_grads(params, x, y, mode, eps_std=eps, **kw)
+    # a reused buffer holding garbage: every entry must be written
+    buffer = np.full_like(params.flat, np.nan)
+    out = buffer, params.views(buffer)
+    again, written = encoded_loss_and_grads(params, encode(params, x, eps), y, mode,
+                                            out=out, **kw)
+    assert written is buffer
+    for got in (breakdown, again):
+        got_terms = (got.positive_ll, got.kl, got.negative_ll, got.total)
+        for got_term, want_term in zip(got_terms, want_terms):
+            if want_term is None:
+                assert got_term is None
+            else:
+                assert (np.float64(got_term).view(np.int64)
+                        == np.float64(want_term).view(np.int64))
+    for got in (grad, written):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_inplace_momentum_equals_expression():
+    # the trainer updates velocity in place: v *= m, then v -= (lr * g)
+    rng = Rng(21)
+    tiny = np.array([5e-324, -5e-324, 0.0, -0.0, 1e-310, 1e300, -1e300])
+    v0, g0 = (np.concatenate([rng.normal(size=500) * 10.0 ** rng.integers(-8, 8, 500),
+                              edges]) for edges in (tiny, tiny[::-1]))
+    for m, lr in ((0.9, 0.01), (0.0, 1e-3), (0.95, 0.5)):
+        want = m * v0 - lr * g0
+        v, g = v0.copy(), g0.copy()
+        v *= m
+        v -= np.multiply(lr, g, out=g)
+        assert np.array_equal(v.view(np.int64), want.view(np.int64))
+
+
+_KINK_GAP = 1e-3  # least distance of an unclamped log-variance from the clamp
+
+
+def _push_past_clamp(params, x, rng):
+    """Shift each log-variance bias so that a drawn share of the rows (none,
+    some or all) lies beyond +-LOGVAR_CLAMP, on a drawn side, and every row
+    at least _KINK_GAP from it: central differences straddle no kink."""
+    d_z = params.d_z
+    head = encode(params, x).head[:, d_z:]
+    for j in range(d_z):
+        col = np.sort(head[:, j])
+        wide = np.flatnonzero(np.diff(col) >= 2 * _KINK_GAP)
+        # rows above the cut end up beyond +clamp, or those below beyond -clamp
+        cuts = np.r_[col[0] - 1.0, (col[wide] + col[wide + 1]) / 2, col[-1] + 1.0]
+        side = rng.integers(0, 2) * 2 - 1
+        cut = cuts[rng.integers(0, cuts.size)]
+        params.enc_head.bias[d_z + j] += side * LOGVAR_CLAMP - cut
+    unclamped = np.abs(encode(params, x).head[:, d_z:])
+    assert np.abs(unclamped - LOGVAR_CLAMP).min() >= 0.99 * _KINK_GAP
+
+
 if given is not None:
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(st.integers(0, 2 ** 20), st.sampled_from(METHODS), st.floats(0.0, 10.0),
            st.floats(0.0, 2.0), st.floats(0.0, 3.0), st.integers(1, 8),
            st.integers(1, 4), st.integers(1, 8),
-           st.one_of(st.none(), st.tuples(st.integers(1, 3), st.integers(1, 3))))
+           st.one_of(st.none(), st.tuples(st.integers(1, 3), st.integers(1, 3))),
+           st.booleans())
     def test_gradients_match_finite_differences(seed, mode, lam, b, neg_weight,
-                                                d_in, d_z, n, vocab):
+                                                d_in, d_z, n, vocab, clamp):
         # stop_grad_negative is left at False: with it the analytic gradient
         # is by design not the gradient of the total
         rng = Rng(seed, stream=60)
@@ -255,6 +404,8 @@ if given is not None:
                           rng.integers(0, vocab[1], size=n)], axis=1)
         y = rng.integers(0, 2, size=n)
         eps, delta, neg = (s * rng.normal(size=(n, d_z)) for s in (1.0, 0.05, 0.05))
+        if clamp:
+            _push_past_clamp(params, x, Rng(seed, stream=61))
         kw = _offsets(mode, eps, delta, neg)
         assert _gradcheck(params, x, y, mode, lam=lam, b=b, neg_weight=neg_weight,
                           **kw) < 1e-4

@@ -15,6 +15,7 @@ from carr.trainer import (
     MetricsReport,
     RunConfig,
     TrainingError,
+    _resolve_dataset,
     evaluate,
     run_experiment,
     sweep,
@@ -41,6 +42,23 @@ def test_config_validation():
         RunConfig(training_mode="standard", attack=AttackSpec(p="2", beta=0.3))
     with pytest.raises(ConfigurationError):  # robust mode without one
         RunConfig(training_mode="robust", attack=AttackSpec(p="2", beta=0.0))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("d_z", 0), ("d_z", -4), ("batch_size", 0), ("epochs", 0), ("epochs", -1),
+    ("patience", -1), ("patience", -3),
+])
+def test_config_rejects_out_of_range_sizes(name, value):
+    # d_z 0 trained a degenerate model, epochs -1 reported the untrained one,
+    # patience -3 stopped after epoch 0 and batch_size 0 failed only after
+    # the data had been generated
+    with pytest.raises(ConfigurationError, match=f"{name} must be at least"):
+        RunConfig(**{name: value})
+
+
+def test_config_accepts_smallest_sizes():
+    cfg = RunConfig(d_z=1, batch_size=1, epochs=1, patience=0)
+    assert (cfg.d_z, cfg.batch_size, cfg.epochs, cfg.patience) == (1, 1, 1, 0)
 
 
 def test_config_numbers_typed():
@@ -163,6 +181,21 @@ def test_rcvae_zero_lambda_standard_reproduces_base():
     a = run_experiment(_cfg(method="rcvae", lam=0.0, **kw))
     b = run_experiment(_cfg(method="base", **kw))
     assert a["metrics"] == b["metrics"]
+
+
+@pytest.mark.parametrize("stop_grad_negative", [True, False])
+def test_carr_positive_ll_collapses_with_either_stop_grad_setting(stop_grad_negative):
+    # README's reproducibility note: keeping the negative term's gradient out
+    # of the encoder does not stop the collapse (positive_ll is about -22 at
+    # epoch 10 with it and -105 without)
+    cfg = RunConfig(method="carr", training_mode="standard",
+                    attack=AttackSpec(p="2", beta=0.0), lr=1e-3, seed=0, epochs=10,
+                    stop_grad_negative=stop_grad_negative,
+                    dataset={"kind": "synthetic", "beta": 0.3, "n": 500})
+    train_split, _, _ = _resolve_dataset(cfg)
+    _, history = train(cfg, train_split)  # no validation, so no early stop
+    assert len(history) == 10
+    assert history[-1]["positive_ll"] < -5
 
 
 def test_evaluate_reports_dcor_for_synthetic_only():
