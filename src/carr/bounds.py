@@ -35,9 +35,15 @@ class BoundInputs:
             raise ValueError("C > 0, beta >= 0, card_z >= 1 required")
 
 
-def _bound(inputs: BoundInputs, leading_card: float) -> float:
-    """Shared closed form; ``leading_card`` sits under the sqrt of the
-    dominant |Y| log(m) term (|Z| in general, beta in the ideal case)."""
+def _bound(inputs: BoundInputs, case: str, leading_card: float) -> float:
+    """Shared closed form, valid from ``min_samples(case, inputs)`` samples
+    on; ``leading_card`` sits under the sqrt of the dominant |Y| log(m) term
+    (|Z| in general, beta in the ideal case)."""
+    threshold = min_samples(case, inputs)
+    if inputs.m < threshold:
+        raise ValueError(
+            f"bound invalid below the sample threshold m >= {threshold}"
+        )
     c_log = math.sqrt(inputs.C * math.log(inputs.card_y / inputs.delta))
     dominant = inputs.card_y * math.sqrt(leading_card) * math.log(inputs.m)
     fixed = 0.5 * math.sqrt(inputs.card_z) * math.log(inputs.card_y)
@@ -48,23 +54,13 @@ def _bound(inputs: BoundInputs, leading_card: float) -> float:
 
 def bound_general(inputs: BoundInputs) -> float:
     """Estimation-error bound for an arbitrary representation function."""
-    threshold = min_samples("general", inputs)
-    if inputs.m < threshold:
-        raise ValueError(
-            f"bound invalid below the sample threshold m >= {threshold}"
-        )
-    return _bound(inputs, float(inputs.card_z))
+    return _bound(inputs, "general", float(inputs.card_z))
 
 
 def bound_ideal(inputs: BoundInputs) -> float:
     """Bound when the representation equals the causal parents; the noise
     variance replaces |Z| in the dominant term only."""
-    threshold = min_samples("ideal", inputs)
-    if inputs.m < threshold:
-        raise ValueError(
-            f"bound invalid below the sample threshold m >= {threshold}"
-        )
-    return _bound(inputs, inputs.beta)
+    return _bound(inputs, "ideal", inputs.beta)
 
 
 def min_samples(case: str, inputs: BoundInputs, quartered_ideal: bool = False) -> int:

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -84,11 +85,12 @@ def cmd_synth(args) -> int:
 def _load_config(path, seed_override) -> RunConfig:
     with open(path) as fh:
         doc = json.load(fh)
+    cfg = RunConfig.from_dict(doc)
     if seed_override is not None:
-        doc["seed"] = seed_override
-    elif "seed" not in doc and "CARR_SEED" in os.environ:
-        doc["seed"] = _default_seed()
-    return RunConfig.from_dict(doc)
+        return replace(cfg, seed=seed_override)
+    if "seed" not in doc and "CARR_SEED" in os.environ:
+        return replace(cfg, seed=_default_seed())
+    return cfg
 
 
 def cmd_train(args) -> int:
@@ -107,6 +109,8 @@ def cmd_sweep(args) -> int:
 
 def run_audit(what: str, trials: int, seed: int, shape: str = "a"):
     """Run a named property suite; returns (failures, worst_margin)."""
+    if trials < 0:
+        raise ConfigurationError(f"trials must be >= 0, got {trials}")
     failures = 0
     worst = 0.0
     if what == "dpi":

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scm import DiscreteSCM, _joint, _query, _worlds, enumerate_joint
-from .scm import counterfactual_query  # noqa: F401  patched by benchmarks/tracing.py
+from .scm import DiscreteSCM, _worlds, counterfactual_query, enumerate_joint
 
 __all__ = [
     "JointTable",
@@ -150,7 +149,7 @@ def pns(scm: DiscreteSCM, z_var: str, z_val: int, y_var: str, y_val: int,
     by the single designated alternative value ``z_alt``.
     """
     worlds = _worlds(scm)
-    joint_zy = _joint(scm, worlds).marginal((z_var, y_var))
+    joint_zy = enumerate_joint(scm, worlds).marginal((z_var, y_var))
     not_z = frozenset(range(scm.domains[z_var])) - {z_val}
     not_y = frozenset(range(scm.domains[y_var])) - {y_val}
 
@@ -163,8 +162,10 @@ def pns(scm: DiscreteSCM, z_var: str, z_val: int, y_var: str, y_val: int,
     if p_event_suff <= 0 or p_event_nec <= 0:
         raise QueryError("PNS conditioning events must have nonzero probability")
 
-    cf_suff = _query(scm, worlds, {z_var: not_z, y_var: not_y}, {z_var: z_val}, y_var)
-    cf_nec = _query(scm, worlds, {z_var: z_val, y_var: y_val}, {z_var: z_alt}, y_var)
+    cf_suff = counterfactual_query(scm, {z_var: not_z, y_var: not_y}, {z_var: z_val},
+                                   y_var, worlds)
+    cf_nec = counterfactual_query(scm, {z_var: z_val, y_var: y_val}, {z_var: z_alt},
+                                  y_var, worlds)
 
     sufficient = p_event_suff * float(cf_suff[y_val])
     # exogenous-posterior sums can overshoot 1 by an ulp or two

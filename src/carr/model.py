@@ -212,22 +212,29 @@ def encode(params: ModelParams, x_batch: np.ndarray,
                          eps_std=eps_std, z=mean + std * eps_std, ids=ids)
 
 
-def predict(params: ModelParams, z_batch: np.ndarray) -> np.ndarray:
-    """Two-class logits for a batch of representations."""
-    z = np.asarray(z_batch, dtype=float)
-    if z.ndim != 2 or z.shape[1] != params.d_z:
-        raise ConfigurationError(
-            f"z width {z.shape} does not match d_z={params.d_z}"
-        )
-    hidden, _ = dense_forward(params.pred_hidden, z)
-    return dense_forward(params.pred_out, hidden)[0]
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the two columns of (..., n, 2) logits."""
     shifted = logits - np.maximum(logits[..., 0], logits[..., 1])[..., None]
     ex = np.exp(shifted)
     return ex / (ex[..., 0] + ex[..., 1])[..., None]
+
+
+def _predictor_forward(params: ModelParams, z: np.ndarray):
+    """The predictor over (..., n, d_z) representations: hidden output, its
+    ELU cache, logits and class probabilities."""
+    hidden, hidden_neg = dense_forward(params.pred_hidden, z)
+    logits, _ = dense_forward(params.pred_out, hidden)
+    return hidden, hidden_neg, logits, softmax(logits)
+
+
+def predict(params: ModelParams, z_batch: np.ndarray) -> np.ndarray:
+    """P(y = 1 | z), shape (n,), for a batch of representations."""
+    z = np.asarray(z_batch, dtype=float)
+    if z.ndim != 2 or z.shape[1] != params.d_z:
+        raise ConfigurationError(
+            f"z width {z.shape} does not match d_z={params.d_z}"
+        )
+    return _predictor_forward(params, z)[3][:, 1]
 
 
 def predictor_xent(params: ModelParams, z_batch: np.ndarray, y_batch: np.ndarray):
@@ -236,9 +243,7 @@ def predictor_xent(params: ModelParams, z_batch: np.ndarray, y_batch: np.ndarray
     z = np.asarray(z_batch, dtype=float)
     y = np.asarray(y_batch, dtype=int)
     rows = np.arange(y.shape[0])
-    hidden, hidden_neg = dense_forward(params.pred_hidden, z)
-    logits, _ = dense_forward(params.pred_out, hidden)
-    probs = softmax(logits)
+    hidden, hidden_neg, logits, probs = _predictor_forward(params, z)
     # indexing a stack this way lays the result out batch-major; C order
     # makes the mean over the batch sum each row as it sums a 2-D one
     picked = np.ascontiguousarray(probs[..., rows, y])

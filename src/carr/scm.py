@@ -88,11 +88,14 @@ class SynthConfig:
     nc_cols: int = 0  # extra uncorrelated Uniform(-1,1) columns
 
     def __post_init__(self):
-        check_numbers(self, ("beta", "q", "noise_mean"))
+        check_numbers(self, ("beta", "q", "noise_mean"),
+                      ("n", "seed", "weight_seed", "nc_cols"))
         if self.beta < 0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        if self.nc_cols < 0:
+            raise ValueError(f"nc_cols must be >= 0, got {self.nc_cols}")
 
 
 @dataclass
@@ -271,16 +274,13 @@ def _worlds(scm: DiscreteSCM):
     return exo, prob, scm.evaluate(exo)
 
 
-def enumerate_joint(scm: DiscreteSCM):
+def enumerate_joint(scm: DiscreteSCM, worlds=None):
     """Exact joint distribution over all endogenous variables.
 
     Returns a :class:`carr.infometrics.JointTable`, summed over every
-    exogenous world in world order.
+    exogenous world in world order.  ``worlds`` is :func:`_worlds` of this
+    model, built here when None.
     """
-    return _joint(scm, None)
-
-
-def _joint(scm, worlds):
     from .infometrics import JointTable  # local import to avoid a cycle
 
     _, prob, values = worlds or _worlds(scm)
@@ -291,17 +291,14 @@ def _joint(scm, worlds):
 
 
 def counterfactual_query(scm: DiscreteSCM, evidence: dict, intervention: dict,
-                         target: str) -> np.ndarray:
+                         target: str, worlds=None) -> np.ndarray:
     """Exact counterfactual distribution of ``target``.
 
     Abduction: posterior over exogenous worlds given the evidence (values may
     be single values or sets of admissible values).  Action: apply the do()
     intervention.  Prediction: push the posterior through the mutated model.
+    ``worlds`` is :func:`_worlds` of this model, built here when None.
     """
-    return _query(scm, None, evidence, intervention, target)
-
-
-def _query(scm, worlds, evidence, intervention, target):
     for var, val in intervention.items():
         if var not in scm.domains or val not in range(scm.domains[var]):
             raise ValueError(f"do({var}={val!r}) is outside the model's domains")

@@ -12,7 +12,7 @@ import numpy as np
 from . import dataio, infometrics, scm as scm_mod
 from .attack import AttackSpec, pgd_attack, random_ball
 from .dataio import DatasetSpec, Split, batch_iter, split_three_way
-from .model import ModelParams, encode, init_params, predict, softmax
+from .model import ModelParams, encode, init_params, predict
 from .numkit import ConfigurationError, Rng, check_numbers
 from .objective import METHODS, encoded_loss_and_grads
 from .objective import loss_and_grads  # noqa: F401  patched by benchmarks/tracing.py
@@ -51,6 +51,8 @@ class RunConfig:
     def __post_init__(self):
         check_numbers(self, ("lam", "b", "neg_weight", "lr", "momentum"),
                       ("batch_size", "epochs", "patience", "seed", "d_z"))
+        if not isinstance(self.dataset, dict):
+            raise ConfigurationError(f"dataset must be an object, got {self.dataset!r}")
         for name, low in (("d_z", 1), ("batch_size", 1), ("epochs", 1),
                           ("patience", 0)):
             if getattr(self, name) < low:
@@ -74,21 +76,22 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        allowed = set(cls.__dataclass_fields__)
-        unknown = set(doc) - allowed
-        if unknown:
-            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        doc = dict(doc)
-        for key in ("attack", "eval_attack"):
-            if key in doc and isinstance(doc[key], dict):
-                spec = dict(doc[key])
-                unknown = set(spec) - set(AttackSpec.__dataclass_fields__)
-                if unknown:
-                    raise ConfigurationError(
-                        f"unknown {key} keys: {sorted(unknown)}"
-                    )
-                doc[key] = AttackSpec(**spec)
-        return cls(**doc)
+        return _read_stanza(cls, doc, "config",
+                            {"attack": AttackSpec, "eval_attack": AttackSpec})
+
+
+def _read_stanza(cls, doc, what: str, nested: dict | None = None):
+    """``cls(**doc)`` for a config object ``doc`` whose keys name fields of
+    the dataclass ``cls``; the value of a key in ``nested`` is read the same
+    way, as a stanza of class ``nested[key]`` named after its key."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{what} must be an object, got {doc!r}")
+    unknown = set(doc) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ConfigurationError(f"unknown {what} keys: {sorted(unknown)}")
+    nested = nested or {}
+    return cls(**{key: _read_stanza(nested[key], value, key) if key in nested else value
+                  for key, value in doc.items()})
 
 
 @dataclass
@@ -173,7 +176,8 @@ def train(config: RunConfig, train_split: Split, val_split: Split | None = None)
         entry = {k: v / n_batches for k, v in sums.items()}
         entry["epoch"] = epoch
         if validate:
-            entry["val_auc"] = _clean_auc(params, val_split)
+            entry["val_auc"] = infometrics.auc(
+                predict(params, encode(params, val_split.x).z), val_split.y)
             if entry["val_auc"] > best_val + 1e-12:
                 best_val = entry["val_auc"]
                 best_vec = params.to_vector()
@@ -189,22 +193,12 @@ def train(config: RunConfig, train_split: Split, val_split: Split | None = None)
     return params, history
 
 
-def _scores(params: ModelParams, z: np.ndarray) -> np.ndarray:
-    return softmax(predict(params, z))[:, 1]
-
-
-def _clean_auc(params: ModelParams, split: Split) -> float:
-    enc = encode(params, split.x)
-    return infometrics.auc(_scores(params, enc.z), split.y)
-
-
 def evaluate(params: ModelParams, split: Split,
              eval_attack: AttackSpec) -> MetricsReport:
     """Clean and adversarial metrics on deterministic representations."""
     z = encode(params, split.x).mean
-    clean = _scores(params, z)
-    z_adv = pgd_attack(params, z, split.y, eval_attack)
-    adv = _scores(params, z_adv)
+    clean = predict(params, z)
+    adv = predict(params, pgd_attack(params, z, split.y, eval_attack))
     report = MetricsReport(
         auc=infometrics.auc(clean, split.y),
         acc=infometrics.acc(clean, split.y),
@@ -223,13 +217,8 @@ def _resolve_dataset(cfg: RunConfig):
     ds = dict(cfg.dataset)
     kind = ds.pop("kind", "synthetic")
     if kind == "synthetic":
-        allowed = {"beta", "n", "seed", "q", "noise_mean", "weight_seed",
-                   "shared_noise", "nc_cols"}
-        unknown = set(ds) - allowed
-        if unknown:
-            raise ConfigurationError(f"unknown dataset keys: {sorted(unknown)}")
-        ds.setdefault("seed", cfg.seed)
-        data = scm_mod.generate(scm_mod.SynthConfig(**ds))
+        synth = _read_stanza(scm_mod.SynthConfig, {"seed": cfg.seed, **ds}, "dataset")
+        data = scm_mod.generate(synth)
         split = Split(x=data.x, y=data.y, pa=data.pa, nd=data.nd, dc=data.dc)
         return split_three_way(split, seed=cfg.seed + 777)
     # file-backed datasets

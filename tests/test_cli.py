@@ -106,6 +106,10 @@ def test_train_non_finite_or_fractional_attack_exit_2(tmp_path, capsys, attack):
     ("beta", {"dataset": {"kind": "synthetic", "n": 60, "beta": float("nan")}}),
     ("q", {"dataset": {"kind": "synthetic", "n": 60, "q": float("inf")}}),
     ("noise_mean", {"dataset": {"kind": "synthetic", "n": 60, "noise_mean": -1e400}}),
+    ("n", {"dataset": {"kind": "synthetic", "n": 100.5}}),
+    ("n", {"dataset": {"kind": "synthetic", "n": True}}),
+    ("seed", {"dataset": {"kind": "synthetic", "n": 60, "seed": 1.0}}),
+    ("nc_cols", {"dataset": {"kind": "synthetic", "n": 60, "nc_cols": -4}}),
 ])
 def test_train_config_number_of_wrong_type_exit_2(tmp_path, capsys, name, override):
     # each would otherwise fail later, inside training, with exit 1, or (an
@@ -120,6 +124,41 @@ def test_train_config_number_of_wrong_type_exit_2(tmp_path, capsys, name, overri
     assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and f"{name} must be" in err
+    assert not out.exists()
+
+
+_SMALL = {"method": "base", "training_mode": "standard",
+          "attack": {"p": "2", "beta": 0.0}, "epochs": 1, "d_z": 8,
+          "dataset": {"kind": "synthetic", "n": 60}}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "config must be an object"),
+    ("config.json", "config must be an object"),
+    ({**_SMALL, "attack": "l2"}, "attack must be an object"),
+    ({**_SMALL, "eval_attack": [0.3]}, "eval_attack must be an object"),
+    ({**_SMALL, "dataset": None}, "dataset must be an object"),
+    ({**_SMALL, "dataset": {"n": 60, "size": 3}}, "unknown dataset keys: ['size']"),
+])
+@pytest.mark.parametrize("seed_args", [[], ["--seed", "3"]])
+def test_train_bad_stanza_exit_2(tmp_path, capsys, doc, message, seed_args):
+    # a top-level [] used to train the default 60-epoch config, and a
+    # non-object attack or dataset stanza used to exit 1
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out),
+                 *seed_args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not out.exists()
+
+
+def test_synth_negative_nc_cols_exit_2(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    assert main(["synth", "--beta", "0.3", "--n", "5", "--nc-cols", "-2",
+                 "--out", str(out)]) == 2
+    assert "nc_cols must be >= 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -190,6 +229,15 @@ def test_run_audit_counts_match_cli():
     assert failures > 0 and worst > 0.1
     failures, worst = run_audit("pns", 20, 0, "a")
     assert failures == 0
+
+
+def test_audit_negative_trials_exit_2(capsys):
+    # it used to print "dpi: -5/-5 hold, worst margin 0.000e+00 [ok]"
+    assert main(["audit", "--what", "dpi", "--trials", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "trials must be >= 0" in captured.err
+    assert run_audit("dpi", 0, 0) == (0, 0.0)
 
 
 def test_audit_gradcheck_small(capsys):

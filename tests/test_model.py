@@ -17,7 +17,7 @@ from carr.model import (
     predictor_xent_grad,
     softmax,
 )
-from carr.numkit import ConfigurationError, DenseLayer, Rng, grad_check
+from carr.numkit import ConfigurationError, DenseLayer, Rng, dense_forward, grad_check
 
 
 def _params(seed=0, d_in=5, d_z=4):
@@ -175,7 +175,17 @@ def test_predict_shape_check():
     params = _params(d_z=4)
     with pytest.raises(ConfigurationError):
         predict(params, np.zeros((2, 5)))
-    assert predict(params, np.zeros((2, 4))).shape == (2, 2)
+    assert predict(params, np.zeros((2, 4))).shape == (2,)
+
+
+def test_predict_is_softmax_of_two_dense_layers():
+    # the reference runs the predictor's layers itself: predict and
+    # predictor_xent share one forward, so neither may stand in for it
+    params = _params(d_z=4)
+    z = Rng(9).uniform(-2, 2, size=(7, 4))
+    hidden, _ = dense_forward(params.pred_hidden, z)
+    logits, _ = dense_forward(params.pred_out, hidden)
+    assert predict(params, z).tobytes() == softmax(logits)[:, 1].tobytes()
 
 
 def test_predictor_xent_grad_finite_difference():

@@ -17,6 +17,7 @@ from carr.infometrics import QueryError, entropy, mutual_info, pns  # noqa: E402
 from carr.numkit import Rng  # noqa: E402
 from carr.scm import (  # noqa: E402
     InferenceError,
+    _worlds,
     counterfactual_query,
     enumerate_joint,
     random_scm,
@@ -136,6 +137,22 @@ def test_counterfactual_query_equals_reference(query):
             counterfactual_query(*query)
         return
     assert _same_bits(counterfactual_query(*query), want)
+
+
+@SETTINGS
+@given(queries())
+def test_prebuilt_worlds_give_the_same_bytes(query):
+    # pns builds the worlds once and hands them to both oracles
+    scm = query[0]
+    assert _same_bits(enumerate_joint(scm, _worlds(scm)).probs,
+                      enumerate_joint(scm).probs)
+    try:
+        want = counterfactual_query(*query)
+    except InferenceError:
+        with pytest.raises(InferenceError):
+            counterfactual_query(*query, worlds=_worlds(scm))
+        return
+    assert _same_bits(counterfactual_query(*query, worlds=_worlds(scm)), want)
 
 
 @SETTINGS

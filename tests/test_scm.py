@@ -80,6 +80,16 @@ def test_synth_config_validation():
         SynthConfig(beta=0.3, n=0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("n", 100.5), ("n", True), ("seed", "0"), ("weight_seed", 1.0),
+    ("nc_cols", None), ("nc_cols", -4),
+])
+def test_synth_config_rejects_bad_integers(name, value):
+    # a float n used to fail inside numpy, and a negative nc_cols read as 0
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        SynthConfig(**{name: value})
+
+
 def test_generate_shapes_and_ranges():
     data = generate(SynthConfig(beta=0.3, n=200, seed=1))
     assert data.pa.shape == (200, 5)
