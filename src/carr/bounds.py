@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .numkit import check_numbers
+
 __all__ = ["BoundInputs", "bound_general", "bound_ideal", "min_samples"]
 
 
@@ -25,6 +27,7 @@ class BoundInputs:
     C: float = 16.0
 
     def __post_init__(self):
+        check_numbers(self, ("beta", "delta", "C"), ("m", "card_y", "card_z"))
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if self.card_y < 2:

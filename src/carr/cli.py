@@ -180,19 +180,27 @@ def cmd_audit(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _sample_count(token: str) -> int:
+    value = float(token)
+    if not value.is_integer():  # also inf and NaN
+        raise ConfigurationError(f"--m-grid entries must be whole numbers, got {token!r}")
+    return int(value)
+
+
 def cmd_bound(args) -> int:
-    grid = [int(float(tok)) for tok in args.m_grid.split(",")]
+    # every row's inputs are checked before the header is printed
+    rows = [bounds_mod.BoundInputs(m=_sample_count(token), card_y=args.card_y,
+                                   card_z=args.card_z, beta=args.beta,
+                                   delta=args.delta, C=args.C)
+            for token in args.m_grid.split(",")]
     print(f"{'m':>12} {'threshold_gen':>14} {'threshold_ideal':>16} "
           f"{'bound_general':>14} {'bound_ideal':>12}")
-    for m in grid:
-        inputs = bounds_mod.BoundInputs(m=m, card_y=args.card_y,
-                                        card_z=args.card_z, beta=args.beta,
-                                        delta=args.delta, C=args.C)
+    for inputs in rows:
         t_gen = bounds_mod.min_samples("general", inputs)
         t_ideal = bounds_mod.min_samples("ideal", inputs)
-        bg = bounds_mod.bound_general(inputs) if m >= t_gen else float("nan")
-        bi = bounds_mod.bound_ideal(inputs) if m >= t_ideal else float("nan")
-        print(f"{m:>12d} {t_gen:>14d} {t_ideal:>16d} {bg:>14.6g} {bi:>12.6g}")
+        bg = bounds_mod.bound_general(inputs) if inputs.m >= t_gen else float("nan")
+        bi = bounds_mod.bound_ideal(inputs) if inputs.m >= t_ideal else float("nan")
+        print(f"{inputs.m:>12d} {t_gen:>14d} {t_ideal:>16d} {bg:>14.6g} {bi:>12.6g}")
     return 0
 
 

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import DataError
-from .numkit import Rng
+from .numkit import Rng, check_numbers
 
 __all__ = [
     "DatasetSpec",
@@ -39,16 +40,30 @@ SPLIT_NAMES = ("train", "val_iid", "test_iid", "val_ood", "test_ood")
 @dataclass(frozen=True)
 class DatasetSpec:
     kind: str
-    paths: dict  # split name (or "all" for synthetic) -> file path
+    paths: dict  # split name, or "all" for one file to split, -> file path
     rating_threshold: float = 4.0
-    vocab: tuple | None = None  # (n_users, n_items); inferred when None
+    vocab: tuple | None = None  # id_pairs (n_users, n_items); inferred when None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DataError(f"unknown dataset kind {self.kind!r}")
+        if not isinstance(self.paths, dict) or not all(
+                isinstance(path, (str, os.PathLike)) for path in self.paths.values()):
+            raise DataError(f"paths must map split names to files, got {self.paths!r}")
         for name in self.paths:
             if name != "all" and name not in SPLIT_NAMES:
                 raise DataError(f"unknown split designation {name!r}")
+        names = set(self.paths)
+        if names != {"all"} and ("train" not in names or "all" in names):
+            raise DataError("paths must name a 'train' file, or an 'all' file alone")
+        check_numbers(self, ("rating_threshold",))
+        if self.vocab is not None:
+            vocab = tuple(self.vocab) if isinstance(self.vocab, (list, tuple)) else ()
+            if self.kind != "id_pairs" or len(vocab) != 2 or not all(
+                    type(n) is int and n >= 1 for n in vocab):  # not a bool
+                raise DataError("vocab must be [n_users, n_items], two positive ints, "
+                                f"of an id_pairs dataset, got {self.vocab!r}")
+            object.__setattr__(self, "vocab", vocab)  # a JSON list becomes a tuple
 
 
 @dataclass
@@ -58,7 +73,6 @@ class Split:
     pa: np.ndarray | None = None  # ground-truth partition, synthetic only
     nd: np.ndarray | None = None
     dc: np.ndarray | None = None
-    ood: bool = False
 
     def __len__(self):
         return self.x.shape[0]
@@ -66,7 +80,7 @@ class Split:
     def take(self, idx) -> "Split":
         sub = lambda a: None if a is None else a[idx]
         return Split(x=self.x[idx], y=self.y[idx], pa=sub(self.pa),
-                     nd=sub(self.nd), dc=sub(self.dc), ood=self.ood)
+                     nd=sub(self.nd), dc=sub(self.dc))
 
 
 def _read_rows(path, expected_width=None):
@@ -147,13 +161,11 @@ def load(spec: DatasetSpec) -> dict:
     out = {}
     for name, path in spec.paths.items():
         if spec.kind == "synthetic_csv":
-            split = load_synthetic_csv(path)
+            out[name] = load_synthetic_csv(path)
         elif spec.kind == "id_pairs":
-            split = _load_id_pairs(path, spec.rating_threshold, spec.vocab)
+            out[name] = _load_id_pairs(path, spec.rating_threshold, spec.vocab)
         else:
-            split = _load_tabular(path, spec.rating_threshold)
-        split.ood = name.endswith("_ood")
-        out[name] = split
+            out[name] = _load_tabular(path, spec.rating_threshold)
     return out
 
 

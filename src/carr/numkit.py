@@ -44,10 +44,15 @@ def _finite_float(value) -> bool:
         return False
 
 
-def check_numbers(obj, reals=(), ints=()) -> None:
+def check_numbers(obj, reals=(), ints=(), bools=()) -> None:
     """Raise ConfigurationError unless the attributes of ``obj`` named in
-    ``reals`` are real numbers that convert to finite floats and those in
-    ``ints`` ints; a bool is neither."""
+    ``reals`` are real numbers that convert to finite floats, those in
+    ``ints`` ints and those in ``bools`` bools; a bool is neither of the
+    first two."""
+    for name in bools:
+        if not isinstance(getattr(obj, name), bool):
+            raise ConfigurationError(
+                f"{name} must be true or false, got {getattr(obj, name)!r}")
     for name in (*reals, *ints):
         value = getattr(obj, name)
         kind, what = (Integral, "an int") if name in ints else (Real, "a number")

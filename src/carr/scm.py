@@ -89,7 +89,7 @@ class SynthConfig:
 
     def __post_init__(self):
         check_numbers(self, ("beta", "q", "noise_mean"),
-                      ("n", "seed", "weight_seed", "nc_cols"))
+                      ("n", "seed", "weight_seed", "nc_cols"), ("shared_noise",))
         if self.beta < 0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
         if self.n < 1:

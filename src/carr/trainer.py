@@ -5,7 +5,7 @@ and experiment orchestration with persisted reports.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -50,7 +50,8 @@ class RunConfig:
 
     def __post_init__(self):
         check_numbers(self, ("lam", "b", "neg_weight", "lr", "momentum"),
-                      ("batch_size", "epochs", "patience", "seed", "d_z"))
+                      ("batch_size", "epochs", "patience", "seed", "d_z"),
+                      ("stop_grad_negative",))
         if not isinstance(self.dataset, dict):
             raise ConfigurationError(f"dataset must be an object, got {self.dataset!r}")
         for name, low in (("d_z", 1), ("batch_size", 1), ("epochs", 1),
@@ -82,13 +83,18 @@ class RunConfig:
 
 def _read_stanza(cls, doc, what: str, nested: dict | None = None):
     """``cls(**doc)`` for a config object ``doc`` whose keys name fields of
-    the dataclass ``cls``; the value of a key in ``nested`` is read the same
-    way, as a stanza of class ``nested[key]`` named after its key."""
+    the dataclass ``cls`` and include each field without a default; the
+    value of a key in ``nested`` is read the same way, as a stanza of class
+    ``nested[key]`` named after its key."""
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{what} must be an object, got {doc!r}")
     unknown = set(doc) - set(cls.__dataclass_fields__)
     if unknown:
         raise ConfigurationError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = [name for name, f in cls.__dataclass_fields__.items() if name not in doc
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigurationError(f"{what} is missing keys: {missing}")
     nested = nested or {}
     return cls(**{key: _read_stanza(nested[key], value, key) if key in nested else value
                   for key, value in doc.items()})
@@ -108,25 +114,25 @@ class MetricsReport:
         return asdict(self)
 
 
-def train(config: RunConfig, train_split: Split, val_split: Split | None = None):
+def train(config: RunConfig, train_split: Split, val_split: Split | None = None,
+          vocab: tuple[int, int] | None = None):
     """Optimize the configured objective; returns (params, history).
 
-    history is a list of per-epoch dicts with the mean loss breakdown and,
-    when a non-empty validation split is given, the validation AUC used for
-    early stopping (patience in epochs, best parameters restored).
+    The model embeds id pairs from ``vocab`` = (n_users, n_items), or takes
+    the columns as features when ``vocab`` is None.  history is a list of
+    per-epoch dicts with the mean loss breakdown and, when a non-empty
+    validation split is given, the validation AUC used for early stopping
+    (patience in epochs, best parameters restored).
     """
     cfg = config
     rng_init = Rng(cfg.seed, stream=1)
     rng_eps = Rng(cfg.seed, stream=2)
     rng_neg = Rng(cfg.seed, stream=3)
 
-    if train_split.x.dtype.kind in "iu" and train_split.x.shape[1] == 2:
-        vocab = config.dataset.get("vocab")
-        if vocab is None:
-            vocab = dataio.infer_vocab({"train": train_split})
-        params = init_params(rng_init, vocab=tuple(vocab), d_z=cfg.d_z)
-    else:
+    if vocab is None:
         params = init_params(rng_init, d_in=train_split.x.shape[1], d_z=cfg.d_z)
+    else:
+        params = init_params(rng_init, vocab=vocab, d_z=cfg.d_z)
 
     velocity = np.zeros_like(params.flat)
     grad = np.empty_like(params.flat)  # every batch's gradient is written here
@@ -213,42 +219,40 @@ def evaluate(params: ModelParams, split: Split,
 
 
 def _resolve_dataset(cfg: RunConfig):
-    """Materialize train/val/test splits from the dataset stanza."""
-    ds = dict(cfg.dataset)
-    kind = ds.pop("kind", "synthetic")
+    """Materialize train/val/test splits from the dataset stanza, with the
+    id-pair vocabulary (None for feature input)."""
+    kind = cfg.dataset.get("kind", "synthetic")
     if kind == "synthetic":
+        ds = {key: value for key, value in cfg.dataset.items() if key != "kind"}
         synth = _read_stanza(scm_mod.SynthConfig, {"seed": cfg.seed, **ds}, "dataset")
         data = scm_mod.generate(synth)
         split = Split(x=data.x, y=data.y, pa=data.pa, nd=data.nd, dc=data.dc)
-        return split_three_way(split, seed=cfg.seed + 777)
-    # file-backed datasets
-    spec = DatasetSpec(kind=kind, paths=ds.pop("paths"),
-                       rating_threshold=ds.pop("rating_threshold", 4.0),
-                       vocab=tuple(ds["vocab"]) if ds.get("vocab") else None)
-    ds.pop("vocab", None)
-    if ds:
-        raise ConfigurationError(f"unknown dataset keys: {sorted(ds)}")
+        return (*split_three_way(split, seed=cfg.seed + 777), None)
+    if kind not in dataio.KINDS:  # named before any missing key of the stanza
+        raise ConfigurationError(f"unknown dataset kind {kind!r}, expected one of "
+                                 f"{['synthetic', *dataio.KINDS]}")
+    spec = _read_stanza(DatasetSpec, cfg.dataset, "dataset")
     splits = dataio.load(spec)
-    train_split = splits.get("train")
-    if train_split is None:
-        raise ConfigurationError("file-backed datasets need a 'train' split")
+    vocab = None
+    if spec.kind == "id_pairs":  # every loaded id, not only the training ones
+        vocab = spec.vocab or dataio.infer_vocab(splits)
+    train_split = splits.get("train", splits.get("all"))
     val = splits.get("val_ood", splits.get("val_iid"))
     test = splits.get("test_ood", splits.get("test_iid"))
     if val is None or test is None:
-        # fall back to carving val/test out of train
-        train_split, fallback_val, fallback_test = split_three_way(
-            train_split, seed=cfg.seed + 777
-        )
-        val = val or fallback_val
-        test = test or fallback_test
-    return train_split, val, test
+        # carve the missing parts out of train, 80/10/10
+        train_split, carved_val, carved_test = split_three_way(
+            train_split, seed=cfg.seed + 777)
+        val = carved_val if val is None else val
+        test = carved_test if test is None else test
+    return train_split, val, test, vocab
 
 
 def run_experiment(config: RunConfig, out_path=None, aggregate_path=None) -> dict:
     """Synthesize/load data, train, evaluate, and persist the report."""
     start = time.time()
-    train_split, val_split, test_split = _resolve_dataset(config)
-    params, history = train(config, train_split, val_split)
+    train_split, val_split, test_split, vocab = _resolve_dataset(config)
+    params, history = train(config, train_split, val_split, vocab)
     metrics = evaluate(params, test_split, config.eval_attack)
     report = {
         "config": config.to_dict(),

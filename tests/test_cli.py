@@ -110,6 +110,10 @@ def test_train_non_finite_or_fractional_attack_exit_2(tmp_path, capsys, attack):
     ("n", {"dataset": {"kind": "synthetic", "n": True}}),
     ("seed", {"dataset": {"kind": "synthetic", "n": 60, "seed": 1.0}}),
     ("nc_cols", {"dataset": {"kind": "synthetic", "n": 60, "nc_cols": -4}}),
+    ("stop_grad_negative", {"stop_grad_negative": "false"}),
+    ("shared_noise", {"dataset": {"kind": "synthetic", "n": 60, "shared_noise": "no"}}),
+    ("rating_threshold", {"dataset": {"kind": "tabular", "paths": {"train": "t.csv"},
+                                      "rating_threshold": "4"}}),
 ])
 def test_train_config_number_of_wrong_type_exit_2(tmp_path, capsys, name, override):
     # each would otherwise fail later, inside training, with exit 1, or (an
@@ -139,6 +143,12 @@ _SMALL = {"method": "base", "training_mode": "standard",
     ({**_SMALL, "eval_attack": [0.3]}, "eval_attack must be an object"),
     ({**_SMALL, "dataset": None}, "dataset must be an object"),
     ({**_SMALL, "dataset": {"n": 60, "size": 3}}, "unknown dataset keys: ['size']"),
+    ({**_SMALL, "dataset": {"kind": "csv"}}, "unknown dataset kind 'csv'"),
+    ({**_SMALL, "dataset": {"kind": "id_pairs"}}, "dataset is missing keys: ['paths']"),
+    ({**_SMALL, "dataset": {"kind": "tabular", "paths": {"train": "t.csv"}, "rows": 3}},
+     "unknown dataset keys: ['rows']"),
+    ({**_SMALL, "dataset": {"kind": "tabular", "paths": "t.csv"}},
+     "paths must map split names to files"),
 ])
 @pytest.mark.parametrize("seed_args", [[], ["--seed", "3"]])
 def test_train_bad_stanza_exit_2(tmp_path, capsys, doc, message, seed_args):
@@ -152,6 +162,56 @@ def test_train_bad_stanza_exit_2(tmp_path, capsys, doc, message, seed_args):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
     assert not out.exists()
+
+
+def _write_id_pairs(path, users, seed):
+    rng = np.random.default_rng(seed)
+    items = rng.integers(0, 6, size=len(users))
+    labels = (np.asarray(users) + items) % 2
+    path.write_text("user_id,item_id,label\n" + "".join(
+        f"{u},{i},{y}\n" for u, i, y in zip(users, items, labels)))
+
+
+def _train_file_backed(tmp_path, dataset):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**_SMALL, "dataset": dataset}))
+    out = tmp_path / "report.json"
+    return main(["train", "--config", str(cfg_path), "--out", str(out)]), out
+
+
+def test_train_id_pairs_with_test_only_user_exit_0(tmp_path, capsys):
+    # the vocabulary used to come from the training split alone, so user 12,
+    # seen only in the test file, failed evaluation with exit 2
+    _write_id_pairs(tmp_path / "train.csv", np.arange(200) % 10, seed=0)
+    _write_id_pairs(tmp_path / "test.csv", [12, 12, 3, 4] * 5, seed=1)
+    code, out = _train_file_backed(tmp_path, {
+        "kind": "id_pairs", "paths": {"train": str(tmp_path / "train.csv"),
+                                      "test_iid": str(tmp_path / "test.csv")}})
+    assert code == 0, capsys.readouterr().err
+    assert json.loads(out.read_text())["metrics"]["dcor_pa"] is None
+
+
+def test_train_id_pairs_vocab_too_small_exit_2(tmp_path, capsys):
+    _write_id_pairs(tmp_path / "train.csv", np.arange(200) % 10, seed=0)
+    code, out = _train_file_backed(tmp_path, {
+        "kind": "id_pairs", "paths": {"train": str(tmp_path / "train.csv")},
+        "vocab": [5, 6]})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "outside declared vocabulary" in err
+    assert not out.exists()
+
+
+def test_train_tabular_all_file_exit_0(tmp_path, capsys):
+    # one "all" file is split 80/10/10 like a synthetic dataset
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(200, 3))
+    rows = "".join(f"{a:.6f},{b:.6f},{c:.6f},{int(a + b > 0)}\n" for a, b, c in x)
+    (tmp_path / "feats.csv").write_text("f_0,f_1,f_2,label\n" + rows)
+    code, out = _train_file_backed(tmp_path, {
+        "kind": "tabular", "paths": {"all": str(tmp_path / "feats.csv")}})
+    assert code == 0, capsys.readouterr().err
+    assert 0.0 <= json.loads(out.read_text())["metrics"]["auc"] <= 1.0
 
 
 def test_synth_negative_nc_cols_exit_2(tmp_path, capsys):
@@ -244,6 +304,22 @@ def test_audit_gradcheck_small(capsys):
     assert main(["audit", "--what", "gradcheck", "--trials", "2", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert "2/2 hold" in out
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--beta", "inf"], "beta must be finite"),
+    (["--beta", "nan"], "beta must be finite"),
+    (["--C", "nan"], "C must be finite"),
+    (["--m-grid", "inf"], "--m-grid entries must be whole numbers"),
+    (["--m-grid", "1e4,1.5"], "--m-grid entries must be whole numbers"),
+    (["--m-grid", "1e4,-5"], "m must be >= 1"),
+])
+def test_bound_bad_argument_exit_2_before_the_table(capsys, args, message):
+    # inf used to exit 1 after the header, and a bad last m after its rows
+    assert main(["bound", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:") and message in captured.err
 
 
 def test_bound_table(capsys):

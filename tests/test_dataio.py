@@ -28,6 +28,34 @@ def test_dataset_spec_validation():
     with pytest.raises(DataError):
         DatasetSpec(kind="tabular", paths={"holdout": "x.csv"})
     DatasetSpec(kind="id_pairs", paths={"train": "a.csv", "test_ood": "b.csv"})
+    DatasetSpec(kind="tabular", paths={"all": "a.csv"})
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"paths": ["a.csv"]}, "paths must map split names to files"),
+    ({"paths": {"train": 0}}, "paths must map split names to files"),
+    ({"paths": {}}, "paths must name a 'train' file"),
+    ({"paths": {"test_iid": "b.csv"}}, "paths must name a 'train' file"),
+    ({"paths": {"all": "a.csv", "train": "a.csv"}}, "an 'all' file alone"),
+    ({"vocab": [3]}, "vocab must be [n_users, n_items]"),
+    ({"vocab": [3, 0]}, "vocab must be [n_users, n_items]"),
+    ({"vocab": [3, True]}, "vocab must be [n_users, n_items]"),
+    ({"vocab": [3, 2.0]}, "vocab must be [n_users, n_items]"),
+    ({"vocab": "3,4"}, "vocab must be [n_users, n_items]"),
+    ({"kind": "tabular", "vocab": [3, 4]}, "of an id_pairs dataset"),
+])
+def test_dataset_spec_rejects_bad_stanza(kwargs, message):
+    # an int path would open that file descriptor; a vocab on a tabular
+    # dataset used to be ignored
+    with pytest.raises(DataError) as err:
+        DatasetSpec(**{"kind": "id_pairs", "paths": {"train": "a.csv"}, **kwargs})
+    assert message in str(err.value)
+
+
+def test_dataset_spec_reads_json_list_vocab():
+    spec = DatasetSpec(kind="id_pairs", paths={"train": "a.csv"}, vocab=[3, 4])
+    assert spec.vocab == (3, 4)
+    assert DatasetSpec(kind="id_pairs", paths={"train": "a.csv"}).vocab is None
 
 
 def test_synthetic_round_trip(tmp_path):
@@ -110,14 +138,14 @@ def test_non_finite_features_and_labels_rejected(tmp_path):
             load(DatasetSpec(kind="tabular", paths={"train": str(path)}))
 
 
-def test_tabular_and_ood_flag(tmp_path):
+def test_tabular_load(tmp_path):
     path = tmp_path / "feats.csv"
     path.write_text("f_0,f_1,label\n0.5,-0.5,1\n0.2,0.1,0\n")
     splits = load(DatasetSpec(kind="tabular",
                               paths={"train": str(path), "test_ood": str(path)}))
-    assert not splits["train"].ood
-    assert splits["test_ood"].ood
+    assert set(splits) == {"train", "test_ood"}
     assert splits["train"].x.shape == (2, 2)
+    assert np.array_equal(splits["test_ood"].y, [1, 0])
 
 
 def test_infer_vocab():

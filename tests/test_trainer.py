@@ -1,6 +1,7 @@
 """Training-loop tests: config plumbing, optimization sanity, ablation
 identities between methods, determinism, and sweep aggregation."""
 
+import dataclasses
 import json
 import os
 
@@ -9,8 +10,10 @@ import pytest
 
 from carr import model, objective
 from carr.attack import AttackSpec
-from carr.dataio import Split
+from carr.bounds import BoundInputs
+from carr.dataio import DatasetSpec, Split
 from carr.numkit import ConfigurationError, Rng
+from carr.scm import SynthConfig
 from carr.trainer import (
     MetricsReport,
     RunConfig,
@@ -72,6 +75,30 @@ def test_config_numbers_typed():
         RunConfig(epochs=np.float64(2.0))
     with pytest.raises(ConfigurationError, match="beta must be a number"):
         AttackSpec(p="2", beta="0.3")
+
+
+@pytest.mark.parametrize("cls, required", [
+    (RunConfig, {}), (AttackSpec, {}), (SynthConfig, {}), (BoundInputs, {"m": 10}),
+    (DatasetSpec, {"kind": "id_pairs", "paths": {"train": "a.csv"}}),
+], ids=["RunConfig", "AttackSpec", "SynthConfig", "BoundInputs", "DatasetSpec"])
+def test_every_scalar_config_field_is_type_checked(cls, required):
+    # a float, int or bool field added without its check fails here, as
+    # stop_grad_negative and shared_noise did (a string "false" read as true)
+    checked = 0
+    for f in dataclasses.fields(cls):
+        assert isinstance(f.type, str)  # the module postpones annotations
+        declared = {name.strip() for name in f.type.split("|")}
+        if declared & {"float", "int"}:
+            wrong = ["1", True]
+        elif "bool" in declared:
+            wrong = ["false", 0]
+        else:
+            continue
+        for value in wrong:
+            with pytest.raises(ConfigurationError, match=f"^{f.name} must be"):
+                cls(**{**required, f.name: value})
+        checked += 1
+    assert checked > 0
 
 
 def test_config_dict_round_trip():
@@ -192,7 +219,7 @@ def test_carr_positive_ll_collapses_with_either_stop_grad_setting(stop_grad_nega
                     attack=AttackSpec(p="2", beta=0.0), lr=1e-3, seed=0, epochs=10,
                     stop_grad_negative=stop_grad_negative,
                     dataset={"kind": "synthetic", "beta": 0.3, "n": 500})
-    train_split, _, _ = _resolve_dataset(cfg)
+    train_split, *_ = _resolve_dataset(cfg)
     _, history = train(cfg, train_split)  # no validation, so no early stop
     assert len(history) == 10
     assert history[-1]["positive_ll"] < -5
