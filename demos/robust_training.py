@@ -41,9 +41,11 @@ def main():
               f"{m['dcor_nd']:>8.3f} {m['dcor_dc']:>8.3f}")
 
     print()
-    print("note: the full objective trains with the negative branch detached "
-          "from the encoder (stop_grad_negative=True); letting that gradient "
-          "flow makes the negative term dominate and the run collapse")
+    print("note: the full objective's negative term is unbounded and dominates "
+          "carr training whether or not its gradient reaches the encoder "
+          "(stop_grad_negative=True, used here, only slows the collapse); the "
+          "divergence of that term, not the conditional prior, is what pulls "
+          "carr's dcor_pa below base's")
 
 
 if __name__ == "__main__":

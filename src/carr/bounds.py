@@ -83,4 +83,6 @@ def min_samples(case: str, inputs: BoundInputs, quartered_ideal: bool = False) -
         raw = prefactor * log_term * inputs.beta * e2
     else:
         raise ValueError(f"case must be 'general' or 'ideal', got {case!r}")
+    if not math.isfinite(raw):
+        raise ValueError(f"the {case} sample threshold overflows a float")
     return max(1, math.ceil(raw))

@@ -136,13 +136,14 @@ def run_audit(what: str, trials: int, seed: int, shape: str = "a"):
     elif what == "pns":
         for i in range(trials):
             model = scm_mod.random_scm(Rng(seed, stream=10 + i), shape=shape)
+            worlds = scm_mod._worlds(model)  # one build for both oracles
             try:
                 suff, nec, combined, alt = infometrics.pns(
-                    model, "pa", 0, "y", 0, z_alt=1
+                    model, "pa", 0, "y", 0, z_alt=1, worlds=worlds
                 )
             except infometrics.QueryError:
                 continue
-            joint = scm_mod.enumerate_joint(model).marginal(("pa", "y"))
+            joint = scm_mod.enumerate_joint(model, worlds).marginal(("pa", "y"))
             p_event = float(joint[0, 0])
             margin = abs((combined - alt) - p_event)
             worst = max(worst, margin, max(0.0, combined - 1.0), -min(0.0, combined))
@@ -188,16 +189,17 @@ def _sample_count(token: str) -> int:
 
 
 def cmd_bound(args) -> int:
-    # every row's inputs are checked before the header is printed
-    rows = [bounds_mod.BoundInputs(m=_sample_count(token), card_y=args.card_y,
-                                   card_z=args.card_z, beta=args.beta,
-                                   delta=args.delta, C=args.C)
-            for token in args.m_grid.split(",")]
+    # every row's inputs and thresholds are checked before the header is printed
+    rows = []
+    for token in args.m_grid.split(","):
+        inputs = bounds_mod.BoundInputs(m=_sample_count(token), card_y=args.card_y,
+                                        card_z=args.card_z, beta=args.beta,
+                                        delta=args.delta, C=args.C)
+        rows.append((inputs, bounds_mod.min_samples("general", inputs),
+                     bounds_mod.min_samples("ideal", inputs)))
     print(f"{'m':>12} {'threshold_gen':>14} {'threshold_ideal':>16} "
           f"{'bound_general':>14} {'bound_ideal':>12}")
-    for inputs in rows:
-        t_gen = bounds_mod.min_samples("general", inputs)
-        t_ideal = bounds_mod.min_samples("ideal", inputs)
+    for inputs, t_gen, t_ideal in rows:
         bg = bounds_mod.bound_general(inputs) if inputs.m >= t_gen else float("nan")
         bi = bounds_mod.bound_ideal(inputs) if inputs.m >= t_ideal else float("nan")
         print(f"{inputs.m:>12d} {t_gen:>14d} {t_ideal:>16d} {bg:>14.6g} {bi:>12.6g}")

@@ -175,17 +175,14 @@ def infer_vocab(splits: dict) -> tuple[int, int]:
     return n_users, n_items
 
 
-def split_three_way(split: Split, seed: int):
-    """Seeded shuffle into 80/10/10 train/val/test parts."""
+def split_three_way(split: Split, seed: int, shares=(0.8, 0.1)) -> list[Split]:
+    """Seeded shuffle into consecutive parts: one per entry of ``shares``,
+    each that share of the rows (rounded), then the rest.  The default is
+    the 80/10/10 train/val/test split; ``(0.9,)`` carves one 10% part."""
     n = len(split)
     idx = Rng(seed).shuffle_index(n)
-    n_train = int(round(0.8 * n))
-    n_val = int(round(0.1 * n))
-    return (
-        split.take(idx[:n_train]),
-        split.take(idx[n_train:n_train + n_val]),
-        split.take(idx[n_train + n_val:]),
-    )
+    cuts = np.cumsum([int(round(share * n)) for share in shares])
+    return [split.take(part) for part in np.split(idx, cuts)]
 
 
 def batch_iter(x: np.ndarray, y: np.ndarray, batch_size: int, seed: int):

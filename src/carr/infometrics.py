@@ -6,7 +6,7 @@ Entropies are in nats throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,17 +44,24 @@ class MetricError(ValueError):
 
 @dataclass(frozen=True)
 class JointTable:
-    """Joint probability table over named finite variables."""
+    """Joint probability table over named finite variables.
+
+    ``probs`` is a read-only copy of the given table, so the entropies that
+    :func:`entropy` keeps per variable tuple cannot go stale.
+    """
 
     names: tuple
     probs: np.ndarray  # shape = one axis per variable
+    _entropies: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
+        probs = np.array(self.probs, dtype=float)
         if probs.ndim != len(self.names):
             raise QueryError("probs must have one axis per variable")
         if probs.min() < -1e-12 or abs(probs.sum() - 1.0) > 1e-9:
             raise QueryError("probabilities must be nonnegative and sum to 1")
+        probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
 
     def axes(self, variables) -> tuple:
@@ -78,11 +85,18 @@ def _h(p: np.ndarray) -> float:
 
 
 def entropy(table: JointTable, variables) -> float:
-    """Shannon entropy of the marginal over ``variables``, in nats."""
+    """Shannon entropy of the marginal over ``variables``, in nats.
+
+    Computed once per table and variable tuple; the order of the tuple is
+    part of the key, because it sets the order in which :func:`_h` sums.
+    """
     variables = tuple(variables)
     if not variables:
         raise QueryError("entropy of an empty variable set")
-    return _h(table.marginal(variables).ravel())
+    memo = table._entropies
+    if variables not in memo:
+        memo[variables] = _h(table.marginal(variables).ravel())
+    return memo[variables]
 
 
 def mutual_info(table: JointTable, vars_a, vars_b) -> float:
@@ -136,7 +150,7 @@ def check_lemma2(scm: DiscreteSCM):
 
 
 def pns(scm: DiscreteSCM, z_var: str, z_val: int, y_var: str, y_val: int,
-        z_alt: int):
+        z_alt: int, worlds=None):
     """Probability of necessity and sufficiency via exact counterfactuals.
 
     sufficient = P(Z!=z, Y!=y) * P(Y(do Z=z) = y | Z!=z, Y!=y)
@@ -146,9 +160,10 @@ def pns(scm: DiscreteSCM, z_var: str, z_val: int, y_var: str, y_val: int,
     ``combined = sufficient + necessary`` and ``alternative`` subtracts the
     positive-counterfactual necessary term instead; the two differ by
     exactly P(Z=z, Y=y).  "Z != z" as an intervention target is realized
-    by the single designated alternative value ``z_alt``.
+    by the single designated alternative value ``z_alt``.  ``worlds`` is
+    :func:`carr.scm._worlds` of this model, built here when None.
     """
-    worlds = _worlds(scm)
+    worlds = worlds or _worlds(scm)
     joint_zy = enumerate_joint(scm, worlds).marginal((z_var, y_var))
     not_z = frozenset(range(scm.domains[z_var])) - {z_val}
     not_y = frozenset(range(scm.domains[y_var])) - {y_val}

@@ -275,17 +275,19 @@ def _logit_grad(cache: tuple, coeff: float | None) -> np.ndarray:
 
 
 def predictor_xent_backward(params: ModelParams, cache: tuple,
-                            coeff: float | None = None, out: dict | None = None):
+                            coeff: float | None = None, out: dict | None = None,
+                            z_grad: bool = True):
     """Gradients of ``coeff * xent.mean()`` (the plain mean for ``coeff``
     None) from the cache of a 2-D :func:`predictor_xent`, which it
     overwrites.  Returns ``(z_grad, layer_grads)``, the second keyed as in
     :meth:`ModelParams.views` and written into ``out``'s arrays of those
-    keys (such as views of one flat gradient), new arrays if None."""
+    keys (such as views of one flat gradient), new arrays if None; with
+    ``z_grad`` False the first is None, not formed."""
     z, _, _, hidden, hidden_neg, _, logits = cache
     g, grads, out = _logit_grad(cache, coeff), {}, out or {}
-    for name, x, layer_cache in (("pred_out", hidden, logits),
-                                 ("pred_hidden", z, hidden_neg)):
+    for name, x, layer_cache, need in (("pred_out", hidden, logits, True),
+                                       ("pred_hidden", z, hidden_neg, z_grad)):
         w, b = f"{name}.weights", f"{name}.bias"
         g, grads[w], grads[b] = dense_backward(getattr(params, name), x, layer_cache,
-                                               g, out.get(w), out.get(b))
+                                               g, out.get(w), out.get(b), need)
     return g, grads

@@ -14,6 +14,7 @@ transposed weight nor a per-row active set keeps outputs bit-identical.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from numbers import Integral, Real
@@ -62,17 +63,38 @@ def check_numbers(obj, reals=(), ints=(), bools=()) -> None:
             raise ConfigurationError(f"{name} must be finite, got {value!r}")
 
 
+@functools.cache
+def _key_sequence() -> type:
+    """A seed sequence that hands Philox the key words it is built with, in
+    place of the OS-entropy ``SeedSequence()`` that ``Philox(key=...)`` draws
+    and drops.  Defined on first use: importing carr loads no numpy.random."""
+
+    class KeySequence(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # Philox asks for its 2 uint64 key words
+
+    return KeySequence
+
+
 class Rng:
     """Counter-based deterministic random stream (Philox under the hood).
 
-    Identical (seed, stream) pairs produce bit-identical draws.
+    Identical (seed, stream) pairs produce bit-identical draws: those of
+    ``Generator(Philox(key=seed mod 2**64 + stream * 2**64))``.
     """
 
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed)
         self.stream = int(stream)
         key = (self.seed & 0xFFFFFFFFFFFFFFFF) | (self.stream << 64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        if not 0 <= key < 1 << 128:  # Philox's own check and message
+            raise ValueError("key must be positive and less than 2**128.")
+        # Philox(key=key) reads the key as two 64-bit words, low word first
+        words = np.array([key & 0xFFFFFFFFFFFFFFFF, key >> 64], dtype=np.uint64)
+        self._gen = np.random.Generator(np.random.Philox(_key_sequence()(words)))
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0, size=None) -> np.ndarray:
         return self._gen.uniform(lo, hi, size=size)
@@ -170,13 +192,15 @@ def dense_forward(layer: DenseLayer, x: np.ndarray):
 
 
 def dense_backward(layer: DenseLayer, cached_input: np.ndarray, cache: np.ndarray,
-                   upstream_grad: np.ndarray, weight_grad=None, bias_grad=None):
+                   upstream_grad: np.ndarray, weight_grad=None, bias_grad=None,
+                   input_grad: bool = True):
     """Gradients of a scalar loss given d(loss)/d(output).
 
     Takes the 2-D input of :func:`dense_forward` of a 2-D layer and the
     cache it returned.  Writes the weight and bias gradients into
     ``weight_grad`` and ``bias_grad`` (new arrays if None), leaves
-    ``upstream_grad`` as it is and returns (input_grad, weight_grad, bias_grad).
+    ``upstream_grad`` as it is and returns (input_grad, weight_grad,
+    bias_grad); with ``input_grad`` False the first is None, not formed.
     """
     x = np.asarray(cached_input, dtype=float)
     g = np.asarray(upstream_grad, dtype=float)
@@ -184,18 +208,20 @@ def dense_backward(layer: DenseLayer, cached_input: np.ndarray, cache: np.ndarra
         raise ConfigurationError(
             f"upstream shape {g.shape} incompatible with cached input {x.shape}"
         )
-    g_in, g = dense_input_grad(layer, cache, g)
+    g_in, g = dense_input_grad(layer, cache, g, input_grad)
     return g_in, np.matmul(g.T, x, out=weight_grad), g.sum(axis=0, out=bias_grad)
 
 
-def dense_input_grad(layer: DenseLayer, cache: np.ndarray, g: np.ndarray):
+def dense_input_grad(layer: DenseLayer, cache: np.ndarray, g: np.ndarray,
+                     input_grad: bool = True):
     """(input_grad, pre_activation_grad) given d(loss)/d(output) and the
     cache of :func:`dense_forward`: the step :func:`dense_backward` starts
-    with, without the layer gradients."""
+    with, without the layer gradients.  With ``input_grad`` False the first
+    is None, not formed."""
     if layer.activation == "elu":
         e = np.exp(cache)  # elu_grad(pre), with the forward's min(pre, 0)
         g = np.multiply(g, e, out=e)
-    return g @ layer.weights, g
+    return (g @ layer.weights if input_grad else None), g
 
 
 # Upper bound on the bytes of one chunk of perturbed parameter vectors.

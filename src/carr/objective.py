@@ -184,8 +184,8 @@ def encoded_loss_and_grads(params: ModelParams, enc: EncoderOutput,
     if mode == "carr":
         # the negative ll is ADDED to the minimized total, so its upstream
         # coefficient is -neg_weight relative to the positive branch
-        g_z_neg, pred_grads_neg = predictor_xent_backward(params, cache_neg,
-                                                          -neg_weight)
+        g_z_neg, pred_grads_neg = predictor_xent_backward(
+            params, cache_neg, -neg_weight, z_grad=not stop_grad_negative)
         if not stop_grad_negative:
             g_z += g_z_neg  # intervention shift is additive, identity jacobian
         for key, value in pred_grads_neg.items():
@@ -203,9 +203,10 @@ def encoded_loss_and_grads(params: ModelParams, enc: EncoderOutput,
 
     g_enc_hidden_out = dense_backward(params.enc_head, enc.hidden, enc.head, g_head,
                                       g["enc_head.weights"], g["enc_head.bias"])[0]
+    # only embedding models read the input gradient of the first layer
     g_feats = dense_backward(params.enc_hidden, enc.feats, enc.hidden_neg,
                              g_enc_hidden_out, g["enc_hidden.weights"],
-                             g["enc_hidden.bias"])[0]
+                             g["enc_hidden.bias"], enc.ids is not None)[0]
     if enc.ids is not None:
         half = params.user_emb.shape[1]
         g["user_emb"][...] = g["item_emb"][...] = 0.0

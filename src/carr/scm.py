@@ -230,10 +230,11 @@ class DiscreteSCM:
                 raise ValueError(
                     f"table for {v} has shape {table.shape}, expected {expected}"
                 )
-            if table.min() < 0 or table.max() >= self.domains[v]:
+            entries = table.ravel().tolist()  # builtin min/max beat 2 reductions
+            if min(entries) < 0 or max(entries) >= self.domains[v]:
                 raise ValueError(f"table for {v} leaves its domain")
             pmf = np.asarray(self.exo_dists[v], dtype=float)
-            if pmf.min() < 0 or abs(pmf.sum() - 1.0) > 1e-9:
+            if min(pmf.tolist()) < 0 or not abs(pmf.sum() - 1.0) <= 1e-9:  # or NaN
                 raise ValueError(f"exogenous pmf for {v} is not a distribution")
 
     def evaluate(self, exo: dict, intervention: dict | None = None) -> dict:
@@ -265,10 +266,12 @@ def _worlds(scm: DiscreteSCM):
     pmfs, from 1.0.  Raises :class:`CapacityError` above ``MAX_WORLDS``.
     """
     sizes = [len(scm.exo_dists[v]) for v in scm.order]
-    if math.prod(sizes) > MAX_WORLDS:
+    count = math.prod(sizes)
+    if count > MAX_WORLDS:
         raise CapacityError(f"exogenous state space exceeds {MAX_WORLDS}")
-    exo = dict(zip(scm.order, np.indices(sizes).reshape(len(sizes), -1)))
-    prob = np.ones(math.prod(sizes))
+    # row-major digits of the world number, as np.indices would give them
+    exo = dict(zip(scm.order, np.unravel_index(np.arange(count), sizes)))
+    prob = np.ones(count)
     for v, e in exo.items():
         prob *= np.asarray(scm.exo_dists[v], dtype=float)[e]
     return exo, prob, scm.evaluate(exo)

@@ -240,11 +240,11 @@ def _resolve_dataset(cfg: RunConfig):
     val = splits.get("val_ood", splits.get("val_iid"))
     test = splits.get("test_ood", splits.get("test_iid"))
     if val is None or test is None:
-        # carve the missing parts out of train, 80/10/10
-        train_split, carved_val, carved_test = split_three_way(
-            train_split, seed=cfg.seed + 777)
-        val = carved_val if val is None else val
-        test = carved_test if test is None else test
+        # carve the missing parts out of train: 80/10/10, or 90/10 for one
+        shares = (0.8, 0.1) if val is None and test is None else (0.9,)
+        train_split, *carved = split_three_way(train_split, cfg.seed + 777, shares)
+        val = carved.pop(0) if val is None else val
+        test = carved.pop(0) if test is None else test
     return train_split, val, test, vocab
 
 

@@ -12,8 +12,10 @@ implementation bugs:
 * the representation-similarity comparison asks the regularized robust
   model to exceed the unregularized baseline's dCor(z, pa), but on this
   simulator any near-injective encoder already sits at the passthrough
-  ceiling (dCor(x, pa) ~ 0.99) and the conditional prior pulls the
-  regularized representation below it, not above.
+  ceiling (dCor(x, pa) ~ 0.99), where the baseline stays, and the
+  regularized model falls below it, not above.  The drop tracks the
+  divergence of the unbounded negative term: with the term bounded,
+  dCor(z, pa) stayed at 0.956-0.957.  It is not the conditional prior.
 
 Both are analysed in detail in the project notes; the tests still encode
 the criteria exactly as stated.

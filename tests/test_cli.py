@@ -313,9 +313,13 @@ def test_audit_gradcheck_small(capsys):
     (["--m-grid", "inf"], "--m-grid entries must be whole numbers"),
     (["--m-grid", "1e4,1.5"], "--m-grid entries must be whole numbers"),
     (["--m-grid", "1e4,-5"], "m must be >= 1"),
+    (["--C", "1e308"], "the general sample threshold overflows a float"),
+    (["--C", "5e306", "--card-z", "1", "--beta", "2"],
+     "the ideal sample threshold overflows a float"),
 ])
 def test_bound_bad_argument_exit_2_before_the_table(capsys, args, message):
-    # inf used to exit 1 after the header, and a bad last m after its rows
+    # inf used to exit 1 after the header, and a bad last m after its rows;
+    # a huge finite C overflowed the thresholds, also after the header
     assert main(["bound", *args]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,7 +1,7 @@
 """A fresh interpreter that imports carr, runs an oracle audit, prints the
 bound table and trains and evaluates one short synthetic run, distance
 correlation included, loads no scipy module; no file of the package names
-scipy."""
+scipy.  Importing carr loads no ``numpy.random`` either."""
 
 import os
 import subprocess
@@ -18,6 +18,7 @@ def scipy_modules():
 
 import carr, carr.cli
 assert not scipy_modules(), scipy_modules()[:5]
+assert not [m for m in sys.modules if m.startswith("numpy.random")]
 carr.cli.run_audit("pns", 3, 0)
 with contextlib.redirect_stdout(io.StringIO()):
     assert carr.cli.main(["bound"]) == 0

@@ -107,6 +107,69 @@ def test_lemma2_holds_both_shapes():
             assert ineq1[2] and ineq2[2]
 
 
+def _fresh_entropy(table, variables):
+    """The entropy computed on its own, in a new table with no stored entropies."""
+    return entropy(JointTable(names=table.names, probs=table.probs), variables)
+
+
+def _fresh_mi(table, a, b):
+    return max(_fresh_entropy(table, a) + _fresh_entropy(table, b)
+               - _fresh_entropy(table, a + b), 0.0)
+
+
+def _bits(values):
+    return [float(v).hex() if not isinstance(v, bool) else v for v in values]
+
+
+def test_lemma_checks_equal_separate_entropy_calls():
+    # the checks compute each marginal entropy once per table, bit for bit
+    for shape in ("a", "b"):
+        for i in range(40):
+            model = random_scm(Rng(4, stream=10 + i), shape)
+            table = enumerate_joint(model)
+            lhs1 = _fresh_mi(table, ("pa",), ("nd", "dc"))
+            rhs1 = _fresh_mi(table, ("pa",), ("nd", "y"))
+            lhs2 = _fresh_mi(table, ("pa",), ("y",))
+            assert _bits(check_lemma1(model)) == _bits((lhs1, rhs1, lhs1 <= rhs1 + 1e-10))
+            h_pa = _fresh_entropy(table, ("pa",))
+            ineq1, ineq2 = check_lemma2(model)
+            assert _bits(ineq1) == _bits((lhs1, h_pa, lhs1 <= h_pa + 1e-10))
+            assert _bits(ineq2) == _bits((lhs2, rhs1, lhs2 <= rhs1 + 1e-10))
+
+
+def test_dpi_mutual_infos_equal_separate_entropy_calls():
+    # the dpi suite's I(x; z) and I(x; y) share H(x) on one table
+    for i in range(30):
+        table = random_markov_chain(Rng(6, stream=10 + i))
+        for a, b in ((("x",), ("z",)), (("x",), ("y",)), (("z",), ("x", "y"))):
+            want = _fresh_mi(table, a, b)
+            assert float(mutual_info(table, a, b)).hex() == float(want).hex()
+
+
+def test_entropies_are_kept_per_ordered_variable_tuple():
+    # axis order changes the summation order, so ("a", "b") and ("b", "a")
+    # are kept apart; each equals its own fresh computation
+    probs = Rng(9).uniform(0.0, 1.0, size=(3, 4, 5))
+    probs /= probs.sum()
+    table = JointTable(names=("a", "b", "c"), probs=probs)
+    for variables in [("a", "b"), ("b", "a"), ("c", "a", "b"), ("a", "b"), ("b",)]:
+        assert (float(entropy(table, variables)).hex()
+                == float(_fresh_entropy(table, variables)).hex())
+    assert set(table._entropies) == {("a", "b"), ("b", "a"), ("c", "a", "b"), ("b",)}
+
+
+def test_joint_table_probs_cannot_change_under_its_entropies():
+    probs = np.array([[0.25, 0.25], [0.5, 0.0]])
+    table = JointTable(names=("a", "b"), probs=probs)
+    h = entropy(table, ("a",))
+    with pytest.raises(ValueError):
+        table.probs[0, 0] = 1.0  # read-only
+    probs[0, 0], probs[1, 0] = 0.75, 0.0  # the caller's array is a separate copy
+    assert probs.flags.writeable
+    assert table.probs[0, 0] == 0.25 and entropy(table, ("a",)) == h
+    assert entropy(JointTable(names=("a", "b"), probs=probs), ("a",)) != h
+
+
 def test_lemma_checkers_require_roles():
     chain = DiscreteSCM(order=("x",), domains={"x": 2}, parents={"x": ()},
                         tables={"x": np.array([0, 1])},

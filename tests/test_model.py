@@ -227,6 +227,18 @@ def test_predictor_xent_grad_is_the_full_backwards_z_gradient(n):
     assert gz.tobytes() == gz_full.tobytes()
 
 
+def test_predictor_backward_without_z_gradient_keeps_layer_gradients():
+    params = _params(seed=5, d_z=16)
+    rng = Rng(5, stream=7)
+    z, y = rng.normal(size=(9, 16)), rng.integers(0, 2, size=9)
+    _, want = predictor_xent_backward(params, predictor_xent(params, z, y)[1], -1.3)
+    gz, got = predictor_xent_backward(params, predictor_xent(params, z, y)[1], -1.3,
+                                      z_grad=False)
+    assert gz is None and got.keys() == want.keys()
+    for key in want:
+        assert got[key].tobytes() == want[key].tobytes()
+
+
 def test_softmax_two_column_form_matches_axis_reductions():
     # reference: the max/sum reductions over the last axis it replaced
     def softmax_axis(logits):

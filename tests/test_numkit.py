@@ -33,6 +33,33 @@ def test_rng_streams_independent():
     assert not np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("seed, stream", [
+    (0, 0), (1, 0), (-1, 0), (2 ** 64 - 1, 0), (2 ** 64 + 5, 3), (7, 2 ** 64 - 1),
+    (12345, 10),
+])
+def test_rng_is_the_keyed_philox_generator(seed, stream):
+    # Rng hands Philox its key without Philox(key=...)'s discarded SeedSequence
+    want = np.random.Generator(np.random.Philox(key=seed % 2 ** 64 + stream * 2 ** 64))
+    rng = Rng(seed, stream)
+    assert repr(rng._gen.bit_generator.state) == repr(want.bit_generator.state)
+    for got, expected in ((rng.uniform(-1.0, 2.0, size=9), want.uniform(-1.0, 2.0, size=9)),
+                          (rng.normal(size=(3, 4)), want.standard_normal(size=(3, 4))),
+                          (rng.integers(0, 7, size=11), want.integers(0, 7, size=11)),
+                          (rng.shuffle_index(20), want.permutation(20)),
+                          (rng.uniform(), want.uniform())):
+        got, expected = np.asarray(got), np.asarray(expected)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("stream", [-1, 2 ** 64, -(2 ** 70)])
+def test_rng_rejects_keys_outside_128_bits_as_philox_does(stream):
+    with pytest.raises(ValueError) as want:
+        np.random.Philox(key=stream << 64)
+    with pytest.raises(ValueError) as got:
+        Rng(3, stream)
+    assert str(got.value) == str(want.value)
+
+
 def test_rng_shuffle_is_permutation():
     idx = Rng(3).shuffle_index(50)
     assert sorted(idx.tolist()) == list(range(50))
@@ -198,6 +225,11 @@ def test_dense_backward_writes_into_given_arrays(activation):
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
     assert g.tobytes() == g_before.tobytes()  # the upstream is left as it is
+    # without the input gradient the layer gradients keep their bytes
+    skipped = dense_backward(layer, x, cache, g, input_grad=False)
+    assert skipped[0] is None
+    for a, b in zip(skipped[1:], want[1:]):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_stacked_dense_layer_validation():

@@ -142,17 +142,20 @@ def test_counterfactual_query_equals_reference(query):
 @SETTINGS
 @given(queries())
 def test_prebuilt_worlds_give_the_same_bytes(query):
-    # pns builds the worlds once and hands them to both oracles
+    # pns builds the worlds once and hands them to both oracles, and the
+    # pns audit hands its own build to pns and to enumerate_joint
     scm = query[0]
     assert _same_bits(enumerate_joint(scm, _worlds(scm)).probs,
                       enumerate_joint(scm).probs)
-    try:
-        want = counterfactual_query(*query)
-    except InferenceError:
-        with pytest.raises(InferenceError):
-            counterfactual_query(*query, worlds=_worlds(scm))
-        return
-    assert _same_bits(counterfactual_query(*query, worlds=_worlds(scm)), want)
+    for call, args in ((counterfactual_query, query),
+                       (pns, (scm, "pa", 0, "y", 0, 1))):
+        try:
+            want = call(*args)
+        except (InferenceError, QueryError) as exc:
+            with pytest.raises(type(exc)):
+                call(*args, worlds=_worlds(scm))
+            continue
+        assert _same_bits(call(*args, worlds=_worlds(scm)), want)
 
 
 @SETTINGS

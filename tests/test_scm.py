@@ -190,6 +190,30 @@ def test_discrete_scm_validation():
                     exo_dists={"x": np.array([0.5, 0.6])})
 
 
+def _one_node(table, pmf, domain=2):
+    return DiscreteSCM(order=("x",), domains={"x": domain}, parents={"x": ()},
+                       tables={"x": np.asarray(table)},
+                       exo_dists={"x": np.asarray(pmf, dtype=float)})
+
+
+@pytest.mark.parametrize("table, pmf, message", [
+    ([0, 2], [0.5, 0.5], "table for x leaves its domain"),
+    ([-1, 1], [0.5, 0.5], "table for x leaves its domain"),
+    ([[0, 1]], [0.5, 0.5], r"table for x has shape \(1, 2\), expected \(2,\)"),
+    ([0, 1], [1.5, -0.5], "exogenous pmf for x is not a distribution"),
+    ([0, 1], [0.5, 0.6], "exogenous pmf for x is not a distribution"),
+    ([0, 1], [np.nan, 1.0], "exogenous pmf for x is not a distribution"),
+    ([0, 1], [1.0, np.nan], "exogenous pmf for x is not a distribution"),
+])
+def test_discrete_scm_rejects_bad_tables_and_pmfs(table, pmf, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _one_node(table, pmf)
+
+
+def test_discrete_scm_accepts_a_table_at_its_domain_edges():
+    assert _one_node([1, 0, 1], [0.25, 0.25, 0.5]).evaluate({"x": 2}) == {"x": 1}
+
+
 def test_evaluate_and_intervention():
     scm = _identity_chain()
     assert scm.evaluate({"x": 1, "y": 0}) == {"x": 1, "y": 1}

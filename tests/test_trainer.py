@@ -274,6 +274,30 @@ def test_file_backed_synthetic_dataset(tmp_path):
     assert 0.0 <= report["metrics"]["auc"] <= 1.0
 
 
+@pytest.mark.parametrize("given", [(), ("val_iid",), ("test_ood",),
+                                   ("val_ood", "test_iid")])
+def test_file_backed_splits_carve_only_what_is_missing(tmp_path, given):
+    # no val/test file: 80/10/10 of train; one of them: 90/10, so no carved
+    # part is thrown away; both: train is used whole
+    from carr.scm import SynthConfig, generate, write_csv
+
+    paths = {}
+    for i, name in enumerate(("train", *given)):
+        paths[name] = str(tmp_path / f"{name}.csv")
+        write_csv(generate(SynthConfig(n=200 if name == "train" else 30, seed=i)),
+                  paths[name])
+    cfg = _cfg(dataset={"kind": "synthetic_csv", "paths": paths})
+    train_split, val, test, _ = _resolve_dataset(cfg)
+    assert len(train_split) == (160, 180, 200)[len(given)]
+    for part, prefix in ((val, "val"), (test, "test")):
+        assert len(part) == (30 if any(n.startswith(prefix) for n in given) else 20)
+    full = generate(SynthConfig(n=200, seed=0)).x
+    rows = np.vstack([train_split.x] + [part.x for part in (val, test)
+                                        if len(part) != 30])
+    # the carved parts and train partition the train file (CSV keeps 9 digits)
+    assert np.allclose(np.sort(rows, axis=0), np.sort(full, axis=0), rtol=1e-8)
+
+
 def test_unknown_dataset_keys_rejected():
     with pytest.raises(ConfigurationError):
         run_experiment(_cfg(dataset={"kind": "synthetic", "beta": 0.3, "n": 50,
