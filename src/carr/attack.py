@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, predictor_xent, predictor_xent_grad
+from .model import ModelParams, predictor_buffers, predictor_xent, predictor_xent_grad
 from .numkit import Rng, check_numbers
 
 __all__ = ["AttackSpec", "project", "pgd_attack", "random_ball"]
@@ -50,10 +50,11 @@ class AttackSpec:
         return 2.5 * self.beta / self.steps
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
+def _row_norms(x: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
     """``np.linalg.norm(x, axis=1, keepdims=True)`` bit for bit: its own
-    expression for a real 2-D array, without its dispatch."""
-    return np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))
+    expression for a real 2-D array, without its dispatch.  ``squares``, an
+    array shaped like ``x``, takes ``x * x`` in place of a new array."""
+    return np.sqrt(np.add.reduce(np.multiply(x, x, out=squares), axis=1, keepdims=True))
 
 
 def project(delta: np.ndarray, p: str, beta: float) -> np.ndarray:
@@ -62,11 +63,13 @@ def project(delta: np.ndarray, p: str, beta: float) -> np.ndarray:
     return _project_in_place(np.array(delta, dtype=float, ndmin=2), p, beta)
 
 
-def _project_in_place(delta: np.ndarray, p: str, beta: float) -> np.ndarray:
+def _project_in_place(delta: np.ndarray, p: str, beta: float, squares=None) -> np.ndarray:
     if p == "inf":
         return np.clip(delta, -beta, beta, out=delta)
-    norms = _row_norms(delta)
-    delta *= np.where(norms > beta, beta / np.maximum(norms, 1e-300), 1.0)
+    norms = _row_norms(delta, squares)
+    scale = beta / np.maximum(norms, 1e-300)
+    # beta >= 1e-300 puts the scale below 1 where norms > beta; fmin(NaN, 1) is 1
+    delta *= np.fmin(scale, 1.0) if beta >= 1e-300 else np.where(norms > beta, scale, 1.0)
     return delta
 
 
@@ -78,40 +81,56 @@ def pgd_attack(params: ModelParams, z0_batch: np.ndarray, y_batch: np.ndarray,
     retained, which makes the attacker objective monotone in step count at
     the returned point.  It stops once an iterate repeats the one before it
     byte for byte (bytes, not ``==``, so a -0.0/+0.0 flip is a move).
+    ``y_batch`` holds one 0/1 label per row of ``z0_batch``.
     """
     z0 = np.asarray(z0_batch, dtype=float)
-    y = np.asarray(y_batch, dtype=int)
+    y = np.asarray(y_batch)
+    if z0.ndim != 2 or y.shape != z0.shape[:1] or not ((y == 0) | (y == 1)).all():
+        raise ValueError(f"labels must be one 0 or 1 per row of the {z0.shape} "
+                         f"representation batch, got {y_batch!r}")
+    y = y.astype(int)
     if spec.beta == 0.0 or spec.steps == 0:
         return z0.copy()
 
-    delta = np.zeros_like(z0)
-    best_delta = delta.copy()
-    moved = np.empty_like(z0)  # the next iterate
-    best_loss = np.full(z0.shape[0], -np.inf)
+    # every pass writes into these, allocated once per call
+    bufs = predictor_buffers(params, y)
+    delta, best_delta, moved, z, squares = np.zeros((5, *z0.shape))
+    n = z0.shape[0]
+    best_loss = np.full(n, -np.inf)
+    improved = np.empty(n, dtype=bool)
     step = spec.effective_step
     # Pass k scores iterate k and, before the last, gives the gradient for
     # iterate k + 1: steps + 1 passes in all, the last without a backward.
     # A repeated iterate would score as its twin did and step to itself
     # again, so best_delta is final.
     for k in range(spec.steps + 1):
+        np.add(z0, delta, out=z)
         if k < spec.steps:
-            loss, grad = predictor_xent_grad(params, z0 + delta, y)
+            loss, grad = predictor_xent_grad(params, z, y, bufs)
         else:
-            loss = predictor_xent(params, z0 + delta, y)[0]
-        np.copyto(best_delta, delta, where=(loss > best_loss)[:, None])
-        best_loss = np.maximum(best_loss, loss)
+            loss = predictor_xent(params, z, y, bufs)[0]
+        improved_rows = np.count_nonzero(np.greater(loss, best_loss, out=improved))
+        if improved_rows == n:
+            np.copyto(best_delta, delta)
+        elif improved_rows:
+            np.copyto(best_delta, delta, where=improved[:, None])
+        np.maximum(best_loss, loss, out=best_loss)
         if k == spec.steps:
             break
-        if not np.isfinite(grad).all():
-            raise FloatingPointError("non-finite attack gradient")
         if spec.p == "inf":
+            if not np.isfinite(grad).all():
+                raise FloatingPointError("non-finite attack gradient")
             np.sign(grad, out=grad)
         else:
-            grad /= np.maximum(_row_norms(grad), 1e-300)
+            # a non-finite entry makes its row norm non-finite, as overflow may
+            norms = _row_norms(grad, squares)
+            if np.count_nonzero(np.isfinite(norms)) < n and not np.isfinite(grad).all():
+                raise FloatingPointError("non-finite attack gradient")
+            grad /= np.maximum(norms, 1e-300)
         np.multiply(grad, step, out=moved)
         moved += delta
-        _project_in_place(moved, spec.p, spec.beta)
-        if np.array_equal(moved.view(np.int64), delta.view(np.int64)):
+        _project_in_place(moved, spec.p, spec.beta, squares)
+        if moved.tobytes() == delta.tobytes():
             break
         delta, moved = moved, delta
     return z0 + best_delta

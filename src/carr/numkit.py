@@ -169,25 +169,27 @@ def init_dense(rng: Rng, in_dim: int, out_dim: int,
     return DenseLayer(weights=w, bias=np.zeros(out_dim), activation=activation)
 
 
-def dense_forward(layer: DenseLayer, x: np.ndarray):
+def dense_forward(layer: DenseLayer, x: np.ndarray, out=None):
     """Forward pass on a (..., n, in_dim) batch.
 
     Leading axes of the batch and of a stacked layer broadcast; a 2-D batch
     through a 2-D layer is the plain (n, out_dim) forward.  Returns
     (output, cache): the cache is ``min(pre_activation, 0)`` for an ELU
     layer and the output itself for an identity one, and the backward pass
-    takes it back.
+    takes it back.  ``out``, C-contiguous arrays of the output's shape, takes
+    the output, then an ELU layer's cache and scratch, in place of new ones.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim < 2 or x.shape[-1] != layer.in_dim:
         raise ConfigurationError(
             f"input shape {x.shape} incompatible with in_dim {layer.in_dim}"
         )
-    pre = x @ layer.weights.swapaxes(-1, -2)
+    out = (None,) * 3 if out is None else out
+    pre = np.matmul(x, layer.weights.swapaxes(-1, -2), out=out[0])
     pre += layer.bias[..., None, :]
     if layer.activation == "elu":
-        neg = np.minimum(pre, 0.0)
-        return np.maximum(pre, np.expm1(neg), out=pre), neg  # elu(pre)
+        neg = np.minimum(pre, 0.0, out=out[1])
+        return np.maximum(pre, np.expm1(neg, out=out[2]), out=pre), neg  # elu(pre)
     return pre, pre
 
 
@@ -213,15 +215,31 @@ def dense_backward(layer: DenseLayer, cached_input: np.ndarray, cache: np.ndarra
 
 
 def dense_input_grad(layer: DenseLayer, cache: np.ndarray, g: np.ndarray,
-                     input_grad: bool = True):
+                     input_grad: bool = True, out=None):
     """(input_grad, pre_activation_grad) given d(loss)/d(output) and the
     cache of :func:`dense_forward`: the step :func:`dense_backward` starts
     with, without the layer gradients.  With ``input_grad`` False the first
-    is None, not formed."""
+    is None, not formed.  ``out``, two C-contiguous arrays, takes an ELU
+    layer's pre-activation gradient and the input gradient."""
+    pre_out, in_out = (None, None) if out is None else out
     if layer.activation == "elu":
-        e = np.exp(cache)  # elu_grad(pre), with the forward's min(pre, 0)
+        e = _exp(cache, pre_out)  # elu_grad(pre), with the forward's min(pre, 0)
         g = np.multiply(g, e, out=e)
-    return (g @ layer.weights if input_grad else None), g
+    return (np.matmul(g, layer.weights, out=in_out) if input_grad else None), g
+
+
+def _exp(x: np.ndarray, out=None) -> np.ndarray:
+    """``np.exp(x, out=out)`` bit for bit; ``out`` must not overlap ``x``.
+    np.exp slows down several-fold on a call with an entry below about -708
+    and is 0 below about -745.13, so only entries in [-746, -700) get it."""
+    if not x.min(initial=0.0) < -700.0:  # NaN included
+        return np.exp(x, out=out)
+    e = np.exp(np.maximum(x, -700.0, out=out), out=out)
+    low = x < -700.0
+    np.putmask(e, low, 0.0)
+    low &= x >= -746.0
+    e[low] = np.exp(x[low])
+    return e
 
 
 # Upper bound on the bytes of one chunk of perturbed parameter vectors.

@@ -59,6 +59,10 @@ class RunConfig:
             if getattr(self, name) < low:
                 raise ConfigurationError(
                     f"{name} must be at least {low}, got {getattr(self, name)}")
+        if self.lr <= 0:
+            raise ConfigurationError(f"lr must be > 0, got {self.lr}")
+        if not 0 <= self.momentum < 1:
+            raise ConfigurationError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.method not in METHODS:
             raise ConfigurationError(f"unknown method {self.method!r}")
         if self.training_mode not in _MODES:
@@ -274,6 +278,8 @@ def sweep(config: RunConfig, n_seeds: int, out_dir=None) -> dict:
     """Run ``n_seeds`` independent seeds and aggregate mean/std per metric."""
     import os
 
+    if n_seeds < 1:
+        raise ConfigurationError(f"n_seeds must be at least 1, got {n_seeds}")
     reports = []
     for k in range(n_seeds):
         cfg = replace(config, seed=config.seed + k)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import carr.attack
+import carr.numkit
 from carr.attack import AttackSpec, _row_norms, pgd_attack, project, random_ball
 from carr.model import (
     ModelParams,
@@ -92,6 +93,18 @@ def test_project_rejects_unknown_norm(p):
     # any order but "inf" used to be projected as L2
     with pytest.raises(ValueError):
         project(np.array([[3.0, 4.0]]), p, 1.0)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e-310, 1e-300, 0.3, 1e300])
+def test_project_l2_matches_the_where_form_on_edge_rows(beta):
+    tiny = np.finfo(float).smallest_subnormal
+    delta = np.array([[np.nan, 1.0, 0.0], [np.inf, 1.0, 0.0], [0.0, -0.0, 0.0],
+                      [tiny, 0.0, -tiny], [1e-305, 2e-305, 0.0], [3.0, 4.0, 0.0],
+                      [0.1, -0.2, 0.05], [1e200, 1e200, 0.0], [1e-310, 0.0, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(delta, axis=1, keepdims=True)
+        want = delta * np.where(norms > beta, beta / np.maximum(norms, 1e-300), 1.0)
+        assert project(delta, "2", beta).tobytes() == want.tobytes()
 
 
 def test_project_leaves_its_input_alone():
@@ -318,3 +331,90 @@ def test_row_norms_equal_linalg_norm():
     ])
     with np.errstate(over="ignore"):  # the overflowing row, on purpose
         assert _row_norms(x).tobytes() == np.linalg.norm(x, axis=1, keepdims=True).tobytes()
+
+
+def _plain_exp(x, out=None):
+    return np.exp(x, out=out)
+
+
+@pytest.mark.parametrize("p", ["2", "inf"])
+def test_pgd_bit_identical_to_reference_on_a_diverged_predictor(monkeypatch, p):
+    # pre-activations past -1000 put most of the ELU backward's exp below its
+    # underflow bound; the reference takes np.exp itself
+    params, z0, y = _rand_setup(21, 64, d_z=64)
+    params.pred_hidden.weights[:] *= 1000.0
+    assert (z0 @ params.pred_hidden.weights.T + params.pred_hidden.bias).min() < -1000
+    spec = AttackSpec(p=p, beta=0.3, steps=10)
+    zeroed = []  # the guarded branch zeroes entries with np.putmask
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def putmask(self, *args):
+            zeroed.append(args[1].sum())
+            return np.putmask(*args)
+
+    monkeypatch.setattr(carr.numkit, "np", CountingNumpy())
+    out = pgd_attack(params, z0, y, spec)
+    assert len(zeroed) > 1 and min(zeroed) > 0
+    monkeypatch.setattr(carr.numkit, "np", np)
+    monkeypatch.setattr(carr.numkit, "_exp", _plain_exp)
+    assert out.tobytes() == reference_pgd(params, z0, y, spec).tobytes()
+    assert not np.array_equal(out, z0)
+
+
+def test_pgd_result_outlives_the_next_call():
+    # each call sizes its own buffers by the batch and returns a new array
+    params, z0, y = _rand_setup(22, 64, d_z=64)
+    spec = AttackSpec(p="2", beta=0.3, steps=10)
+    first = pgd_attack(params, z0, y, spec)
+    kept = first.copy()
+    second = pgd_attack(params, z0[:16], y[:16], spec)
+    assert first.tobytes() == kept.tobytes()
+    assert first.tobytes() == reference_pgd(params, z0, y, spec).tobytes()
+    assert second.tobytes() == reference_pgd(params, z0[:16], y[:16], spec).tobytes()
+
+
+@pytest.mark.parametrize("p", ["2", "inf"])
+def test_pgd_raises_on_a_non_finite_gradient(p):
+    params, z0, y = _rand_setup(23)
+    params.pred_hidden.weights[0, 0] = np.nan
+    with pytest.raises(FloatingPointError):
+        pgd_attack(params, z0, y, AttackSpec(p=p, beta=0.3, steps=10))
+
+
+def test_pgd_takes_a_finite_gradient_whose_norm_overflows():
+    # every z-gradient entry is finite, but its squares overflow, so the row
+    # norms the L2 step computes are inf: no error, and the reference's steps
+    params, z0, y = _rand_setup(24, 16, d_z=64)
+    params.pred_hidden.weights[:] *= 1e160
+    spec = AttackSpec(p="2", beta=0.3, steps=10)
+    with np.errstate(over="ignore"):
+        grad = predictor_xent_grad(params, z0, y)[1]
+        assert np.isfinite(grad).all() and np.isinf(_row_norms(grad)).any()
+        out = pgd_attack(params, z0, y, spec)
+        assert out.tobytes() == reference_pgd(params, z0, y, spec).tobytes()
+
+
+@pytest.mark.parametrize("labels", [
+    [1],  # one label for six rows used to broadcast
+    [0, 1, 1, 0, 1, -1],  # used to be scored as class 1
+    [0.5, 1, 0, 0, 1, 1],  # used to be truncated to 0
+    [0, 1, 2, 0, 1, 0],
+    [[0, 1, 1, 0, 1, 0]],
+    [0, 1, 1, 0, 1, 0, 1],
+])
+@pytest.mark.parametrize("beta", [0.3, 0.0])
+def test_pgd_rejects_labels_other_than_one_0_or_1_per_row(labels, beta):
+    params, z0, _ = _rand_setup(25, n=6)
+    with pytest.raises(ValueError, match="labels"):
+        pgd_attack(params, z0, np.array(labels), AttackSpec(p="2", beta=beta))
+
+
+def test_pgd_takes_bool_and_float_labels_as_ints():
+    params, z0, y = _rand_setup(26, n=12)
+    spec = AttackSpec(p="2", beta=0.3, steps=5)
+    want = pgd_attack(params, z0, y, spec)
+    for labels in (y.astype(bool), y.astype(float), list(y)):
+        assert pgd_attack(params, z0, labels, spec).tobytes() == want.tobytes()

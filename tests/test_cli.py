@@ -114,6 +114,8 @@ def test_train_non_finite_or_fractional_attack_exit_2(tmp_path, capsys, attack):
     ("shared_noise", {"dataset": {"kind": "synthetic", "n": 60, "shared_noise": "no"}}),
     ("rating_threshold", {"dataset": {"kind": "tabular", "paths": {"train": "t.csv"},
                                       "rating_threshold": "4"}}),
+    ("lr", {"lr": -0.5}), ("lr", {"lr": 0.0}), ("momentum", {"momentum": 1.5}),
+    ("momentum", {"momentum": 1.0}), ("momentum", {"momentum": -0.1}),
 ])
 def test_train_config_number_of_wrong_type_exit_2(tmp_path, capsys, name, override):
     # each would otherwise fail later, inside training, with exit 1, or (an
@@ -264,6 +266,19 @@ def test_sweep_command(tmp_path, capsys):
     agg = json.loads(capsys.readouterr().out)
     assert "auc" in agg and "mean" in agg["auc"]
     assert (out_dir / "sweep_summary.json").exists()
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_sweep_without_seeds_exit_2(tmp_path, capsys, seeds):
+    # used to exit 1 with "list index out of range"
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(_SMALL))
+    out_dir = tmp_path / "runs"
+    assert main(["sweep", "--config", str(cfg_path), "--seeds", seeds,
+                 "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "n_seeds must be at least 1" in err
+    assert not out_dir.exists()
 
 
 def test_audit_dpi_ok(capsys):

@@ -232,6 +232,43 @@ def test_dense_backward_writes_into_given_arrays(activation):
         assert a.tobytes() == b.tobytes()
 
 
+# around the slow-path bound (about -708), the last non-zero result
+# (-745.13) and the edges of the range the guarded exp hands to np.exp
+_EXP_EDGES = [-700.0, -707.5, -708.4, -745.13, -745.14, -746.0, -1e308, -np.inf, -0.0,
+              np.nan]
+
+
+@pytest.mark.parametrize("value", _EXP_EDGES)
+def test_guarded_exp_is_np_exp_bit_for_bit(value):
+    rng = Rng(19)
+    x = rng.uniform(-800.0, 0.0, size=(16, 8))  # every branch of the guard
+    assert (x < -746).any() and ((x >= -746) & (x < -700)).any()
+    x[3, 5] = value
+    for arr in (x, np.full((2, 3), value), np.array([[value, -800.0, -1.0]])):
+        want = np.exp(arr)
+        assert numkit._exp(arr).tobytes() == want.tobytes()
+        out = np.full_like(arr, 7.0)
+        assert numkit._exp(arr, out) is out and out.tobytes() == want.tobytes()
+
+
+def test_dense_forward_and_input_grad_write_into_given_arrays():
+    rng = Rng(20)
+    layer = DenseLayer(300.0 * rng.normal(size=(16, 8)), rng.normal(size=16), "elu")
+    x, g = rng.normal(size=(32, 8)), rng.normal(size=(32, 16))
+    out, cache = dense_forward(layer, x)
+    assert cache.min() < -746  # the guarded exp runs in the backward
+    want = dense_input_grad(layer, cache, g)
+    fwd = np.full((3, 32, 16), np.nan)
+    got_out, got_cache = dense_forward(layer, x, fwd)
+    assert np.shares_memory(got_out, fwd[0]) and np.shares_memory(got_cache, fwd[1])
+    assert got_out.tobytes() == out.tobytes() and got_cache.tobytes() == cache.tobytes()
+    bwd = (np.full((32, 16), np.nan), np.full((32, 8), np.nan))
+    got = dense_input_grad(layer, got_cache, g, out=bwd)
+    assert got[0] is bwd[1] and got[1] is bwd[0]
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_stacked_dense_layer_validation():
     with pytest.raises(ConfigurationError):
         DenseLayer(np.zeros((2, 3, 4)), np.zeros(3))  # bias lacks the stack axis

@@ -169,9 +169,9 @@ def test_encoder_runs_once_per_batch(monkeypatch):
     # hidden layer takes 4 inputs
     in_dims = []
     for module in (model, objective):
-        def counted(layer, x, forward=module.dense_forward):
+        def counted(layer, x, *args, forward=module.dense_forward, **kwargs):
             in_dims.append(layer.in_dim)
-            return forward(layer, x)
+            return forward(layer, x, *args, **kwargs)
         monkeypatch.setattr(module, "dense_forward", counted)
     train(_cfg(method="carr", epochs=1, batch_size=32), _toy_gaussians(n=128))
     assert in_dims.count(4) == 128 // 32
