@@ -67,9 +67,7 @@ def _project_in_place(delta: np.ndarray, p: str, beta: float, squares=None) -> n
     if p == "inf":
         return np.clip(delta, -beta, beta, out=delta)
     norms = _row_norms(delta, squares)
-    scale = beta / np.maximum(norms, 1e-300)
-    # beta >= 1e-300 puts the scale below 1 where norms > beta; fmin(NaN, 1) is 1
-    delta *= np.fmin(scale, 1.0) if beta >= 1e-300 else np.where(norms > beta, scale, 1.0)
+    delta *= np.where(norms > beta, beta / np.maximum(norms, 1e-300), 1.0)
     return delta
 
 
@@ -109,11 +107,7 @@ def pgd_attack(params: ModelParams, z0_batch: np.ndarray, y_batch: np.ndarray,
             loss, grad = predictor_xent_grad(params, z, y, bufs)
         else:
             loss = predictor_xent(params, z, y, bufs)[0]
-        improved_rows = np.count_nonzero(np.greater(loss, best_loss, out=improved))
-        if improved_rows == n:
-            np.copyto(best_delta, delta)
-        elif improved_rows:
-            np.copyto(best_delta, delta, where=improved[:, None])
+        np.copyto(best_delta, delta, where=np.greater(loss, best_loss, out=improved)[:, None])
         np.maximum(best_loss, loss, out=best_loss)
         if k == spec.steps:
             break

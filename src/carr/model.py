@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .numkit import (ConfigurationError, DenseLayer, Rng, dense_backward, dense_forward,
-                     dense_input_grad, init_dense)
+from .numkit import (ConfigurationError, DenseLayer, Rng, dense_backward, dense_buffers,
+                     dense_forward, dense_input_grad, init_dense)
 
 __all__ = [
     "EncoderOutput",
@@ -223,14 +223,15 @@ def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def predictor_buffers(params: ModelParams, y: np.ndarray) -> dict[str, np.ndarray]:
     """The ``out`` of predictor passes over one batch with the int 0/1
-    labels ``y``: the labels as flat indices into the (n, 2) probabilities
-    and as one-hot rows, and arrays each pass overwrites with its
-    intermediates."""
-    n, h = len(y), params.pred_hidden.out_dim
-    return {"pick": 2 * np.arange(n) + y, "onehot": np.eye(2)[y],
-            "pred_hidden": np.empty((3, n, h)), "pred_out": np.empty((1, n, 2)),
-            "probs": np.empty((n, 2)), "pred_out_grad": (None, np.empty((n, h))),
-            "pred_hidden_grad": (np.empty((n, h)), np.empty((n, params.d_z)))}
+    labels ``y``: the labels, also as flat indices into the (n, 2)
+    probabilities and as one-hot rows, and arrays each pass overwrites with
+    its intermediates."""
+    n = len(y)
+    hidden, hidden_grad = dense_buffers(params.pred_hidden, n)
+    logits, logits_grad = dense_buffers(params.pred_out, n)
+    return {"y": y, "pick": 2 * np.arange(n) + y, "onehot": np.eye(2)[y],
+            "pred_hidden": hidden, "pred_out": logits, "probs": np.empty((n, 2)),
+            "pred_out_grad": logits_grad, "pred_hidden_grad": hidden_grad}
 
 
 def _predictor_forward(params: ModelParams, z: np.ndarray, out: dict | None = None):
@@ -259,6 +260,8 @@ def predictor_xent(params: ModelParams, z_batch: np.ndarray, y_batch: np.ndarray
     given: the :func:`predictor_buffers` of a 2-D batch with these labels."""
     z = np.asarray(z_batch, dtype=float)
     y = np.asarray(y_batch, dtype=int)
+    if out is not None and y is not out["y"] and not np.array_equal(y, out["y"]):
+        raise ValueError("predictor buffers were made for other labels")
     hidden, hidden_neg, logits, probs = _predictor_forward(params, z, out)
     if out is None:
         # indexing a stack this way lays the result out batch-major; C order

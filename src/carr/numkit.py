@@ -27,6 +27,7 @@ __all__ = [
     "elu_grad",
     "DenseLayer",
     "dense_forward",
+    "dense_buffers",
     "dense_backward",
     "dense_input_grad",
     "grad_check",
@@ -193,6 +194,16 @@ def dense_forward(layer: DenseLayer, x: np.ndarray, out=None):
     return pre, pre
 
 
+def dense_buffers(layer: DenseLayer, n: int):
+    """The ``out`` of :func:`dense_forward` and of :func:`dense_input_grad`
+    for an n-row batch through a 2-D ``layer``, as a (forward, backward)
+    pair, each slot sized from the layer's activation."""
+    elu = layer.activation == "elu"
+    forward = tuple(np.empty((3 if elu else 1, n, layer.out_dim)))
+    return forward, (np.empty((n, layer.out_dim)) if elu else None,
+                     np.empty((n, layer.in_dim)))
+
+
 def dense_backward(layer: DenseLayer, cached_input: np.ndarray, cache: np.ndarray,
                    upstream_grad: np.ndarray, weight_grad=None, bias_grad=None,
                    input_grad: bool = True):
@@ -234,7 +245,8 @@ def _exp(x: np.ndarray, out=None) -> np.ndarray:
     and is 0 below about -745.13, so only entries in [-746, -700) get it."""
     if not x.min(initial=0.0) < -700.0:  # NaN included
         return np.exp(x, out=out)
-    e = np.exp(np.maximum(x, -700.0, out=out), out=out)
+    e = np.maximum(x, -700.0, out=out)
+    np.exp(e, out=e)
     low = x < -700.0
     np.putmask(e, low, 0.0)
     low &= x >= -746.0

@@ -241,6 +241,13 @@ def test_predictor_passes_into_buffers_keep_their_bytes():
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
         assert predictor_xent(params, z, y, bufs)[0].tobytes() == want[0].tobytes()
+    # a copy of the labels is accepted; other labels or another batch size raise
+    assert predictor_xent(params, z, y.copy(), bufs)[0].tobytes() == want[0].tobytes()
+    for other, rows in ((1 - y, 9), (y[:4], 4)):
+        with pytest.raises(ValueError, match="other labels"):
+            predictor_xent(params, z[:rows], other, bufs)
+        with pytest.raises(ValueError, match="other labels"):
+            predictor_xent_grad(params, z[:rows], other, bufs)
 
 
 def test_predictor_backward_without_z_gradient_keeps_layer_gradients():

@@ -9,6 +9,7 @@ from carr.numkit import (
     DenseLayer,
     Rng,
     dense_backward,
+    dense_buffers,
     dense_forward,
     dense_input_grad,
     elu,
@@ -251,20 +252,26 @@ def test_guarded_exp_is_np_exp_bit_for_bit(value):
         assert numkit._exp(arr, out) is out and out.tobytes() == want.tobytes()
 
 
-def test_dense_forward_and_input_grad_write_into_given_arrays():
+@pytest.mark.parametrize("activation", ["elu", "identity"])
+def test_dense_forward_and_input_grad_write_into_their_buffers(activation):
     rng = Rng(20)
-    layer = DenseLayer(300.0 * rng.normal(size=(16, 8)), rng.normal(size=16), "elu")
+    layer = DenseLayer(300.0 * rng.normal(size=(16, 8)), rng.normal(size=16), activation)
     x, g = rng.normal(size=(32, 8)), rng.normal(size=(32, 16))
     out, cache = dense_forward(layer, x)
-    assert cache.min() < -746  # the guarded exp runs in the backward
+    if activation == "elu":
+        assert cache.min() < -746  # the guarded exp runs in the backward
     want = dense_input_grad(layer, cache, g)
-    fwd = np.full((3, 32, 16), np.nan)
+    fwd, bwd = dense_buffers(layer, 32)
+    assert len(fwd) == (3 if activation == "elu" else 1)
+    assert (bwd[0] is None) == (activation == "identity")
+    for a in (*fwd, *bwd):
+        if a is not None:
+            a.fill(np.nan)
     got_out, got_cache = dense_forward(layer, x, fwd)
-    assert np.shares_memory(got_out, fwd[0]) and np.shares_memory(got_cache, fwd[1])
+    assert got_out is fwd[0] and got_cache is fwd[1 if activation == "elu" else 0]
     assert got_out.tobytes() == out.tobytes() and got_cache.tobytes() == cache.tobytes()
-    bwd = (np.full((32, 16), np.nan), np.full((32, 8), np.nan))
     got = dense_input_grad(layer, got_cache, g, out=bwd)
-    assert got[0] is bwd[1] and got[1] is bwd[0]
+    assert got[0] is bwd[1] and got[1] is (g if activation == "identity" else bwd[0])
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
 
