@@ -24,8 +24,7 @@ def main():
     print("=== validity thresholds ===")
     inputs = BoundInputs(m=10)
     print(f"general case: m >= {min_samples('general', inputs)}")
-    print(f"ideal case:   m >= {min_samples('ideal', inputs)} "
-          f"(quartered variant: {min_samples('ideal', inputs, quartered_ideal=True)})")
+    print(f"ideal case:   m >= {min_samples('ideal', inputs)}")
 
     print()
     print("=== effect of the representation alphabet ===")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, predictor_buffers, predictor_xent, predictor_xent_grad
+from .model import ModelParams, predictor_xent, predictor_xent_grad
 from .numkit import Rng, check_numbers
 
 __all__ = ["AttackSpec", "project", "pgd_attack", "random_ball"]
@@ -90,8 +90,7 @@ def pgd_attack(params: ModelParams, z0_batch: np.ndarray, y_batch: np.ndarray,
     if spec.beta == 0.0 or spec.steps == 0:
         return z0.copy()
 
-    # every pass writes into these, allocated once per call
-    bufs = predictor_buffers(params, y)
+    # the iterates, allocated once per call
     delta, best_delta, moved, z, squares = np.zeros((5, *z0.shape))
     n = z0.shape[0]
     best_loss = np.full(n, -np.inf)
@@ -104,9 +103,9 @@ def pgd_attack(params: ModelParams, z0_batch: np.ndarray, y_batch: np.ndarray,
     for k in range(spec.steps + 1):
         np.add(z0, delta, out=z)
         if k < spec.steps:
-            loss, grad = predictor_xent_grad(params, z, y, bufs)
+            loss, grad = predictor_xent_grad(params, z, y)
         else:
-            loss = predictor_xent(params, z, y, bufs)[0]
+            loss = predictor_xent(params, z, y)[0]
         np.copyto(best_delta, delta, where=np.greater(loss, best_loss, out=improved)[:, None])
         np.maximum(best_loss, loss, out=best_loss)
         if k == spec.steps:

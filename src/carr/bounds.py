@@ -66,21 +66,19 @@ def bound_ideal(inputs: BoundInputs) -> float:
     return _bound(inputs, "ideal", inputs.beta)
 
 
-def min_samples(case: str, inputs: BoundInputs, quartered_ideal: bool = False) -> int:
+def min_samples(case: str, inputs: BoundInputs) -> int:
     """Validity threshold on the sample count.
 
     general: ceil((C/4) log(|Y|/delta) |Z| e^2).
-    ideal:   ceil(C log(|Y|/delta) beta e^2); with ``quartered_ideal`` the
-    variant carrying the same C/4 prefactor as the general case is used
-    (both prefactors appear in print; the un-quartered one is the default).
+    ideal:   ceil(C log(|Y|/delta) beta e^2).  The paper prints the ideal
+    case with both C and C/4 as prefactor; the un-quartered C is used.
     """
     log_term = math.log(inputs.card_y / inputs.delta)
     e2 = math.e ** 2
     if case == "general":
         raw = (inputs.C / 4.0) * log_term * inputs.card_z * e2
     elif case == "ideal":
-        prefactor = inputs.C / 4.0 if quartered_ideal else inputs.C
-        raw = prefactor * log_term * inputs.beta * e2
+        raw = inputs.C * log_term * inputs.beta * e2
     else:
         raise ValueError(f"case must be 'general' or 'ideal', got {case!r}")
     if not math.isfinite(raw):

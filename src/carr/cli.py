@@ -15,8 +15,6 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import bounds as bounds_mod
 from . import infometrics, scm as scm_mod
 from .model import init_params

@@ -213,8 +213,6 @@ def save_report(report: dict, path) -> None:
 
 def append_aggregate_row(path, row: dict) -> None:
     """Append one run to the aggregate CSV, writing the header if new."""
-    import os
-
     new = not os.path.exists(path)
     with open(path, "a", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=AGGREGATE_COLUMNS)

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .numkit import (ConfigurationError, DenseLayer, Rng, dense_backward, dense_buffers,
-                     dense_forward, dense_input_grad, init_dense)
+from .numkit import (ConfigurationError, DenseLayer, Rng, dense_backward, dense_forward,
+                     dense_input_grad, init_dense)
 
 __all__ = [
     "EncoderOutput",
@@ -22,7 +22,6 @@ __all__ = [
     "init_params",
     "encode",
     "predict",
-    "predictor_buffers",
     "predictor_xent",
     "predictor_xent_grad",
     "predictor_xent_backward",
@@ -213,34 +212,19 @@ def encode(params: ModelParams, x_batch: np.ndarray,
                          eps_std=eps_std, z=mean + std * eps_std, ids=ids)
 
 
-def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Softmax over the two columns of (..., n, 2) logits, into ``out`` if given."""
-    shifted = np.subtract(logits, np.maximum(logits[..., 0], logits[..., 1])[..., None],
-                          out=out)
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the two columns of (..., n, 2) logits."""
+    shifted = logits - np.maximum(logits[..., 0], logits[..., 1])[..., None]
     ex = np.exp(shifted, out=shifted)
     return np.divide(ex, (ex[..., 0] + ex[..., 1])[..., None], out=ex)
 
 
-def predictor_buffers(params: ModelParams, y: np.ndarray) -> dict[str, np.ndarray]:
-    """The ``out`` of predictor passes over one batch with the int 0/1
-    labels ``y``: the labels, also as flat indices into the (n, 2)
-    probabilities and as one-hot rows, and arrays each pass overwrites with
-    its intermediates."""
-    n = len(y)
-    hidden, hidden_grad = dense_buffers(params.pred_hidden, n)
-    logits, logits_grad = dense_buffers(params.pred_out, n)
-    return {"y": y, "pick": 2 * np.arange(n) + y, "onehot": np.eye(2)[y],
-            "pred_hidden": hidden, "pred_out": logits, "probs": np.empty((n, 2)),
-            "pred_out_grad": logits_grad, "pred_hidden_grad": hidden_grad}
-
-
-def _predictor_forward(params: ModelParams, z: np.ndarray, out: dict | None = None):
+def _predictor_forward(params: ModelParams, z: np.ndarray):
     """The predictor over (..., n, d_z) representations: hidden output, its
-    ELU cache, logits and class probabilities, in ``out``'s arrays if given."""
-    out = out or {}
-    hidden, hidden_neg = dense_forward(params.pred_hidden, z, out.get("pred_hidden"))
-    logits, _ = dense_forward(params.pred_out, hidden, out.get("pred_out"))
-    return hidden, hidden_neg, logits, softmax(logits, out.get("probs"))
+    ELU cache, logits and class probabilities."""
+    hidden, hidden_neg = dense_forward(params.pred_hidden, z)
+    logits, _ = dense_forward(params.pred_out, hidden)
+    return hidden, hidden_neg, logits, softmax(logits)
 
 
 def predict(params: ModelParams, z_batch: np.ndarray) -> np.ndarray:
@@ -253,50 +237,36 @@ def predict(params: ModelParams, z_batch: np.ndarray) -> np.ndarray:
     return _predictor_forward(params, z)[3][:, 1]
 
 
-def predictor_xent(params: ModelParams, z_batch: np.ndarray, y_batch: np.ndarray,
-                   out: dict | None = None):
+def predictor_xent(params: ModelParams, z_batch: np.ndarray, y_batch: np.ndarray):
     """Per-row cross-entropy of the predictor, (..., n) over a (..., n, d_z)
-    batch, and the cache its backward takes, in the arrays of ``out`` if
-    given: the :func:`predictor_buffers` of a 2-D batch with these labels."""
+    batch, and the cache its backward takes."""
     z = np.asarray(z_batch, dtype=float)
     y = np.asarray(y_batch, dtype=int)
-    if out is not None and y is not out["y"] and not np.array_equal(y, out["y"]):
-        raise ValueError("predictor buffers were made for other labels")
-    hidden, hidden_neg, logits, probs = _predictor_forward(params, z, out)
-    if out is None:
-        # indexing a stack this way lays the result out batch-major; C order
-        # makes the mean over the batch sum each row as it sums a 2-D one
-        picked, onehot = np.ascontiguousarray(probs[..., np.arange(y.shape[0]), y]), None
-    else:
-        picked, onehot = probs.take(out["pick"]), out["onehot"]
+    hidden, hidden_neg, logits, probs = _predictor_forward(params, z)
+    # a new C-ordered array, so the mean over a stack's batch sums each row
+    # as it sums a 2-D one
+    picked = np.where(y == 1, probs[..., 1], probs[..., 0])
     xent = -np.log(np.maximum(picked, 1e-300))
-    return xent, (z, y, onehot, hidden, hidden_neg, probs, logits)
+    return xent, (z, y, hidden, hidden_neg, probs, logits)
 
 
-def predictor_xent_grad(params: ModelParams, z_batch: np.ndarray, y_batch: np.ndarray,
-                        out: dict | None = None):
+def predictor_xent_grad(params: ModelParams, z_batch: np.ndarray, y_batch: np.ndarray):
     """Per-row cross-entropy of the predictor and the z-gradient of its mean,
     ``(xent, z_grad)``: the attacker's pass, whose backward forms no layer
-    gradient.  ``z_grad`` is that of ``predictor_xent_backward(..., None)``,
-    in ``out``'s arrays if given."""
-    xent, cache = predictor_xent(params, z_batch, y_batch, out)
+    gradient.  ``z_grad`` is that of ``predictor_xent_backward(..., None)``."""
+    xent, cache = predictor_xent(params, z_batch, y_batch)
     *_, hidden_neg, _, logits = cache
-    out = out or {}
-    g_hidden = dense_input_grad(params.pred_out, logits, _logit_grad(cache, None),
-                                out=out.get("pred_out_grad"))[0]
-    return xent, dense_input_grad(params.pred_hidden, hidden_neg, g_hidden,
-                                  out=out.get("pred_hidden_grad"))[0]
+    g_hidden = dense_input_grad(params.pred_out, logits, _logit_grad(cache, None))[0]
+    return xent, dense_input_grad(params.pred_hidden, hidden_neg, g_hidden)[0]
 
 
 def _logit_grad(cache: tuple, coeff: float | None) -> np.ndarray:
     """d(coeff * mean xent)/dlogits, written over the cached probabilities.
     ``coeff`` None divides by n (the attacker's plain mean), which rounds
     differently from multiplying by ``1.0 / n`` (each objective term's weight)."""
-    _, y, onehot, _, _, probs, _ = cache
-    if onehot is None:
-        probs[np.arange(y.shape[0]), y] -= 1.0
-    else:
-        probs -= onehot
+    _, y, _, _, probs, _ = cache
+    probs[:, 1] -= y
+    probs[:, 0] -= 1 - y
     if coeff is None:
         probs /= y.shape[0]
     else:
@@ -313,7 +283,7 @@ def predictor_xent_backward(params: ModelParams, cache: tuple,
     :meth:`ModelParams.views` and written into ``out``'s arrays of those
     keys (such as views of one flat gradient), new arrays if None; with
     ``z_grad`` False the first is None, not formed."""
-    z, _, _, hidden, hidden_neg, _, logits = cache
+    z, _, hidden, hidden_neg, _, logits = cache
     g, grads, out = _logit_grad(cache, coeff), {}, out or {}
     for name, x, layer_cache, need in (("pred_out", hidden, logits, True),
                                        ("pred_hidden", z, hidden_neg, z_grad)):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral, Real
 
 import numpy as np
@@ -27,7 +27,6 @@ __all__ = [
     "elu_grad",
     "DenseLayer",
     "dense_forward",
-    "dense_buffers",
     "dense_backward",
     "dense_input_grad",
     "grad_check",
@@ -170,38 +169,26 @@ def init_dense(rng: Rng, in_dim: int, out_dim: int,
     return DenseLayer(weights=w, bias=np.zeros(out_dim), activation=activation)
 
 
-def dense_forward(layer: DenseLayer, x: np.ndarray, out=None):
+def dense_forward(layer: DenseLayer, x: np.ndarray):
     """Forward pass on a (..., n, in_dim) batch.
 
     Leading axes of the batch and of a stacked layer broadcast; a 2-D batch
     through a 2-D layer is the plain (n, out_dim) forward.  Returns
     (output, cache): the cache is ``min(pre_activation, 0)`` for an ELU
     layer and the output itself for an identity one, and the backward pass
-    takes it back.  ``out``, C-contiguous arrays of the output's shape, takes
-    the output, then an ELU layer's cache and scratch, in place of new ones.
+    takes it back.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim < 2 or x.shape[-1] != layer.in_dim:
         raise ConfigurationError(
             f"input shape {x.shape} incompatible with in_dim {layer.in_dim}"
         )
-    out = (None,) * 3 if out is None else out
-    pre = np.matmul(x, layer.weights.swapaxes(-1, -2), out=out[0])
+    pre = x @ layer.weights.swapaxes(-1, -2)
     pre += layer.bias[..., None, :]
     if layer.activation == "elu":
-        neg = np.minimum(pre, 0.0, out=out[1])
-        return np.maximum(pre, np.expm1(neg, out=out[2]), out=pre), neg  # elu(pre)
+        neg = np.minimum(pre, 0.0)
+        return np.maximum(pre, np.expm1(neg), out=pre), neg  # elu(pre)
     return pre, pre
-
-
-def dense_buffers(layer: DenseLayer, n: int):
-    """The ``out`` of :func:`dense_forward` and of :func:`dense_input_grad`
-    for an n-row batch through a 2-D ``layer``, as a (forward, backward)
-    pair, each slot sized from the layer's activation."""
-    elu = layer.activation == "elu"
-    forward = tuple(np.empty((3 if elu else 1, n, layer.out_dim)))
-    return forward, (np.empty((n, layer.out_dim)) if elu else None,
-                     np.empty((n, layer.in_dim)))
 
 
 def dense_backward(layer: DenseLayer, cached_input: np.ndarray, cache: np.ndarray,
@@ -226,26 +213,24 @@ def dense_backward(layer: DenseLayer, cached_input: np.ndarray, cache: np.ndarra
 
 
 def dense_input_grad(layer: DenseLayer, cache: np.ndarray, g: np.ndarray,
-                     input_grad: bool = True, out=None):
+                     input_grad: bool = True):
     """(input_grad, pre_activation_grad) given d(loss)/d(output) and the
     cache of :func:`dense_forward`: the step :func:`dense_backward` starts
     with, without the layer gradients.  With ``input_grad`` False the first
-    is None, not formed.  ``out``, two C-contiguous arrays, takes an ELU
-    layer's pre-activation gradient and the input gradient."""
-    pre_out, in_out = (None, None) if out is None else out
+    is None, not formed."""
     if layer.activation == "elu":
-        e = _exp(cache, pre_out)  # elu_grad(pre), with the forward's min(pre, 0)
+        e = _exp(cache)  # elu_grad(pre), with the forward's min(pre, 0)
         g = np.multiply(g, e, out=e)
-    return (np.matmul(g, layer.weights, out=in_out) if input_grad else None), g
+    return (g @ layer.weights if input_grad else None), g
 
 
-def _exp(x: np.ndarray, out=None) -> np.ndarray:
-    """``np.exp(x, out=out)`` bit for bit; ``out`` must not overlap ``x``.
-    np.exp slows down several-fold on a call with an entry below about -708
-    and is 0 below about -745.13, so only entries in [-746, -700) get it."""
+def _exp(x: np.ndarray) -> np.ndarray:
+    """``np.exp(x)`` bit for bit.  np.exp slows down several-fold on a call
+    with an entry below about -708 and is 0 below about -745.13, so only
+    entries in [-746, -700) get it."""
     if not x.min(initial=0.0) < -700.0:  # NaN included
-        return np.exp(x, out=out)
-    e = np.maximum(x, -700.0, out=out)
+        return np.exp(x)
+    e = np.maximum(x, -700.0)
     np.exp(e, out=e)
     low = x < -700.0
     np.putmask(e, low, 0.0)

@@ -4,6 +4,7 @@ and experiment orchestration with persisted reports.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import MISSING, asdict, dataclass, field, replace
 
@@ -224,31 +225,35 @@ def evaluate(params: ModelParams, split: Split,
 
 def _resolve_dataset(cfg: RunConfig):
     """Materialize train/val/test splits from the dataset stanza, with the
-    id-pair vocabulary (None for feature input)."""
+    id-pair vocabulary (None for feature input).  An empty test split
+    raises before any training."""
     kind = cfg.dataset.get("kind", "synthetic")
+    vocab = None
     if kind == "synthetic":
         ds = {key: value for key, value in cfg.dataset.items() if key != "kind"}
         synth = _read_stanza(scm_mod.SynthConfig, {"seed": cfg.seed, **ds}, "dataset")
         data = scm_mod.generate(synth)
         split = Split(x=data.x, y=data.y, pa=data.pa, nd=data.nd, dc=data.dc)
-        return (*split_three_way(split, seed=cfg.seed + 777), None)
-    if kind not in dataio.KINDS:  # named before any missing key of the stanza
+        train_split, val, test = split_three_way(split, seed=cfg.seed + 777)
+    elif kind not in dataio.KINDS:  # named before any missing key of the stanza
         raise ConfigurationError(f"unknown dataset kind {kind!r}, expected one of "
                                  f"{['synthetic', *dataio.KINDS]}")
-    spec = _read_stanza(DatasetSpec, cfg.dataset, "dataset")
-    splits = dataio.load(spec)
-    vocab = None
-    if spec.kind == "id_pairs":  # every loaded id, not only the training ones
-        vocab = spec.vocab or dataio.infer_vocab(splits)
-    train_split = splits.get("train", splits.get("all"))
-    val = splits.get("val_ood", splits.get("val_iid"))
-    test = splits.get("test_ood", splits.get("test_iid"))
-    if val is None or test is None:
-        # carve the missing parts out of train: 80/10/10, or 90/10 for one
-        shares = (0.8, 0.1) if val is None and test is None else (0.9,)
-        train_split, *carved = split_three_way(train_split, cfg.seed + 777, shares)
-        val = carved.pop(0) if val is None else val
-        test = carved.pop(0) if test is None else test
+    else:
+        spec = _read_stanza(DatasetSpec, cfg.dataset, "dataset")
+        splits = dataio.load(spec)
+        if spec.kind == "id_pairs":  # every loaded id, not only the training ones
+            vocab = spec.vocab or dataio.infer_vocab(splits)
+        train_split = splits.get("train", splits.get("all"))
+        val = splits.get("val_ood", splits.get("val_iid"))
+        test = splits.get("test_ood", splits.get("test_iid"))
+        if val is None or test is None:
+            # carve the missing parts out of train: 80/10/10, or 90/10 for one
+            shares = (0.8, 0.1) if val is None and test is None else (0.9,)
+            train_split, *carved = split_three_way(train_split, cfg.seed + 777, shares)
+            val = carved.pop(0) if val is None else val
+            test = carved.pop(0) if test is None else test
+    if len(test) == 0:
+        raise ConfigurationError("the dataset leaves no rows for the test split")
     return train_split, val, test, vocab
 
 
@@ -276,8 +281,6 @@ def run_experiment(config: RunConfig, out_path=None, aggregate_path=None) -> dic
 
 def sweep(config: RunConfig, n_seeds: int, out_dir=None) -> dict:
     """Run ``n_seeds`` independent seeds and aggregate mean/std per metric."""
-    import os
-
     if n_seeds < 1:
         raise ConfigurationError(f"n_seeds must be at least 1, got {n_seeds}")
     reports = []

@@ -27,7 +27,6 @@ def test_frozen_reference_values():
     assert abs(bound_ideal(inputs) - 0.37840820530208585) < 1e-12
     assert min_samples("general", inputs) == 6978
     assert min_samples("ideal", inputs) == 131
-    assert min_samples("ideal", inputs, quartered_ideal=True) == 33
 
 
 def test_ideal_below_general():
@@ -65,8 +64,7 @@ def test_monotone_decreasing_beyond_threshold():
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def test_quartered_ideal_variant():
+def test_ideal_threshold_formula():
     inputs = BoundInputs(m=10)
     raw = inputs.C * math.log(inputs.card_y / inputs.delta) * inputs.beta * math.e ** 2
     assert min_samples("ideal", inputs) == math.ceil(raw)
-    assert min_samples("ideal", inputs, quartered_ideal=True) == math.ceil(raw / 4)

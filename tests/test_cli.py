@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import carr.trainer
 from carr.cli import main, run_audit
 
 
@@ -138,6 +139,21 @@ _SMALL = {"method": "base", "training_mode": "standard",
           "dataset": {"kind": "synthetic", "n": 60}}
 
 
+def test_train_with_an_empty_test_split_exit_2(tmp_path, capsys, monkeypatch):
+    # one row goes to train and none to test; this used to train every epoch,
+    # then exit 1 on the empty AUC
+    trained = []
+    monkeypatch.setattr(carr.trainer, "train", lambda *args: trained.append(args))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**_SMALL, "epochs": 2,
+                                    "dataset": {"kind": "synthetic", "n": 1}}))
+    out = tmp_path / "report.json"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "no rows for the test split" in err
+    assert not out.exists() and not trained
+
+
 @pytest.mark.parametrize("doc, message", [
     ([], "config must be an object"),
     ("config.json", "config must be an object"),
@@ -241,11 +257,11 @@ def test_train_out_of_range_size_exit_2(tmp_path, capsys, name, value):
 
 
 def test_train_single_class_metric_exit_1(tmp_path, capsys):
-    # n=6 leaves one class in the test split: AUC is undefined, which is a
-    # runtime failure, not a configuration error
+    # n=10 leaves one row, so one class, in the test split: AUC is undefined,
+    # which is a runtime failure, not a configuration error (n=6 leaves none)
     config = {"method": "base", "training_mode": "standard",
               "attack": {"p": "2", "beta": 0.0}, "epochs": 1, "d_z": 8,
-              "dataset": {"kind": "synthetic", "beta": 0.3, "n": 6}}
+              "dataset": {"kind": "synthetic", "beta": 0.3, "n": 10}}
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
     assert main(["train", "--config", str(cfg_path)]) == 1

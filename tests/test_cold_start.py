@@ -1,9 +1,12 @@
 """A fresh interpreter that imports carr, runs an oracle audit, prints the
 bound table and trains and evaluates one short synthetic run, distance
 correlation included, loads no scipy module; no file of the package names
-scipy.  Importing carr loads no ``numpy.random`` either."""
+scipy.  Importing carr loads no ``numpy.random`` either.  Every name in a
+carr module's ``__all__`` is bound in that module."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -42,3 +45,14 @@ def test_import_and_oracles_load_no_scipy():
 def test_package_names_no_scipy():
     named = [p.name for p in (SRC / "carr").rglob("*.py") if "scipy" in p.read_text()]
     assert not named, named
+
+
+def test_every_exported_name_resolves():
+    import carr
+
+    stale = []
+    for info in pkgutil.iter_modules(carr.__path__, "carr."):
+        module = importlib.import_module(info.name)
+        stale += [f"{info.name}.{name}" for name in getattr(module, "__all__", ())
+                  if not hasattr(module, name)]
+    assert not stale, stale

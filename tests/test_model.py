@@ -12,7 +12,6 @@ from carr.model import (
     featurize,
     init_params,
     predict,
-    predictor_buffers,
     predictor_xent,
     predictor_xent_backward,
     predictor_xent_grad,
@@ -226,28 +225,6 @@ def test_predictor_xent_grad_is_the_full_backwards_z_gradient(n):
     gz_full = predictor_xent_backward(params, cache, None)[0]
     assert xent.tobytes() == xent_full.tobytes()
     assert gz.tobytes() == gz_full.tobytes()
-
-
-def test_predictor_passes_into_buffers_keep_their_bytes():
-    # two passes over different points into one set of buffers, as PGD makes
-    params = _params(seed=6, d_z=16)
-    rng = Rng(6, stream=7)
-    y = rng.integers(0, 2, size=9)
-    bufs = predictor_buffers(params, y)
-    for z in (rng.normal(size=(9, 16)), 30.0 * rng.normal(size=(9, 16))):
-        want = predictor_xent_grad(params, z, y)
-        got = predictor_xent_grad(params, z, y, bufs)
-        assert got[1] is bufs["pred_hidden_grad"][1]
-        for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes()
-        assert predictor_xent(params, z, y, bufs)[0].tobytes() == want[0].tobytes()
-    # a copy of the labels is accepted; other labels or another batch size raise
-    assert predictor_xent(params, z, y.copy(), bufs)[0].tobytes() == want[0].tobytes()
-    for other, rows in ((1 - y, 9), (y[:4], 4)):
-        with pytest.raises(ValueError, match="other labels"):
-            predictor_xent(params, z[:rows], other, bufs)
-        with pytest.raises(ValueError, match="other labels"):
-            predictor_xent_grad(params, z[:rows], other, bufs)
 
 
 def test_predictor_backward_without_z_gradient_keeps_layer_gradients():

@@ -256,7 +256,7 @@ def _reference_step(params, x, y, mode, eps, lam=0.001, b=0.8, neg_weight=1.0,
 
     def xent_term(z_in, coeff):
         xent, cache = predictor_xent(params, z_in, y)
-        _, _, _, hidden, hidden_neg, probs, _ = cache
+        _, _, hidden, hidden_neg, probs, _ = cache
         g = probs.copy()
         g[np.arange(n), y] -= 1.0
         g *= coeff / n

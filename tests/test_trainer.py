@@ -3,7 +3,6 @@ identities between methods, determinism, and sweep aggregation."""
 
 import dataclasses
 import json
-import os
 
 import numpy as np
 import pytest
@@ -169,9 +168,9 @@ def test_encoder_runs_once_per_batch(monkeypatch):
     # hidden layer takes 4 inputs
     in_dims = []
     for module in (model, objective):
-        def counted(layer, x, *args, forward=module.dense_forward, **kwargs):
+        def counted(layer, x, forward=module.dense_forward):
             in_dims.append(layer.in_dim)
-            return forward(layer, x, *args, **kwargs)
+            return forward(layer, x)
         monkeypatch.setattr(module, "dense_forward", counted)
     train(_cfg(method="carr", epochs=1, batch_size=32), _toy_gaussians(n=128))
     assert in_dims.count(4) == 128 // 32
