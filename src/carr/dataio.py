@@ -1,12 +1,12 @@
 """Dataset loading, split management, and report persistence.
 
-Three on-disk schemas are supported (comma-separated, header row, UTF-8):
+Two on-disk schemas are supported (comma-separated, header row, UTF-8,
+every data row as wide as the header, at least one feature column):
 
-* synthetic: ``pa_0..pa_4,nd_0..nd_4,dc_0..dc_4[,nc_*],y`` as written by
-  the simulator;
-* id_pairs: ``user_id,item_id,label`` integer columns, ratings binarized
-  by a configurable threshold;
-* tabular: ``f_0,...,f_{w-1},label`` float features.
+* synthetic_csv: ``pa_0..pa_4,nd_0..nd_4,dc_0..dc_4[,nc_*],y`` as written
+  by the simulator;
+* tabular: ``f_0,...,f_{w-1},label`` float features, ratings binarized by
+  a configurable threshold.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DataError
 from .numkit import Rng, check_numbers
 
 __all__ = [
+    "DataError",
     "DatasetSpec",
     "Split",
     "load",
@@ -33,8 +33,12 @@ __all__ = [
     "AGGREGATE_COLUMNS",
 ]
 
-KINDS = ("synthetic_csv", "id_pairs", "tabular")
+KINDS = ("synthetic_csv", "tabular")
 SPLIT_NAMES = ("train", "val_iid", "test_iid", "val_ood", "test_ood")
+
+
+class DataError(ValueError):
+    """Malformed dataset stanza, file or batch size."""
 
 
 @dataclass(frozen=True)
@@ -42,7 +46,6 @@ class DatasetSpec:
     kind: str
     paths: dict  # split name, or "all" for one file to split, -> file path
     rating_threshold: float = 4.0
-    vocab: tuple | None = None  # id_pairs (n_users, n_items); inferred when None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -57,18 +60,11 @@ class DatasetSpec:
         if names != {"all"} and ("train" not in names or "all" in names):
             raise DataError("paths must name a 'train' file, or an 'all' file alone")
         check_numbers(self, ("rating_threshold",))
-        if self.vocab is not None:
-            vocab = tuple(self.vocab) if isinstance(self.vocab, (list, tuple)) else ()
-            if self.kind != "id_pairs" or len(vocab) != 2 or not all(
-                    type(n) is int and n >= 1 for n in vocab):  # not a bool
-                raise DataError("vocab must be [n_users, n_items], two positive ints, "
-                                f"of an id_pairs dataset, got {self.vocab!r}")
-            object.__setattr__(self, "vocab", vocab)  # a JSON list becomes a tuple
 
 
 @dataclass
 class Split:
-    x: np.ndarray  # float features or integer id pairs
+    x: np.ndarray  # float features
     y: np.ndarray  # {0,1}
     pa: np.ndarray | None = None  # ground-truth partition, synthetic only
     nd: np.ndarray | None = None
@@ -83,18 +79,22 @@ class Split:
                      nd=sub(self.nd), dc=sub(self.dc))
 
 
-def _read_rows(path, expected_width=None):
+def _read_rows(path):
+    """The header and the data rows, (n, width) floats, of a CSV file whose
+    last column is the label."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path}: empty file")
+        if len(header) < 2:
+            raise DataError(f"{path}: the header names no feature column")
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if expected_width is not None and len(row) != expected_width:
-                raise DataError(f"{path}:{lineno}: expected {expected_width} "
+            if len(row) != len(header):
+                raise DataError(f"{path}:{lineno}: expected {len(header)} "
                                 f"fields, got {len(row)}")
             try:
                 values = [float(v) for v in row]
@@ -137,20 +137,6 @@ def _binarize(values: np.ndarray, threshold: float) -> np.ndarray:
     return (values >= threshold).astype(int)
 
 
-def _load_id_pairs(path, threshold, vocab):
-    _, data = _read_rows(path, expected_width=3)
-    ids = data[:, :2].astype(int)
-    if (ids != data[:, :2]).any():
-        raise DataError(f"{path}: non-integer ids")
-    if (ids < 0).any():
-        raise DataError(f"{path}: negative ids")
-    if vocab is not None:
-        n_users, n_items = vocab
-        if ids[:, 0].max(initial=-1) >= n_users or ids[:, 1].max(initial=-1) >= n_items:
-            raise DataError(f"{path}: id outside declared vocabulary")
-    return Split(x=ids, y=_binarize(data[:, 2], threshold))
-
-
 def _load_tabular(path, threshold):
     _, data = _read_rows(path)
     return Split(x=data[:, :-1], y=_binarize(data[:, -1], threshold))
@@ -162,17 +148,9 @@ def load(spec: DatasetSpec) -> dict:
     for name, path in spec.paths.items():
         if spec.kind == "synthetic_csv":
             out[name] = load_synthetic_csv(path)
-        elif spec.kind == "id_pairs":
-            out[name] = _load_id_pairs(path, spec.rating_threshold, spec.vocab)
         else:
             out[name] = _load_tabular(path, spec.rating_threshold)
     return out
-
-
-def infer_vocab(splits: dict) -> tuple[int, int]:
-    n_users = max(int(s.x[:, 0].max()) for s in splits.values()) + 1
-    n_items = max(int(s.x[:, 1].max()) for s in splits.values()) + 1
-    return n_users, n_items
 
 
 def split_three_way(split: Split, seed: int, shares=(0.8, 0.1)) -> list[Split]:

@@ -1,7 +1,7 @@
 """Gaussian-posterior encoder and two-class predictor.
 
-The encoder maps features (or an embedded id pair) through one hidden ELU
-layer to mean/log-variance heads; z is drawn by reparameterization.  The
+The encoder maps features through one hidden ELU layer to
+mean/log-variance heads; z is drawn by reparameterization.  The
 predictor maps z through one hidden ELU layer to two logits.
 """
 
@@ -25,17 +25,11 @@ __all__ = [
     "predictor_xent",
     "predictor_xent_grad",
     "predictor_xent_backward",
-    "DataError",
 ]
 
 LOGVAR_CLAMP = 10.0
-EMB_DIM = 32
 HIDDEN = 64
 _LAYERS = ("enc_hidden", "enc_head", "pred_hidden", "pred_out")
-
-
-class DataError(ValueError):
-    """Out-of-vocabulary id or malformed input batch."""
 
 
 @dataclass
@@ -51,7 +45,6 @@ class EncoderOutput:
     std: np.ndarray  # (n, d_z)
     eps_std: np.ndarray  # (n, d_z) standard-normal draw used for z
     z: np.ndarray  # (n, d_z)
-    ids: np.ndarray | None  # (n, 2) id pairs of embedding models
 
 
 @dataclass
@@ -59,9 +52,9 @@ class ModelParams:
     """Encoder/predictor parameters.
 
     Every array is a view of the one float64 vector ``flat``, laid out as
-    the embeddings (if any), then weights and bias of each layer in field
-    order.  Update the arrays in place; rebinding one detaches it.
-    :meth:`stacked` gives the same model over K such vectors at once.
+    the weights and bias of each layer in field order.  Update the arrays
+    in place; rebinding one detaches it.  :meth:`stacked` gives the same
+    model over K such vectors at once.
     """
 
     enc_hidden: DenseLayer  # d_in -> 64, elu
@@ -69,36 +62,27 @@ class ModelParams:
     pred_hidden: DenseLayer  # d_z -> 64, elu
     pred_out: DenseLayer  # 64 -> 2, identity
     d_z: int
-    user_emb: np.ndarray | None = None  # (n_users, 32)
-    item_emb: np.ndarray | None = None  # (n_items, 32)
     flat: np.ndarray = field(init=False, repr=False)
     _layout: list = field(init=False, repr=False)  # (key, start, stop, shape)
 
     def __post_init__(self):
-        emb = ("user_emb", "item_emb") if self.uses_embeddings else ()
-        slots = [(key, self, key) for key in emb] + [
-            (f"{name}.{attr}", getattr(self, name), attr)
-            for name in _LAYERS for attr in ("weights", "bias")
-        ]
+        slots = [(f"{name}.{attr}", getattr(self, name), attr)
+                 for name in _LAYERS for attr in ("weights", "bias")]
         self._layout, start = [], 0
-        for key, owner, attr in slots:
-            shape = getattr(owner, attr).shape
+        for key, layer, attr in slots:
+            shape = getattr(layer, attr).shape
             stop = start + math.prod(shape)
             self._layout.append((key, start, stop, shape))
             start = stop
-        self.flat = np.concatenate([np.ravel(getattr(owner, attr))
-                                    for _, owner, attr in slots], dtype=float)
-        for (_, owner, attr), view in zip(slots, self.views(self.flat).values()):
-            setattr(owner, attr, view)
-
-    @property
-    def uses_embeddings(self) -> bool:
-        return self.user_emb is not None
+        self.flat = np.concatenate([np.ravel(getattr(layer, attr))
+                                    for _, layer, attr in slots], dtype=float)
+        for (_, layer, attr), view in zip(slots, self.views(self.flat).values()):
+            setattr(layer, attr, view)
 
     def views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
         """Views of a (..., P) array shaped (...,) plus the shape of each
-        parameter array, in layout order, keyed "user_emb", "item_emb"
-        (embedding models only) and "<layer>.weights", "<layer>.bias"."""
+        parameter array, in layout order, keyed "<layer>.weights" and
+        "<layer>.bias"."""
         return {key: vec[..., start:stop].reshape(vec.shape[:-1] + shape)
                 for key, start, stop, shape in self._layout}
 
@@ -109,9 +93,9 @@ class ModelParams:
         passes carry through.
 
         The caller promises that every row equals ``flat`` below index
-        ``unchanged_below``.  A layer, or the embedding pair, whose
-        parameters all lie below it keeps this model's own unstacked
-        arrays, so the forward runs it once for all K rows.
+        ``unchanged_below``.  A layer whose parameters all lie below it
+        keeps this model's own unstacked arrays, so the forward runs it once
+        for all K rows.
         """
         vecs = np.asarray(vecs, dtype=float)
         if vecs.ndim != 2 or vecs.shape[1] != self.flat.size:
@@ -133,8 +117,6 @@ class ModelParams:
                 layer = replace(getattr(self, name), weights=v[f"{name}.weights"],
                                 bias=v[f"{name}.bias"])
                 setattr(out, name, layer)
-        if self.uses_embeddings and stops["item_emb"] > unchanged_below:
-            out.user_emb, out.item_emb = v["user_emb"], v["item_emb"]
         return out
 
     def to_vector(self) -> np.ndarray:
@@ -149,43 +131,15 @@ class ModelParams:
         self.flat[:] = vec
 
 
-def init_params(rng: Rng, d_in: int | None = None, d_z: int = 64,
-                vocab: tuple[int, int] | None = None) -> ModelParams:
-    """Fresh parameters for raw-feature input (d_in) or an id pair (vocab)."""
-    if (d_in is None) == (vocab is None):
-        raise ConfigurationError("specify exactly one of d_in or vocab")
-    user_emb = item_emb = None
-    if vocab is not None:
-        n_users, n_items = vocab
-        user_emb = 0.1 * rng.normal(size=(n_users, EMB_DIM))
-        item_emb = 0.1 * rng.normal(size=(n_items, EMB_DIM))
-        d_in = 2 * EMB_DIM
+def init_params(rng: Rng, d_in: int, d_z: int = 64) -> ModelParams:
+    """Fresh parameters for ``d_in`` input features."""
     return ModelParams(
         enc_hidden=init_dense(rng, d_in, HIDDEN, "elu"),
         enc_head=init_dense(rng, HIDDEN, 2 * d_z, "identity"),
         pred_hidden=init_dense(rng, d_z, HIDDEN, "elu"),
         pred_out=init_dense(rng, HIDDEN, 2, "identity"),
         d_z=d_z,
-        user_emb=user_emb,
-        item_emb=item_emb,
     )
-
-
-def featurize(params: ModelParams, x_batch: np.ndarray) -> np.ndarray:
-    """Raw features pass through; id pairs are embedded and concatenated,
-    with the leading axis of stacked embeddings in front."""
-    x = np.asarray(x_batch)
-    if not params.uses_embeddings:
-        return np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != 2:
-        raise DataError("id-pair input must have two integer columns")
-    u, v = x[:, 0].astype(int), x[:, 1].astype(int)
-    if u.min() < 0 or u.max() >= params.user_emb.shape[-2]:
-        raise DataError("user id out of vocabulary")
-    if v.min() < 0 or v.max() >= params.item_emb.shape[-2]:
-        raise DataError("item id out of vocabulary")
-    return np.concatenate([params.user_emb[..., u, :], params.item_emb[..., v, :]],
-                          axis=-1)
 
 
 def encode(params: ModelParams, x_batch: np.ndarray,
@@ -194,7 +148,7 @@ def encode(params: ModelParams, x_batch: np.ndarray,
     backpropagates from, for a batch.  ``eps_std`` is the (n, d_z)
     standard-normal draw; None means z = mean.  Stacked parameters give
     every output but the draw a leading K axis."""
-    feats = featurize(params, x_batch)
+    feats = np.asarray(x_batch, dtype=float)
     hidden, hidden_neg = dense_forward(params.enc_hidden, feats)
     head, _ = dense_forward(params.enc_head, hidden)
     mean = head[..., : params.d_z]
@@ -206,10 +160,9 @@ def encode(params: ModelParams, x_batch: np.ndarray,
             f"eps_std has shape {np.shape(eps_std)}, expected {mean.shape[-2:]}"
         )
     std = np.exp(0.5 * logvar)
-    ids = np.asarray(x_batch).astype(int) if params.uses_embeddings else None
     return EncoderOutput(feats=feats, hidden=hidden, hidden_neg=hidden_neg,
                          head=head, mean=mean, logvar=logvar, std=std,
-                         eps_std=eps_std, z=mean + std * eps_std, ids=ids)
+                         eps_std=eps_std, z=mean + std * eps_std)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -203,13 +203,7 @@ def encoded_loss_and_grads(params: ModelParams, enc: EncoderOutput,
 
     g_enc_hidden_out = dense_backward(params.enc_head, enc.hidden, enc.head, g_head,
                                       g["enc_head.weights"], g["enc_head.bias"])[0]
-    # only embedding models read the input gradient of the first layer
-    g_feats = dense_backward(params.enc_hidden, enc.feats, enc.hidden_neg,
-                             g_enc_hidden_out, g["enc_hidden.weights"],
-                             g["enc_hidden.bias"], enc.ids is not None)[0]
-    if enc.ids is not None:
-        half = params.user_emb.shape[1]
-        g["user_emb"][...] = g["item_emb"][...] = 0.0
-        np.add.at(g["user_emb"], enc.ids[:, 0], g_feats[:, :half])
-        np.add.at(g["item_emb"], enc.ids[:, 1], g_feats[:, half:])
+    # nothing reads the gradient of the raw features, so it is not formed
+    dense_backward(params.enc_hidden, enc.feats, enc.hidden_neg, g_enc_hidden_out,
+                   g["enc_hidden.weights"], g["enc_hidden.bias"], False)
     return breakdown, grad

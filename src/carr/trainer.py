@@ -119,25 +119,20 @@ class MetricsReport:
         return asdict(self)
 
 
-def train(config: RunConfig, train_split: Split, val_split: Split | None = None,
-          vocab: tuple[int, int] | None = None):
+def train(config: RunConfig, train_split: Split, val_split: Split | None = None):
     """Optimize the configured objective; returns (params, history).
 
-    The model embeds id pairs from ``vocab`` = (n_users, n_items), or takes
-    the columns as features when ``vocab`` is None.  history is a list of
-    per-epoch dicts with the mean loss breakdown and, when a non-empty
-    validation split is given, the validation AUC used for early stopping
-    (patience in epochs, best parameters restored).
+    The model takes the columns of ``train_split.x`` as its input features.
+    history is a list of per-epoch dicts with the mean loss breakdown and,
+    when a non-empty validation split is given, the validation AUC used for
+    early stopping (patience in epochs, best parameters restored).
     """
     cfg = config
     rng_init = Rng(cfg.seed, stream=1)
     rng_eps = Rng(cfg.seed, stream=2)
     rng_neg = Rng(cfg.seed, stream=3)
 
-    if vocab is None:
-        params = init_params(rng_init, d_in=train_split.x.shape[1], d_z=cfg.d_z)
-    else:
-        params = init_params(rng_init, vocab=vocab, d_z=cfg.d_z)
+    params = init_params(rng_init, d_in=train_split.x.shape[1], d_z=cfg.d_z)
 
     velocity = np.zeros_like(params.flat)
     grad = np.empty_like(params.flat)  # every batch's gradient is written here
@@ -224,11 +219,9 @@ def evaluate(params: ModelParams, split: Split,
 
 
 def _resolve_dataset(cfg: RunConfig):
-    """Materialize train/val/test splits from the dataset stanza, with the
-    id-pair vocabulary (None for feature input).  An empty test split
-    raises before any training."""
+    """Materialize train/val/test splits from the dataset stanza.  An empty
+    test split raises before any training."""
     kind = cfg.dataset.get("kind", "synthetic")
-    vocab = None
     if kind == "synthetic":
         ds = {key: value for key, value in cfg.dataset.items() if key != "kind"}
         synth = _read_stanza(scm_mod.SynthConfig, {"seed": cfg.seed, **ds}, "dataset")
@@ -241,8 +234,6 @@ def _resolve_dataset(cfg: RunConfig):
     else:
         spec = _read_stanza(DatasetSpec, cfg.dataset, "dataset")
         splits = dataio.load(spec)
-        if spec.kind == "id_pairs":  # every loaded id, not only the training ones
-            vocab = spec.vocab or dataio.infer_vocab(splits)
         train_split = splits.get("train", splits.get("all"))
         val = splits.get("val_ood", splits.get("val_iid"))
         test = splits.get("test_ood", splits.get("test_iid"))
@@ -254,14 +245,14 @@ def _resolve_dataset(cfg: RunConfig):
             test = carved.pop(0) if test is None else test
     if len(test) == 0:
         raise ConfigurationError("the dataset leaves no rows for the test split")
-    return train_split, val, test, vocab
+    return train_split, val, test
 
 
 def run_experiment(config: RunConfig, out_path=None, aggregate_path=None) -> dict:
     """Synthesize/load data, train, evaluate, and persist the report."""
     start = time.time()
-    train_split, val_split, test_split, vocab = _resolve_dataset(config)
-    params, history = train(config, train_split, val_split, vocab)
+    train_split, val_split, test_split = _resolve_dataset(config)
+    params, history = train(config, train_split, val_split)
     metrics = evaluate(params, test_split, config.eval_attack)
     report = {
         "config": config.to_dict(),

@@ -162,7 +162,7 @@ def test_train_with_an_empty_test_split_exit_2(tmp_path, capsys, monkeypatch):
     ({**_SMALL, "dataset": None}, "dataset must be an object"),
     ({**_SMALL, "dataset": {"n": 60, "size": 3}}, "unknown dataset keys: ['size']"),
     ({**_SMALL, "dataset": {"kind": "csv"}}, "unknown dataset kind 'csv'"),
-    ({**_SMALL, "dataset": {"kind": "id_pairs"}}, "dataset is missing keys: ['paths']"),
+    ({**_SMALL, "dataset": {"kind": "tabular"}}, "dataset is missing keys: ['paths']"),
     ({**_SMALL, "dataset": {"kind": "tabular", "paths": {"train": "t.csv"}, "rows": 3}},
      "unknown dataset keys: ['rows']"),
     ({**_SMALL, "dataset": {"kind": "tabular", "paths": "t.csv"}},
@@ -182,14 +182,6 @@ def test_train_bad_stanza_exit_2(tmp_path, capsys, doc, message, seed_args):
     assert not out.exists()
 
 
-def _write_id_pairs(path, users, seed):
-    rng = np.random.default_rng(seed)
-    items = rng.integers(0, 6, size=len(users))
-    labels = (np.asarray(users) + items) % 2
-    path.write_text("user_id,item_id,label\n" + "".join(
-        f"{u},{i},{y}\n" for u, i, y in zip(users, items, labels)))
-
-
 def _train_file_backed(tmp_path, dataset):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({**_SMALL, "dataset": dataset}))
@@ -197,26 +189,29 @@ def _train_file_backed(tmp_path, dataset):
     return main(["train", "--config", str(cfg_path), "--out", str(out)]), out
 
 
-def test_train_id_pairs_with_test_only_user_exit_0(tmp_path, capsys):
-    # the vocabulary used to come from the training split alone, so user 12,
-    # seen only in the test file, failed evaluation with exit 2
-    _write_id_pairs(tmp_path / "train.csv", np.arange(200) % 10, seed=0)
-    _write_id_pairs(tmp_path / "test.csv", [12, 12, 3, 4] * 5, seed=1)
+def test_train_id_pairs_kind_exit_2(tmp_path, capsys):
+    # the id-pair kind and its embedding model are gone until a
+    # recommendation dataset ships with a check that uses them
+    (tmp_path / "ratings.csv").write_text("user_id,item_id,label\n0,1,1\n")
     code, out = _train_file_backed(tmp_path, {
-        "kind": "id_pairs", "paths": {"train": str(tmp_path / "train.csv"),
-                                      "test_iid": str(tmp_path / "test.csv")}})
-    assert code == 0, capsys.readouterr().err
-    assert json.loads(out.read_text())["metrics"]["dcor_pa"] is None
-
-
-def test_train_id_pairs_vocab_too_small_exit_2(tmp_path, capsys):
-    _write_id_pairs(tmp_path / "train.csv", np.arange(200) % 10, seed=0)
-    code, out = _train_file_backed(tmp_path, {
-        "kind": "id_pairs", "paths": {"train": str(tmp_path / "train.csv")},
-        "vocab": [5, 6]})
+        "kind": "id_pairs", "paths": {"train": str(tmp_path / "ratings.csv")}})
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "outside declared vocabulary" in err
+    assert err.startswith("config error:") and (
+        "unknown dataset kind 'id_pairs', expected one of "
+        "['synthetic', 'synthetic_csv', 'tabular']") in err
+    assert not out.exists()
+
+
+def test_train_label_only_tabular_file_exit_2(tmp_path, capsys):
+    # a file with a label column and nothing else used to train an encoder
+    # with 0 inputs and exit 0 with auc 0.5
+    (tmp_path / "labels.csv").write_text("label\n" + "0\n1\n" * 30)
+    code, out = _train_file_backed(tmp_path, {
+        "kind": "tabular", "paths": {"all": str(tmp_path / "labels.csv")}})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "the header names no feature" in err
     assert not out.exists()
 
 

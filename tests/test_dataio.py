@@ -8,17 +8,16 @@ import pytest
 
 from carr.dataio import (
     AGGREGATE_COLUMNS,
+    DataError,
     DatasetSpec,
     Split,
     append_aggregate_row,
     batch_iter,
-    infer_vocab,
     load,
     load_synthetic_csv,
     save_report,
     split_three_way,
 )
-from carr.model import DataError
 from carr.scm import SynthConfig, generate, write_csv
 
 
@@ -27,7 +26,7 @@ def test_dataset_spec_validation():
         DatasetSpec(kind="parquet", paths={})
     with pytest.raises(DataError):
         DatasetSpec(kind="tabular", paths={"holdout": "x.csv"})
-    DatasetSpec(kind="id_pairs", paths={"train": "a.csv", "test_ood": "b.csv"})
+    DatasetSpec(kind="tabular", paths={"train": "a.csv", "test_ood": "b.csv"})
     DatasetSpec(kind="tabular", paths={"all": "a.csv"})
 
 
@@ -37,25 +36,12 @@ def test_dataset_spec_validation():
     ({"paths": {}}, "paths must name a 'train' file"),
     ({"paths": {"test_iid": "b.csv"}}, "paths must name a 'train' file"),
     ({"paths": {"all": "a.csv", "train": "a.csv"}}, "an 'all' file alone"),
-    ({"vocab": [3]}, "vocab must be [n_users, n_items]"),
-    ({"vocab": [3, 0]}, "vocab must be [n_users, n_items]"),
-    ({"vocab": [3, True]}, "vocab must be [n_users, n_items]"),
-    ({"vocab": [3, 2.0]}, "vocab must be [n_users, n_items]"),
-    ({"vocab": "3,4"}, "vocab must be [n_users, n_items]"),
-    ({"kind": "tabular", "vocab": [3, 4]}, "of an id_pairs dataset"),
 ])
 def test_dataset_spec_rejects_bad_stanza(kwargs, message):
-    # an int path would open that file descriptor; a vocab on a tabular
-    # dataset used to be ignored
+    # an int path would open that file descriptor
     with pytest.raises(DataError) as err:
-        DatasetSpec(**{"kind": "id_pairs", "paths": {"train": "a.csv"}, **kwargs})
+        DatasetSpec(**{"kind": "tabular", "paths": {"train": "a.csv"}, **kwargs})
     assert message in str(err.value)
-
-
-def test_dataset_spec_reads_json_list_vocab():
-    spec = DatasetSpec(kind="id_pairs", paths={"train": "a.csv"}, vocab=[3, 4])
-    assert spec.vocab == (3, 4)
-    assert DatasetSpec(kind="id_pairs", paths={"train": "a.csv"}).vocab is None
 
 
 def test_synthetic_round_trip(tmp_path):
@@ -95,37 +81,46 @@ def test_synthetic_csv_errors(tmp_path):
         load_synthetic_csv(bad)
     # a header with no data rows used to load as a 1-D array and fail with
     # an IndexError on the first column slice
-    for kind, header in (("synthetic_csv", "pa_0,y"),
-                         ("id_pairs", "user_id,item_id,label"),
-                         ("tabular", "f_0,label")):
+    for kind, header in (("synthetic_csv", "pa_0,y"), ("tabular", "f_0,label")):
         bad.write_text(header + "\n")
         with pytest.raises(DataError, match="bad.csv: no data rows"):
             load(DatasetSpec(kind=kind, paths={"train": str(bad)}))
 
 
-def test_id_pairs_binarization(tmp_path):
+def test_tabular_label_binarization(tmp_path):
     path = tmp_path / "ratings.csv"
-    path.write_text("user_id,item_id,rating\n0,0,5\n0,1,3\n1,0,4\n1,1,1\n")
-    splits = load(DatasetSpec(kind="id_pairs", paths={"train": str(path)}))
+    path.write_text("f_0,rating\n0.5,5\n0.1,3\n0.2,4\n0.3,1\n")
+    splits = load(DatasetSpec(kind="tabular", paths={"train": str(path)}))
     assert np.array_equal(splits["train"].y, [1, 0, 1, 0])
-    assert splits["train"].x.dtype.kind == "i"
+    splits = load(DatasetSpec(kind="tabular", paths={"train": str(path)},
+                              rating_threshold=3.0))
+    assert np.array_equal(splits["train"].y, [1, 1, 1, 0])
     # already-binary labels pass through, no threshold applied
-    path.write_text("user_id,item_id,label\n0,0,1\n1,1,0\n")
-    splits = load(DatasetSpec(kind="id_pairs", paths={"train": str(path)}))
+    path.write_text("f_0,label\n0.5,1\n0.1,0\n")
+    splits = load(DatasetSpec(kind="tabular", paths={"train": str(path)}))
     assert np.array_equal(splits["train"].y, [1, 0])
 
 
-def test_id_pairs_vocab_check(tmp_path):
-    path = tmp_path / "ratings.csv"
-    path.write_text("user_id,item_id,rating\n0,7,5\n")
-    with pytest.raises(DataError):
-        load(DatasetSpec(kind="id_pairs", paths={"train": str(path)}, vocab=(2, 2)))
-    path.write_text("user_id,item_id\n0,1\n")
-    with pytest.raises(DataError):
-        load(DatasetSpec(kind="id_pairs", paths={"train": str(path)}))
-    path.write_text("user_id,item_id,rating\n1.5,0,5\n")
-    with pytest.raises(DataError, match="non-integer ids"):
-        load(DatasetSpec(kind="id_pairs", paths={"train": str(path)}))
+@pytest.mark.parametrize("kind, header", [("synthetic_csv", "pa_0,nd_0,y"),
+                                          ("tabular", "f_0,f_1,label")])
+@pytest.mark.parametrize("row", ["0.1,1", "0.1,0.2,0.3,1"], ids=["short", "long"])
+def test_rows_must_match_the_header_width(tmp_path, kind, header, row):
+    # a short row used to fail with numpy's "inhomogeneous shape" and no
+    # line; a long synthetic row loaded its unnamed column as a feature
+    path = tmp_path / "rows.csv"
+    path.write_text(f"{header}\n0.1,0.2,1\n{row}\n")
+    with pytest.raises(DataError) as err:
+        load(DatasetSpec(kind=kind, paths={"train": str(path)}))
+    assert f"rows.csv:3: expected 3 fields, got {row.count(',') + 1}" in str(err.value)
+
+
+@pytest.mark.parametrize("kind, header", [("synthetic_csv", "y"), ("tabular", "label")])
+def test_label_only_file_rejected(tmp_path, kind, header):
+    # a tabular file with no feature column used to train a 0-input encoder
+    path = tmp_path / "labels.csv"
+    path.write_text(f"{header}\n1\n0\n")
+    with pytest.raises(DataError, match="labels.csv: the header names no feature"):
+        load(DatasetSpec(kind=kind, paths={"train": str(path)}))
 
 
 def test_non_finite_features_and_labels_rejected(tmp_path):
@@ -146,11 +141,6 @@ def test_tabular_load(tmp_path):
     assert set(splits) == {"train", "test_ood"}
     assert splits["train"].x.shape == (2, 2)
     assert np.array_equal(splits["test_ood"].y, [1, 0])
-
-
-def test_infer_vocab():
-    s = Split(x=np.array([[0, 4], [2, 1]]), y=np.array([0, 1]))
-    assert infer_vocab({"train": s}) == (3, 5)
 
 
 def test_split_three_way_partition():

@@ -1,15 +1,13 @@
-"""Encoder/predictor tests: shapes, reparameterization, embeddings, and
-the predictor's cross-entropy pass."""
+"""Encoder/predictor tests: shapes, reparameterization, the flat parameter
+layout, and the predictor's cross-entropy pass."""
 
 import numpy as np
 import pytest
 
 from carr.model import (
-    DataError,
     LOGVAR_CLAMP,
     ModelParams,
     encode,
-    featurize,
     init_params,
     predict,
     predictor_xent,
@@ -24,13 +22,6 @@ def _params(seed=0, d_in=5, d_z=4):
     return init_params(Rng(seed, stream=1), d_in=d_in, d_z=d_z)
 
 
-def test_init_params_requires_one_input_spec():
-    with pytest.raises(ConfigurationError):
-        init_params(Rng(0))
-    with pytest.raises(ConfigurationError):
-        init_params(Rng(0), d_in=3, vocab=(5, 5))
-
-
 def test_vector_round_trip():
     params = _params()
     vec = params.to_vector()
@@ -39,13 +30,6 @@ def test_vector_round_trip():
     assert np.array_equal(params.to_vector(), bumped)
     with pytest.raises(ConfigurationError):
         params.from_vector(bumped[:-1])
-
-
-def test_vector_round_trip_with_embeddings():
-    params = init_params(Rng(1, stream=1), vocab=(7, 9), d_z=4)
-    vec = params.to_vector()
-    params.from_vector(vec * 2.0)
-    assert np.allclose(params.user_emb, 0.2 * Rng(1, stream=1).normal(size=(7, 32)))
 
 
 def _direct_params():
@@ -58,17 +42,11 @@ def _direct_params():
     )
 
 
-@pytest.mark.parametrize("make", [
-    _params,
-    lambda: init_params(Rng(1, stream=1), vocab=(7, 9), d_z=4),
-    _direct_params,
-], ids=["d_in", "vocab", "direct"])
+@pytest.mark.parametrize("make", [_params, _direct_params], ids=["d_in", "direct"])
 def test_arrays_are_views_of_flat(make):
     params = make()
     arrays = [params.enc_hidden, params.enc_head, params.pred_hidden, params.pred_out]
     arrays = [a for layer in arrays for a in (layer.weights, layer.bias)]
-    if params.uses_embeddings:
-        arrays += [params.user_emb, params.item_emb]
     assert params.flat.dtype == np.float64
     assert sum(a.size for a in arrays) == params.flat.size
     assert all(np.shares_memory(a, params.flat) for a in arrays)
@@ -79,18 +57,12 @@ def test_arrays_are_views_of_flat(make):
     assert params.flat.any()
 
     params.from_vector(np.arange(params.flat.size, dtype=float))
-    n_emb = params.user_emb.size + params.item_emb.size if params.uses_embeddings else 0
     first = params.enc_hidden.weights
-    assert first[0, 0] == n_emb and first[0, 1] == n_emb + 1  # layout order
+    assert first[0, 0] == 0 and first[0, 1] == 1  # layout order
     assert params.pred_out.bias[-1] == params.flat.size - 1
-    if params.uses_embeddings:
-        assert params.user_emb[0, 1] == 1.0
 
 
-@pytest.mark.parametrize("make", [
-    _params,
-    lambda: init_params(Rng(1, stream=1), vocab=(7, 9), d_z=4),
-], ids=["d_in", "vocab"])
+@pytest.mark.parametrize("make", [_params, _direct_params], ids=["d_in", "direct"])
 def test_stacked_rows_are_parameter_vectors(make):
     params = make()
     vec = params.to_vector()
@@ -105,25 +77,21 @@ def test_stacked_rows_are_parameter_vectors(make):
             assert row.activation == layer.activation
             assert np.array_equal(row.weights[k], layer.weights)
             assert np.array_equal(row.bias[k], layer.bias)
-        if params.uses_embeddings:
-            assert np.array_equal(stack.user_emb[k], params.user_emb)
-            assert np.array_equal(stack.item_emb[k], params.item_emb)
     with pytest.raises(ConfigurationError):
         params.stacked(vecs[:, :-1])
 
 
 def test_stacked_keeps_layers_below_unchanged_below():
-    params = init_params(Rng(1, stream=1), vocab=(7, 9), d_z=4)
+    params = _params()
     size = params.flat.size
     vecs = np.tile(params.flat, (3, 1))
     names = ["enc_hidden", "enc_head", "pred_hidden", "pred_out"]
-    item_stop = params.user_emb.size + params.item_emb.size
-    stack = params.stacked(vecs, item_stop - 1)  # inside the embeddings
-    assert stack.user_emb.shape == (3,) + params.user_emb.shape
+    weights_stop = params.enc_hidden.weights.size
+    stack = params.stacked(vecs, weights_stop)  # enc_hidden's bias is not below
     assert all(getattr(stack, name).weights.ndim == 3 for name in names)
-    stack = params.stacked(vecs, item_stop + params.enc_hidden.weights.size)
-    assert stack.user_emb is params.user_emb and stack.item_emb is params.item_emb
-    assert stack.enc_hidden.weights.ndim == 3  # its bias is not below
+    stack = params.stacked(vecs, weights_stop + params.enc_hidden.bias.size)
+    assert stack.enc_hidden is params.enc_hidden
+    assert stack.enc_head.weights.ndim == 3
     stack = params.stacked(vecs, size - 1)
     assert [getattr(stack, name) is getattr(params, name) for name in names] == [
         True, True, True, False]
@@ -159,16 +127,6 @@ def test_encode_logvar_clamped():
     enc = encode(params, np.zeros((1, 5)))
     assert enc.logvar.max() <= LOGVAR_CLAMP
     assert enc.head[:, 4:].min() > LOGVAR_CLAMP  # the cache keeps the raw head
-
-
-def test_featurize_oov():
-    params = init_params(Rng(4, stream=1), vocab=(3, 3), d_z=4)
-    with pytest.raises(DataError):
-        featurize(params, np.array([[3, 0]]))
-    with pytest.raises(DataError):
-        featurize(params, np.array([[0, -1]]))
-    feats = featurize(params, np.array([[1, 2]]))
-    assert feats.shape == (1, 64)
 
 
 def test_predict_shape_check():

@@ -126,21 +126,10 @@ def test_loss_and_grads_finite_difference(mode):
     assert _gradcheck(params, x, y, mode, **_offsets(mode, eps, delta, neg)) < 1e-4
 
 
-def _embedding_batch(seed, n=6):
-    # more rows than users (4) or items (5), so both columns repeat ids
-    rng = Rng(seed, stream=50)
-    params = init_params(rng, vocab=(4, 5), d_z=3)
-    x = np.stack([rng.integers(0, 4, size=n), rng.integers(0, 5, size=n)], axis=1)
-    y = rng.integers(0, 2, size=n)
-    eps, delta, neg = (s * rng.normal(size=(n, 3)) for s in (1.0, 0.05, 0.05))
-    return params, x, y, eps, delta, neg
-
-
-@pytest.mark.parametrize("make, n", [(_batch, 4), (_batch, 20), (_embedding_batch, 6)],
-                         ids=["d_in", "d_in-n20", "vocab"])
+@pytest.mark.parametrize("n", [4, 20], ids=["d_in", "d_in-n20"])
 @pytest.mark.parametrize("mode", METHODS)
-def test_loss_values_equals_loss_and_grads_totals(make, n, mode):
-    params, x, y, eps, delta, neg = make(1, n=n)
+def test_loss_values_equals_loss_and_grads_totals(n, mode):
+    params, x, y, eps, delta, neg = _batch(1, n=n)
     kw = _offsets(mode, eps, delta, neg)
     vecs = params.flat + 0.01 * Rng(2).normal(size=(9, params.flat.size))
     totals = loss_values(params, vecs, x, y, mode, **kw)
@@ -154,7 +143,7 @@ def test_loss_values_equals_loss_and_grads_totals(make, n, mode):
 
 def _unchanged_below_cases(params):
     # 0, each parameter array's start and one either side of it, and the
-    # middle of each array (inside the embeddings of an embedding model)
+    # middle of each array
     stops = np.cumsum([a.size for a in params.views(params.flat).values()])
     cases = {0}
     for start, stop in zip(np.r_[0, stops[:-1]], stops):
@@ -162,11 +151,10 @@ def _unchanged_below_cases(params):
     return sorted(int(c) for c in cases if 0 <= c < params.flat.size)
 
 
-@pytest.mark.parametrize("make, n", [(_batch, 4), (_batch, 20), (_embedding_batch, 6)],
-                         ids=["d_in", "d_in-n20", "vocab"])
+@pytest.mark.parametrize("n", [4, 20], ids=["d_in", "d_in-n20"])
 @pytest.mark.parametrize("mode", METHODS)
-def test_loss_values_unchanged_below_is_bit_identical(make, n, mode):
-    params, x, y, eps, delta, neg = make(8, n=n)
+def test_loss_values_unchanged_below_is_bit_identical(n, mode):
+    params, x, y, eps, delta, neg = _batch(8, n=n)
     kw = _offsets(mode, eps, delta, neg)
     size = params.flat.size
     for first in _unchanged_below_cases(params):
@@ -188,14 +176,6 @@ def test_loss_and_grads_rejects_wrong_shaped_offsets(offset, shape):
     params, x, y, *_ = _batch(seed=7)
     with pytest.raises(ConfigurationError):
         loss_and_grads(params, x, y, "carr", **{offset: np.zeros(shape)})
-
-
-@pytest.mark.parametrize("mode", METHODS)
-def test_loss_and_grads_embeddings_gradcheck(mode):
-    params, x, y, eps, delta, neg = _embedding_batch(seed=9)
-    # repeated ids send several rows through one embedding row (np.add.at)
-    assert len(np.unique(x[:, 0])) < len(x) and len(np.unique(x[:, 1])) < len(x)
-    assert _gradcheck(params, x, y, mode, **_offsets(mode, eps, delta, neg)) < 1e-4
 
 
 def test_carr_zero_neg_weight_equals_rcvae():
@@ -292,24 +272,17 @@ def _reference_step(params, x, y, mode, eps, lam=0.001, b=0.8, neg_weight=1.0,
     g = (g_head @ params.enc_head.weights) * np.exp(enc.hidden_neg)
     parts = [g.T @ enc.feats, g.sum(axis=0), g_head.T @ enc.hidden,
              g_head.sum(axis=0)] + pred
-    if params.uses_embeddings:
-        g_feats, half = g @ params.enc_hidden.weights, params.user_emb.shape[1]
-        user, item = np.zeros_like(params.user_emb), np.zeros_like(params.item_emb)
-        np.add.at(user, enc.ids[:, 0], g_feats[:, :half])
-        np.add.at(item, enc.ids[:, 1], g_feats[:, half:])
-        parts = [user, item] + parts
     grad = np.concatenate([part.ravel() for part in parts])
     return (positive_ll, kl, negative_ll, total), grad
 
 
 def _step_cases():
-    for make in (_batch, _embedding_batch):
-        for mode in METHODS:
-            for offsets in (False, True):
-                for stop_grad_negative in (False, True):
-                    if stop_grad_negative and mode != "carr":
-                        continue
-                    yield make, mode, offsets, stop_grad_negative
+    for mode in METHODS:
+        for offsets in (False, True):
+            for stop_grad_negative in (False, True):
+                if stop_grad_negative and mode != "carr":
+                    continue
+                yield _batch, mode, offsets, stop_grad_negative
 
 
 @pytest.mark.parametrize("make, mode, offsets, stop_grad_negative", list(_step_cases()))
@@ -386,22 +359,14 @@ if given is not None:
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(st.integers(0, 2 ** 20), st.sampled_from(METHODS), st.floats(0.0, 10.0),
            st.floats(0.0, 2.0), st.floats(0.0, 3.0), st.integers(1, 8),
-           st.integers(1, 4), st.integers(1, 8),
-           st.one_of(st.none(), st.tuples(st.integers(1, 3), st.integers(1, 3))),
-           st.booleans())
+           st.integers(1, 4), st.integers(1, 8), st.booleans())
     def test_gradients_match_finite_differences(seed, mode, lam, b, neg_weight,
-                                                d_in, d_z, n, vocab, clamp):
+                                                d_in, d_z, n, clamp):
         # stop_grad_negative is left at False: with it the analytic gradient
         # is by design not the gradient of the total
         rng = Rng(seed, stream=60)
-        if vocab is None:
-            params = init_params(rng, d_in=d_in, d_z=d_z)
-            x = rng.uniform(-1, 1, size=(n, d_in))
-        else:  # more rows than ids in either column, so both repeat
-            params = init_params(rng, vocab=vocab, d_z=d_z)
-            n += max(vocab)
-            x = np.stack([rng.integers(0, vocab[0], size=n),
-                          rng.integers(0, vocab[1], size=n)], axis=1)
+        params = init_params(rng, d_in=d_in, d_z=d_z)
+        x = rng.uniform(-1, 1, size=(n, d_in))
         y = rng.integers(0, 2, size=n)
         eps, delta, neg = (s * rng.normal(size=(n, d_z)) for s in (1.0, 0.05, 0.05))
         if clamp:

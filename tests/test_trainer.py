@@ -78,7 +78,7 @@ def test_config_numbers_typed():
 
 @pytest.mark.parametrize("cls, required", [
     (RunConfig, {}), (AttackSpec, {}), (SynthConfig, {}), (BoundInputs, {"m": 10}),
-    (DatasetSpec, {"kind": "id_pairs", "paths": {"train": "a.csv"}}),
+    (DatasetSpec, {"kind": "tabular", "paths": {"train": "a.csv"}}),
 ], ids=["RunConfig", "AttackSpec", "SynthConfig", "BoundInputs", "DatasetSpec"])
 def test_every_scalar_config_field_is_type_checked(cls, required):
     # a float, int or bool field added without its check fails here, as
@@ -286,7 +286,7 @@ def test_file_backed_splits_carve_only_what_is_missing(tmp_path, given):
         write_csv(generate(SynthConfig(n=200 if name == "train" else 30, seed=i)),
                   paths[name])
     cfg = _cfg(dataset={"kind": "synthetic_csv", "paths": paths})
-    train_split, val, test, _ = _resolve_dataset(cfg)
+    train_split, val, test = _resolve_dataset(cfg)
     assert len(train_split) == (160, 180, 200)[len(given)]
     for part, prefix in ((val, "val"), (test, "test")):
         assert len(part) == (30 if any(n.startswith(prefix) for n in given) else 20)
