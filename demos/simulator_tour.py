@@ -13,8 +13,9 @@ import tempfile
 
 import numpy as np
 
+from carr.dataio import write_csv
 from carr.infometrics import distance_correlation
-from carr.scm import SynthConfig, generate, write_csv
+from carr.scm import SynthConfig, generate
 
 
 def main():

@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 
 from . import bounds as bounds_mod
-from . import infometrics, scm as scm_mod
+from . import dataio, infometrics, scm as scm_mod
 from .model import init_params
 from .numkit import ConfigurationError, Rng, grad_check
 from .objective import loss_and_grads, loss_values
@@ -74,7 +74,7 @@ def cmd_synth(args) -> int:
     cfg = scm_mod.SynthConfig(beta=args.beta, n=args.n, seed=seed,
                               nc_cols=args.nc_cols, shared_noise=args.shared_noise)
     data = scm_mod.generate(cfg)
-    scm_mod.write_csv(data, args.out)
+    dataio.write_csv(data, args.out)
     print(f"wrote {len(data)} samples to {args.out} "
           f"(label rate {data.y.mean():.4f}, seed {seed})")
     return 0

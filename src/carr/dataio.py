@@ -3,10 +3,10 @@
 Two on-disk schemas are supported (comma-separated, header row, UTF-8,
 every data row as wide as the header, at least one feature column):
 
-* synthetic_csv: ``pa_0..pa_4,nd_0..nd_4,dc_0..dc_4[,nc_*],y`` as written
-  by the simulator;
-* tabular: ``f_0,...,f_{w-1},label`` float features, ratings binarized by
-  a configurable threshold.
+* synthetic_csv: ``pa_*,nd_*,dc_*[,nc_*],y`` as :func:`write_csv` writes a
+  simulator split;
+* tabular: ``f_0,...,f_{w-1},label`` float features, labels binarized by
+  the rule the train file picks (see :func:`load`).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ __all__ = [
     "Split",
     "load",
     "load_synthetic_csv",
+    "write_csv",
     "split_three_way",
     "batch_iter",
     "save_report",
@@ -34,7 +35,7 @@ __all__ = [
 ]
 
 KINDS = ("synthetic_csv", "tabular")
-SPLIT_NAMES = ("train", "val_iid", "test_iid", "val_ood", "test_ood")
+SPLIT_NAMES = ("train", "val", "test")
 
 
 class DataError(ValueError):
@@ -44,7 +45,7 @@ class DataError(ValueError):
 @dataclass(frozen=True)
 class DatasetSpec:
     kind: str
-    paths: dict  # split name, or "all" for one file to split, -> file path
+    paths: dict  # "train", and optionally "val" and "test", -> file path
     rating_threshold: float = 4.0
 
     def __post_init__(self):
@@ -54,11 +55,11 @@ class DatasetSpec:
                 isinstance(path, (str, os.PathLike)) for path in self.paths.values()):
             raise DataError(f"paths must map split names to files, got {self.paths!r}")
         for name in self.paths:
-            if name != "all" and name not in SPLIT_NAMES:
-                raise DataError(f"unknown split designation {name!r}")
-        names = set(self.paths)
-        if names != {"all"} and ("train" not in names or "all" in names):
-            raise DataError("paths must name a 'train' file, or an 'all' file alone")
+            if name not in SPLIT_NAMES:
+                raise DataError(f"unknown split designation {name!r}, "
+                                f"expected one of {list(SPLIT_NAMES)}")
+        if "train" not in self.paths:
+            raise DataError("paths must name a 'train' file")
         check_numbers(self, ("rating_threshold",))
 
 
@@ -131,25 +132,42 @@ def load_synthetic_csv(path) -> Split:
     )
 
 
-def _binarize(values: np.ndarray, threshold: float) -> np.ndarray:
-    if np.isin(values, (0.0, 1.0)).all():
-        return values.astype(int)
-    return (values >= threshold).astype(int)
-
-
-def _load_tabular(path, threshold):
-    _, data = _read_rows(path)
-    return Split(x=data[:, :-1], y=_binarize(data[:, -1], threshold))
+def write_csv(split: Split, path) -> None:
+    """Persist a simulator split in the layout :func:`load_synthetic_csv` reads."""
+    blocks = {"pa": split.pa, "nd": split.nd, "dc": split.dc}
+    header = [f"{name}_{i}" for name, block in blocks.items()
+              for i in range(block.shape[1])]
+    header += [f"nc_{i}" for i in range(split.x.shape[1] - len(header))] + ["y"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row, label in zip(split.x, split.y):
+            writer.writerow([f"{v:.9g}" for v in row] + [int(label)])
 
 
 def load(spec: DatasetSpec) -> dict:
-    """Load every declared file; returns {split name: Split}."""
-    out = {}
-    for name, path in spec.paths.items():
-        if spec.kind == "synthetic_csv":
-            out[name] = load_synthetic_csv(path)
-        else:
-            out[name] = _load_tabular(path, spec.rating_threshold)
+    """Load every declared file; returns {split name: Split}.  The train file
+    fixes every file's feature width and, for tabular files, the label rule:
+    labels as they are if the train labels are all 0/1, else
+    ``label >= rating_threshold``."""
+    if spec.kind == "synthetic_csv":
+        out = {name: load_synthetic_csv(path) for name, path in spec.paths.items()}
+    else:
+        rows = {name: _read_rows(path)[1] for name, path in spec.paths.items()}
+        as_is = np.isin(rows["train"][:, -1], (0.0, 1.0)).all()
+        out = {}
+        for name, data in rows.items():
+            labels = data[:, -1]
+            if as_is and not np.isin(labels, (0.0, 1.0)).all():
+                raise DataError(f"{spec.paths[name]}: labels must be 0/1, "
+                                "as in the train file")
+            out[name] = Split(x=data[:, :-1], y=(
+                labels if as_is else labels >= spec.rating_threshold).astype(int))
+    width = out["train"].x.shape[1]
+    for name, split in out.items():
+        if split.x.shape[1] != width:
+            raise DataError(f"{spec.paths[name]}: {split.x.shape[1]} feature "
+                            f"columns, but the train file has {width}")
     return out
 
 

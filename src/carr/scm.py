@@ -3,7 +3,8 @@
 Two halves live here:
 
 * a continuous synthetic-data simulator whose observation vector mixes the
-  label's parents, non-descendants and descendants, and
+  label's parents, non-descendants and descendants, drawn as a
+  :class:`carr.dataio.Split` with those blocks kept, and
 * finite-domain SCMs with exact joint enumeration and counterfactual
   (abduction-action-prediction) queries, used as oracles for the
   information-theoretic checks.
@@ -11,22 +12,20 @@ Two halves live here:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import Split
 from .numkit import Rng, check_numbers
 
 __all__ = [
     "SynthConfig",
-    "SCMDataset",
     "kappa1",
     "kappa2",
     "kappa3",
     "generate",
-    "write_csv",
     "DiscreteSCM",
     "enumerate_joint",
     "counterfactual_query",
@@ -98,21 +97,6 @@ class SynthConfig:
             raise ValueError(f"nc_cols must be >= 0, got {self.nc_cols}")
 
 
-@dataclass
-class SCMDataset:
-    """Samples from the continuous simulator with ground truth retained."""
-
-    pa: np.ndarray  # (n, 5)
-    nd: np.ndarray  # (n, 5)
-    dc: np.ndarray  # (n, 5)
-    x: np.ndarray  # (n, 15 + nc_cols)
-    y: np.ndarray  # (n,) in {0, 1}
-    config: SynthConfig
-
-    def __len__(self) -> int:
-        return self.x.shape[0]
-
-
 def _mix(a_rows: np.ndarray, u: np.ndarray, q: float) -> np.ndarray:
     """Row j of the output is a_rows[j] . u + q, batched over samples.
 
@@ -141,7 +125,7 @@ def _sigmoid(x):
     return out
 
 
-def generate(config: SynthConfig) -> SCMDataset:
+def generate(config: SynthConfig) -> Split:
     """Draw n samples from the nonlinear synthetic causal system.
 
     pa ~ Uniform(-1,1)^5 drives the binary label y through one two-branch
@@ -175,23 +159,7 @@ def generate(config: SynthConfig) -> SCMDataset:
     if cfg.nc_cols > 0:
         cols.append(rng.uniform(-1.0, 1.0, size=(n, cfg.nc_cols)))
     x = np.concatenate(cols, axis=1)
-    return SCMDataset(pa=pa, nd=nd, dc=dc, x=x, y=y, config=cfg)
-
-
-def write_csv(dataset: SCMDataset, path) -> None:
-    """Persist a synthetic dataset: pa_0..pa_4,nd_0..nd_4,dc_0..dc_4[,nc_*],y."""
-    header = (
-        [f"pa_{i}" for i in range(PA_DIM)]
-        + [f"nd_{i}" for i in range(ND_DIM)]
-        + [f"dc_{i}" for i in range(DC_DIM)]
-        + [f"nc_{i}" for i in range(dataset.config.nc_cols)]
-        + ["y"]
-    )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row, label in zip(dataset.x, dataset.y):
-            writer.writerow([f"{v:.9g}" for v in row] + [int(label)])
+    return Split(x=x, y=y, pa=pa, nd=nd, dc=dc)
 
 
 # ---------------------------------------------------------------------------

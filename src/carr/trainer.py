@@ -1,5 +1,6 @@
 """Training loop (SGD with momentum over the minmax objective), evaluation,
-and experiment orchestration with persisted reports.
+and experiment orchestration with persisted reports; a run's train, val and
+test ``dataio.Split`` come from its dataset stanza through one carve step.
 """
 
 from __future__ import annotations
@@ -219,32 +220,30 @@ def evaluate(params: ModelParams, split: Split,
 
 
 def _resolve_dataset(cfg: RunConfig):
-    """Materialize train/val/test splits from the dataset stanza.  An empty
-    test split raises before any training."""
+    """Materialize train/val/test splits from the dataset stanza, carving a
+    missing val or test split out of train.  An empty test split, or a test
+    or non-empty val split with one class, raises before any training."""
     kind = cfg.dataset.get("kind", "synthetic")
     if kind == "synthetic":
         ds = {key: value for key, value in cfg.dataset.items() if key != "kind"}
         synth = _read_stanza(scm_mod.SynthConfig, {"seed": cfg.seed, **ds}, "dataset")
-        data = scm_mod.generate(synth)
-        split = Split(x=data.x, y=data.y, pa=data.pa, nd=data.nd, dc=data.dc)
-        train_split, val, test = split_three_way(split, seed=cfg.seed + 777)
+        splits = {"train": scm_mod.generate(synth)}
     elif kind not in dataio.KINDS:  # named before any missing key of the stanza
         raise ConfigurationError(f"unknown dataset kind {kind!r}, expected one of "
                                  f"{['synthetic', *dataio.KINDS]}")
     else:
-        spec = _read_stanza(DatasetSpec, cfg.dataset, "dataset")
-        splits = dataio.load(spec)
-        train_split = splits.get("train", splits.get("all"))
-        val = splits.get("val_ood", splits.get("val_iid"))
-        test = splits.get("test_ood", splits.get("test_iid"))
-        if val is None or test is None:
-            # carve the missing parts out of train: 80/10/10, or 90/10 for one
-            shares = (0.8, 0.1) if val is None and test is None else (0.9,)
-            train_split, *carved = split_three_way(train_split, cfg.seed + 777, shares)
-            val = carved.pop(0) if val is None else val
-            test = carved.pop(0) if test is None else test
+        splits = dataio.load(_read_stanza(DatasetSpec, cfg.dataset, "dataset"))
+    train_split, val, test = (splits.get(name) for name in dataio.SPLIT_NAMES)
+    if val is None or test is None:
+        shares = (0.8, 0.1) if val is None and test is None else (0.9,)
+        train_split, *carved = split_three_way(train_split, cfg.seed + 777, shares)
+        val = carved.pop(0) if val is None else val
+        test = carved.pop(0) if test is None else test
     if len(test) == 0:
         raise ConfigurationError("the dataset leaves no rows for the test split")
+    for part in (val, test):
+        if len(part) > 0 and part.y.min() == part.y.max():
+            raise infometrics.MetricError("AUC needs both classes present")
     return train_split, val, test
 
 

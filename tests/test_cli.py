@@ -167,6 +167,8 @@ def test_train_with_an_empty_test_split_exit_2(tmp_path, capsys, monkeypatch):
      "unknown dataset keys: ['rows']"),
     ({**_SMALL, "dataset": {"kind": "tabular", "paths": "t.csv"}},
      "paths must map split names to files"),
+    ({**_SMALL, "dataset": {"kind": "tabular", "paths": {"all": "t.csv"}}},
+     "unknown split designation 'all', expected one of ['train', 'val', 'test']"),
 ])
 @pytest.mark.parametrize("seed_args", [[], ["--seed", "3"]])
 def test_train_bad_stanza_exit_2(tmp_path, capsys, doc, message, seed_args):
@@ -180,6 +182,10 @@ def test_train_bad_stanza_exit_2(tmp_path, capsys, doc, message, seed_args):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
     assert not out.exists()
+
+
+def _must_not_train(*args):
+    raise AssertionError("train ran")
 
 
 def _train_file_backed(tmp_path, dataset):
@@ -208,23 +214,58 @@ def test_train_label_only_tabular_file_exit_2(tmp_path, capsys):
     # with 0 inputs and exit 0 with auc 0.5
     (tmp_path / "labels.csv").write_text("label\n" + "0\n1\n" * 30)
     code, out = _train_file_backed(tmp_path, {
-        "kind": "tabular", "paths": {"all": str(tmp_path / "labels.csv")}})
+        "kind": "tabular", "paths": {"train": str(tmp_path / "labels.csv")}})
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "the header names no feature" in err
     assert not out.exists()
 
 
-def test_train_tabular_all_file_exit_0(tmp_path, capsys):
-    # one "all" file is split 80/10/10 like a synthetic dataset
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=(200, 3))
-    rows = "".join(f"{a:.6f},{b:.6f},{c:.6f},{int(a + b > 0)}\n" for a, b, c in x)
-    (tmp_path / "feats.csv").write_text("f_0,f_1,f_2,label\n" + rows)
+def _write_tabular(path, n, width, seed):
+    x = np.random.default_rng(seed).normal(size=(n, width))
+    rows = "".join(",".join(f"{v:.6f}" for v in row) + f",{int(row[0] + row[1] > 0)}\n"
+                   for row in x)
+    path.write_text(",".join(f"f_{i}" for i in range(width)) + ",label\n" + rows)
+    return str(path)
+
+
+def test_train_tabular_train_file_alone_exit_0(tmp_path, capsys):
+    # a train file alone is split 80/10/10 like a synthetic dataset
     code, out = _train_file_backed(tmp_path, {
-        "kind": "tabular", "paths": {"all": str(tmp_path / "feats.csv")}})
+        "kind": "tabular", "paths": {"train": _write_tabular(tmp_path / "feats.csv",
+                                                             200, 3, seed=2)}})
     assert code == 0, capsys.readouterr().err
     assert 0.0 <= json.loads(out.read_text())["metrics"]["auc"] <= 1.0
+
+
+def test_train_narrower_test_file_exit_2_before_training(tmp_path, capsys, monkeypatch):
+    # a 2-column test file against a 3-column train file used to train every
+    # epoch and only then fail in the encoder's first layer
+    monkeypatch.setattr(carr.trainer, "train", _must_not_train)
+    code, out = _train_file_backed(tmp_path, {"kind": "tabular", "paths": {
+        "train": _write_tabular(tmp_path / "train.csv", 100, 3, seed=2),
+        "test": _write_tabular(tmp_path / "test.csv", 20, 2, seed=3)}})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and (
+        "test.csv: 2 feature columns, but the train file has 3") in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("one_class", ["val", "test"])
+def test_train_one_class_val_or_test_file_exit_1_before_training(
+        tmp_path, capsys, monkeypatch, one_class):
+    # a test file of positives alone used to train every epoch before the
+    # AUC failed; an empty val split is still legal
+    monkeypatch.setattr(carr.trainer, "train", _must_not_train)
+    paths = {name: _write_tabular(tmp_path / f"{name}.csv", 40, 3, seed=i)
+             for i, name in enumerate(("train", "val", "test"))}
+    (tmp_path / f"{one_class}.csv").write_text("f_0,f_1,f_2,label\n0.1,0.2,0.3,1\n")
+    code, out = _train_file_backed(tmp_path, {"kind": "tabular", "paths": paths})
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "AUC needs both classes present" in err
+    assert not out.exists()
 
 
 def test_synth_negative_nc_cols_exit_2(tmp_path, capsys):

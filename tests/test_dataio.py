@@ -17,8 +17,9 @@ from carr.dataio import (
     load_synthetic_csv,
     save_report,
     split_three_way,
+    write_csv,
 )
-from carr.scm import SynthConfig, generate, write_csv
+from carr.scm import SynthConfig, generate
 
 
 def test_dataset_spec_validation():
@@ -26,16 +27,22 @@ def test_dataset_spec_validation():
         DatasetSpec(kind="parquet", paths={})
     with pytest.raises(DataError):
         DatasetSpec(kind="tabular", paths={"holdout": "x.csv"})
-    DatasetSpec(kind="tabular", paths={"train": "a.csv", "test_ood": "b.csv"})
-    DatasetSpec(kind="tabular", paths={"all": "a.csv"})
+    DatasetSpec(kind="tabular", paths={"train": "a.csv", "test": "b.csv"})
+    DatasetSpec(kind="tabular", paths={"train": "a.csv", "val": "b.csv",
+                                       "test": "c.csv"})
 
 
 @pytest.mark.parametrize("kwargs, message", [
     ({"paths": ["a.csv"]}, "paths must map split names to files"),
     ({"paths": {"train": 0}}, "paths must map split names to files"),
     ({"paths": {}}, "paths must name a 'train' file"),
-    ({"paths": {"test_iid": "b.csv"}}, "paths must name a 'train' file"),
-    ({"paths": {"all": "a.csv", "train": "a.csv"}}, "an 'all' file alone"),
+    ({"paths": {"test": "b.csv"}}, "paths must name a 'train' file"),
+    # the single-file and iid/ood split names are gone
+    ({"paths": {"all": "a.csv"}}, "unknown split designation 'all'"),
+    ({"paths": {"train": "a.csv", "val_iid": "b.csv"}}, "designation 'val_iid'"),
+    ({"paths": {"train": "a.csv", "test_iid": "b.csv"}}, "designation 'test_iid'"),
+    ({"paths": {"train": "a.csv", "val_ood": "b.csv"}}, "designation 'val_ood'"),
+    ({"paths": {"train": "a.csv", "test_ood": "b.csv"}}, "designation 'test_ood'"),
 ])
 def test_dataset_spec_rejects_bad_stanza(kwargs, message):
     # an int path would open that file descriptor
@@ -54,6 +61,15 @@ def test_synthetic_round_trip(tmp_path):
     assert np.allclose(split.pa, data.pa, atol=1e-7)
     assert np.allclose(split.nd, data.nd, atol=1e-7)
     assert np.allclose(split.dc, data.dc, atol=1e-7)
+    # a loaded split writes the same file back (the nc_* columns counted
+    # from the block widths) and loads byte-equal
+    again = tmp_path / "again.csv"
+    write_csv(split, again)
+    assert again.read_bytes() == path.read_bytes()
+    reloaded = load_synthetic_csv(again)
+    for name in ("x", "pa", "nd", "dc", "y"):
+        a, b = getattr(split, name), getattr(reloaded, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_synthetic_csv_errors(tmp_path):
@@ -101,6 +117,28 @@ def test_tabular_label_binarization(tmp_path):
     assert np.array_equal(splits["train"].y, [1, 0])
 
 
+def _train_and_test(tmp_path, train_body, test_body):
+    paths = {}
+    for name, body in (("train", train_body), ("test", test_body)):
+        paths[name] = str(tmp_path / f"{name}.csv")
+        (tmp_path / f"{name}.csv").write_text("f_0,label\n" + body)
+    return DatasetSpec(kind="tabular", paths=paths)
+
+
+def test_train_file_ratings_threshold_every_file(tmp_path):
+    # a test file whose ratings happen to be 0/1 used to pass through as
+    # labels while the same rating 1 in the train file mapped to 0
+    splits = load(_train_and_test(tmp_path, "0.5,5\n0.1,1\n", "0.2,1\n0.3,0\n0.4,1\n"))
+    assert np.array_equal(splits["train"].y, [1, 0])
+    assert np.array_equal(splits["test"].y, [0, 0, 0])
+
+
+def test_ratings_beside_binary_train_labels_rejected(tmp_path):
+    # 0/1 train labels pass through as they are, so every file must hold 0/1
+    with pytest.raises(DataError, match="test.csv: labels must be 0/1"):
+        load(_train_and_test(tmp_path, "0.5,1\n0.1,0\n", "0.2,1\n0.3,5\n"))
+
+
 @pytest.mark.parametrize("kind, header", [("synthetic_csv", "pa_0,nd_0,y"),
                                           ("tabular", "f_0,f_1,label")])
 @pytest.mark.parametrize("row", ["0.1,1", "0.1,0.2,0.3,1"], ids=["short", "long"])
@@ -137,10 +175,10 @@ def test_tabular_load(tmp_path):
     path = tmp_path / "feats.csv"
     path.write_text("f_0,f_1,label\n0.5,-0.5,1\n0.2,0.1,0\n")
     splits = load(DatasetSpec(kind="tabular",
-                              paths={"train": str(path), "test_ood": str(path)}))
-    assert set(splits) == {"train", "test_ood"}
+                              paths={"train": str(path), "test": str(path)}))
+    assert set(splits) == {"train", "test"}
     assert splits["train"].x.shape == (2, 2)
-    assert np.array_equal(splits["test_ood"].y, [1, 0])
+    assert np.array_equal(splits["test"].y, [1, 0])
 
 
 def test_split_three_way_partition():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from carr.dataio import write_csv
 from carr.numkit import Rng
 from carr.scm import (
     MAX_WORLDS,
@@ -17,7 +18,6 @@ from carr.scm import (
     kappa2,
     kappa3,
     random_scm,
-    write_csv,
 )
 
 

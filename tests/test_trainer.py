@@ -262,7 +262,8 @@ def test_sweep_aggregation(tmp_path):
 
 
 def test_file_backed_synthetic_dataset(tmp_path):
-    from carr.scm import SynthConfig, generate, write_csv
+    from carr.dataio import write_csv
+    from carr.scm import SynthConfig, generate
 
     path = tmp_path / "synth.csv"
     write_csv(generate(SynthConfig(beta=0.3, n=200, seed=0)), path)
@@ -273,12 +274,12 @@ def test_file_backed_synthetic_dataset(tmp_path):
     assert 0.0 <= report["metrics"]["auc"] <= 1.0
 
 
-@pytest.mark.parametrize("given", [(), ("val_iid",), ("test_ood",),
-                                   ("val_ood", "test_iid")])
+@pytest.mark.parametrize("given", [(), ("val",), ("test",), ("val", "test")])
 def test_file_backed_splits_carve_only_what_is_missing(tmp_path, given):
     # no val/test file: 80/10/10 of train; one of them: 90/10, so no carved
     # part is thrown away; both: train is used whole
-    from carr.scm import SynthConfig, generate, write_csv
+    from carr.dataio import write_csv
+    from carr.scm import SynthConfig, generate
 
     paths = {}
     for i, name in enumerate(("train", *given)):
@@ -289,12 +290,23 @@ def test_file_backed_splits_carve_only_what_is_missing(tmp_path, given):
     train_split, val, test = _resolve_dataset(cfg)
     assert len(train_split) == (160, 180, 200)[len(given)]
     for part, prefix in ((val, "val"), (test, "test")):
-        assert len(part) == (30 if any(n.startswith(prefix) for n in given) else 20)
+        assert len(part) == (30 if prefix in given else 20)
     full = generate(SynthConfig(n=200, seed=0)).x
     rows = np.vstack([train_split.x] + [part.x for part in (val, test)
                                         if len(part) != 30])
     # the carved parts and train partition the train file (CSV keeps 9 digits)
     assert np.allclose(np.sort(rows, axis=0), np.sort(full, axis=0), rtol=1e-8)
+
+
+def test_one_class_check_passes_an_empty_val_split(tmp_path):
+    # 90% of a 4-row train file keeps every row, so the carved val is empty
+    for name, body in (("train", "0.1,1\n0.2,0\n0.3,1\n0.4,0\n"),
+                       ("test", "0.5,1\n0.6,0\n")):
+        (tmp_path / f"{name}.csv").write_text("f_0,label\n" + body)
+    cfg = _cfg(dataset={"kind": "tabular", "paths": {
+        name: str(tmp_path / f"{name}.csv") for name in ("train", "test")}})
+    train_split, val, test = _resolve_dataset(cfg)
+    assert (len(train_split), len(val), len(test)) == (4, 0, 2)
 
 
 def test_unknown_dataset_keys_rejected():
