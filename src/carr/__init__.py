@@ -34,7 +34,6 @@ from .scm import (
     generate,
     kappa1,
     kappa2,
-    kappa3,
     random_scm,
 )
 from .trainer import MetricsReport, RunConfig, evaluate, run_experiment, sweep, train

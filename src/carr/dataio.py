@@ -4,7 +4,7 @@ Two on-disk schemas are supported (comma-separated, header row, UTF-8,
 every data row as wide as the header, at least one feature column):
 
 * synthetic_csv: ``pa_*,nd_*,dc_*[,nc_*],y`` as :func:`write_csv` writes a
-  simulator split;
+  simulator split, with at least one column of each of pa, nd and dc;
 * tabular: ``f_0,...,f_{w-1},label`` float features, labels binarized by
   the rule the train file picks (see :func:`load`).
 """
@@ -111,6 +111,11 @@ def _read_rows(path):
 
 def load_synthetic_csv(path) -> Split:
     """Load a simulator CSV and recover the ground-truth partition."""
+    return _load_synthetic(path)[1]
+
+
+def _load_synthetic(path) -> tuple[list[str], Split]:
+    """The header and the split of a simulator CSV."""
     header, data = _read_rows(path)
     if header[-1] != "y":
         raise DataError(f"{path}: last column must be 'y'")
@@ -123,7 +128,10 @@ def load_synthetic_csv(path) -> Split:
     y = data[:, -1]
     if not np.isin(y, (0.0, 1.0)).all():
         raise DataError(f"{path}: labels must be 0/1")
-    return Split(
+    missing = [f"{name}_*" for name in ("pa", "nd", "dc") if not blocks[name]]
+    if missing:
+        raise DataError(f"{path}: the header has no {' or '.join(missing)} column")
+    return header, Split(
         x=data[:, :-1],
         y=y.astype(int),
         pa=data[:, blocks["pa"]],
@@ -146,29 +154,34 @@ def write_csv(split: Split, path) -> None:
 
 
 def load(spec: DatasetSpec) -> dict:
-    """Load every declared file; returns {split name: Split}.  The train file
-    fixes every file's feature width and, for tabular files, the label rule:
-    labels as they are if the train labels are all 0/1, else
+    """Load every declared file; returns {split name: Split}.  Every file
+    must carry the train file's header, the same names in the same order.
+    The train file also fixes, for tabular files, the label rule: labels as
+    they are if the train labels are all 0/1, else
     ``label >= rating_threshold``."""
     if spec.kind == "synthetic_csv":
-        out = {name: load_synthetic_csv(path) for name, path in spec.paths.items()}
+        files = {name: _load_synthetic(path) for name, path in spec.paths.items()}
     else:
-        rows = {name: _read_rows(path)[1] for name, path in spec.paths.items()}
-        as_is = np.isin(rows["train"][:, -1], (0.0, 1.0)).all()
-        out = {}
-        for name, data in rows.items():
+        rows = {name: _read_rows(path) for name, path in spec.paths.items()}
+        as_is = np.isin(rows["train"][1][:, -1], (0.0, 1.0)).all()
+        files = {}
+        for name, (header, data) in rows.items():
             labels = data[:, -1]
             if as_is and not np.isin(labels, (0.0, 1.0)).all():
                 raise DataError(f"{spec.paths[name]}: labels must be 0/1, "
                                 "as in the train file")
-            out[name] = Split(x=data[:, :-1], y=(
+            files[name] = header, Split(x=data[:, :-1], y=(
                 labels if as_is else labels >= spec.rating_threshold).astype(int))
-    width = out["train"].x.shape[1]
-    for name, split in out.items():
+    train_header, train = files["train"]
+    width = train.x.shape[1]
+    for name, (header, split) in files.items():
         if split.x.shape[1] != width:
             raise DataError(f"{spec.paths[name]}: {split.x.shape[1]} feature "
                             f"columns, but the train file has {width}")
-    return out
+        if header != train_header:
+            raise DataError(f"{spec.paths[name]}: header {','.join(header)!r} "
+                            f"differs from the train file's {','.join(train_header)!r}")
+    return {name: split for name, (_, split) in files.items()}
 
 
 def split_three_way(split: Split, seed: int, shares=(0.8, 0.1)) -> list[Split]:

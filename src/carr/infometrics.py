@@ -236,8 +236,9 @@ def distance_correlation(a: np.ndarray, b: np.ndarray) -> float:
     """Sample distance correlation (biased V-statistic) between two blocks.
 
     Rows are joint observations; returns a value in [0, 1], with 0 when
-    either argument has zero distance variance (constant rows).  The
-    computation holds 4 n-by-n float64 matrices at once, so n above
+    either argument has zero distance variance (constant rows).  A block of
+    zero width has no distance to measure and raises :class:`MetricError`.
+    The computation holds 4 n-by-n float64 matrices at once, so n above
     8192 (about 2 GiB) raises :class:`MetricError`.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
@@ -249,6 +250,8 @@ def distance_correlation(a: np.ndarray, b: np.ndarray) -> float:
     n = a.shape[0]
     if n < 2 or b.shape[0] != n:
         raise QueryError("need n >= 2 paired observations")
+    if a.shape[1] == 0 or b.shape[1] == 0:
+        raise MetricError("distance correlation of a zero-width block is undefined")
     if n > _DCOR_MAX_N:
         raise MetricError(
             f"distance correlation of n={n} rows needs 4*n^2 float64 values; "

@@ -24,7 +24,6 @@ __all__ = [
     "SynthConfig",
     "kappa1",
     "kappa2",
-    "kappa3",
     "generate",
     "DiscreteSCM",
     "enumerate_joint",
@@ -63,16 +62,6 @@ def kappa2(x):
     """x where x > 0, else 0 (ReLU)."""
     x = np.asarray(x, dtype=float)
     return np.where(x > 0, x, 0.0)
-
-
-def kappa3(x):
-    """x + 0.5 where x < 0, else 0.
-
-    The paper's second branch ``kappa3(kappa2(-u))`` is 0 everywhere,
-    since ``kappa2`` is never negative, so the simulator no longer calls
-    this."""
-    x = np.asarray(x, dtype=float)
-    return np.where(x < 0, x + 0.5, 0.0)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,11 @@ import json
 import numpy as np
 import pytest
 
+import carr.cli
+import carr.numkit
 import carr.trainer
 from carr.cli import main, run_audit
+from carr.objective import loss_values
 
 
 def test_synth_writes_csv(tmp_path, capsys):
@@ -252,6 +255,39 @@ def test_train_narrower_test_file_exit_2_before_training(tmp_path, capsys, monke
     assert not out.exists()
 
 
+def test_train_permuted_test_header_exit_2_before_training(tmp_path, capsys, monkeypatch):
+    # a test file with the train file's columns in another order used to
+    # load, and the model scored permuted features
+    monkeypatch.setattr(carr.trainer, "train", _must_not_train)
+    paths = {}
+    for name, header in (("train", "pa_0,nd_0,dc_0,y"), ("test", "dc_0,pa_0,nd_0,y")):
+        paths[name] = str(tmp_path / f"{name}.csv")
+        rows = "".join(f"{i / 10},{i / 20},{i / 30},{i % 2}\n" for i in range(40))
+        (tmp_path / f"{name}.csv").write_text(f"{header}\n{rows}")
+    code, out = _train_file_backed(tmp_path, {"kind": "synthetic_csv", "paths": paths})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and (
+        "test.csv: header 'dc_0,pa_0,nd_0,y' differs from the train file's "
+        "'pa_0,nd_0,dc_0,y'") in err
+    assert not out.exists()
+
+
+def test_train_synthetic_file_without_dc_block_exit_2(tmp_path, capsys, monkeypatch):
+    # with no dc_* column the report used to give dcor_dc 0.0, as if measured
+    monkeypatch.setattr(carr.trainer, "train", _must_not_train)
+    path = tmp_path / "train.csv"
+    path.write_text("pa_0,nd_0,y\n" + "".join(
+        f"{i / 10},{i / 20},{i % 2}\n" for i in range(40)))
+    code, out = _train_file_backed(tmp_path, {"kind": "synthetic_csv",
+                                              "paths": {"train": str(path)}})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and (
+        "train.csv: the header has no dc_* column") in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("one_class", ["val", "test"])
 def test_train_one_class_val_or_test_file_exit_1_before_training(
         tmp_path, capsys, monkeypatch, one_class):
@@ -371,6 +407,29 @@ def test_audit_gradcheck_small(capsys):
     assert main(["audit", "--what", "gradcheck", "--trials", "2", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert "2/2 hold" in out
+
+
+def test_audit_gradcheck_is_the_same_at_every_chunk_size(monkeypatch):
+    # each row's loss is its own per-slice product whatever the chunk
+    # width, and the max over coordinates is exact, so the chunk bound
+    # moves no bit of the result
+    widths = []
+
+    def counted(params, vecs, *args, **kw):
+        widths.append(vecs.shape[0] // 2)
+        return loss_values(params, vecs, *args, **kw)
+
+    monkeypatch.setattr(carr.cli, "loss_values", counted)
+    committed, results = carr.numkit._CHUNK_BYTES, []
+    for bound in (2 << 20, committed, 1):  # 1: one coordinate a chunk
+        monkeypatch.setattr(carr.numkit, "_CHUNK_BYTES", bound)
+        widths.clear()
+        results.append([run_audit("gradcheck", 1, seed) for seed in range(8)])
+        if bound == committed:
+            # a trial's P = 1160 coordinates take 21 calls of at most 56
+            assert (len(widths), max(widths)) == (8 * 21, 56)
+    assert results[0] == results[1] == results[2]
+    assert all(failures == 0 for failures, _ in results[0])
 
 
 @pytest.mark.parametrize("args, message", [

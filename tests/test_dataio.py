@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -101,6 +102,51 @@ def test_synthetic_csv_errors(tmp_path):
         bad.write_text(header + "\n")
         with pytest.raises(DataError, match="bad.csv: no data rows"):
             load(DatasetSpec(kind=kind, paths={"train": str(bad)}))
+
+
+@pytest.mark.parametrize("header, missing", [
+    ("pa_0,nd_0,y", "dc_*"),
+    ("nd_0,dc_0,nc_0,y", "pa_*"),
+    ("pa_0,y", "nd_* or dc_*"),
+])
+def test_synthetic_csv_needs_every_block(tmp_path, header, missing):
+    # a header with no dc_* column used to load, and evaluate then reported
+    # that block's distance correlation as 0.0, as if measured
+    path = tmp_path / "blocks.csv"
+    width = header.count(",")
+    path.write_text(f"{header}\n" + "0.1," * width + "1\n" + "0.2," * width + "0\n")
+    message = re.escape(f"blocks.csv: the header has no {missing} column")
+    with pytest.raises(DataError, match=message):
+        load_synthetic_csv(path)
+    with pytest.raises(DataError, match=message):
+        load(DatasetSpec(kind="synthetic_csv", paths={"train": str(path)}))
+
+
+@pytest.mark.parametrize("kind, train_header, other_header", [
+    ("synthetic_csv", "pa_0,nd_0,dc_0,y", "dc_0,pa_0,nd_0,y"),  # permuted
+    ("synthetic_csv", "pa_0,nd_0,dc_0,y", "pa_0,nd_0,dc_1,y"),  # renamed
+    ("tabular", "f_0,f_1,label", "f_1,f_0,label"),  # permuted
+    ("tabular", "f_0,f_1,label", "f_0,g_1,label"),  # renamed
+    ("tabular", "f_0,f_1,label", "f_0,f_1,rating"),  # label renamed
+])
+@pytest.mark.parametrize("other", ["val", "test"])
+def test_every_file_carries_the_train_header(tmp_path, kind, train_header,
+                                             other_header, other):
+    # a test file whose columns are the train file's in another order used
+    # to load, and the model scored permuted features
+    paths = {}
+    for name, header in (("train", train_header), (other, other_header)):
+        width = header.count(",")
+        paths[name] = str(tmp_path / f"{name}.csv")
+        (tmp_path / f"{name}.csv").write_text(
+            f"{header}\n" + "0.1," * width + "1\n" + "0.2," * width + "0\n")
+    with pytest.raises(DataError, match=re.escape(
+            f"{other}.csv: header '{other_header}' differs from the train "
+            f"file's '{train_header}'")):
+        load(DatasetSpec(kind=kind, paths=paths))
+    # the same header loads
+    (tmp_path / f"{other}.csv").write_text((tmp_path / "train.csv").read_text())
+    assert set(load(DatasetSpec(kind=kind, paths=paths))) == {"train", other}
 
 
 def test_tabular_label_binarization(tmp_path):

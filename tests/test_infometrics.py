@@ -247,6 +247,14 @@ def test_distance_correlation_degenerate():
         distance_correlation(np.zeros(1), np.zeros(1))
 
 
+def test_distance_correlation_rejects_zero_width_block():
+    # a zero-width block used to read 0.0, as if measured
+    z = Rng(8).normal(size=(10, 3))
+    for a, b in ((z, np.empty((10, 0))), (np.empty((10, 0)), z)):
+        with pytest.raises(MetricError, match="zero-width"):
+            distance_correlation(a, b)
+
+
 def test_distance_correlation_accepts_1d():
     rng = Rng(7)
     a = rng.normal(size=50)

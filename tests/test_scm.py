@@ -16,12 +16,19 @@ from carr.scm import (
     generate,
     kappa1,
     kappa2,
-    kappa3,
     random_scm,
 )
 
 
 # ---- continuous simulator ----
+
+
+def kappa3(x):
+    """The paper's kappa3: x + 0.5 where x < 0, else 0.  Its second branch
+    ``kappa3(kappa2(-u))`` is 0 everywhere, since ``kappa2`` is never
+    negative, so the simulator does not call it."""
+    x = np.asarray(x, dtype=float)
+    return np.where(x < 0, x + 0.5, 0.0)
 
 
 def test_kappa_pointwise():
