@@ -19,13 +19,7 @@ from .infometrics import (
 )
 from .model import EncoderOutput, ModelParams, encode, init_params, predict
 from .numkit import DenseLayer, Rng, dense_backward, dense_forward, elu, grad_check
-from .objective import (
-    LossBreakdown,
-    assemble_loss,
-    intervene,
-    kl_gaussian,
-    loss_and_grads,
-)
+from .objective import LossBreakdown, intervene, kl_gaussian, loss_and_grads
 from .scm import (
     DiscreteSCM,
     SynthConfig,

@@ -50,11 +50,10 @@ class AttackSpec:
         return 2.5 * self.beta / self.steps
 
 
-def _row_norms(x: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
+def _row_norms(x: np.ndarray) -> np.ndarray:
     """``np.linalg.norm(x, axis=1, keepdims=True)`` bit for bit: its own
-    expression for a real 2-D array, without its dispatch.  ``squares``, an
-    array shaped like ``x``, takes ``x * x`` in place of a new array."""
-    return np.sqrt(np.add.reduce(np.multiply(x, x, out=squares), axis=1, keepdims=True))
+    expression for a real 2-D array, without its dispatch."""
+    return np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))
 
 
 def project(delta: np.ndarray, p: str, beta: float) -> np.ndarray:
@@ -63,10 +62,10 @@ def project(delta: np.ndarray, p: str, beta: float) -> np.ndarray:
     return _project_in_place(np.array(delta, dtype=float, ndmin=2), p, beta)
 
 
-def _project_in_place(delta: np.ndarray, p: str, beta: float, squares=None) -> np.ndarray:
+def _project_in_place(delta: np.ndarray, p: str, beta: float) -> np.ndarray:
     if p == "inf":
         return np.clip(delta, -beta, beta, out=delta)
-    norms = _row_norms(delta, squares)
+    norms = _row_norms(delta)
     delta *= np.where(norms > beta, beta / np.maximum(norms, 1e-300), 1.0)
     return delta
 
@@ -90,42 +89,39 @@ def pgd_attack(params: ModelParams, z0_batch: np.ndarray, y_batch: np.ndarray,
     if spec.beta == 0.0 or spec.steps == 0:
         return z0.copy()
 
-    # the iterates, allocated once per call
-    delta, best_delta, moved, z, squares = np.zeros((5, *z0.shape))
+    delta = np.zeros_like(z0)
+    best_delta = np.zeros_like(z0)
     n = z0.shape[0]
     best_loss = np.full(n, -np.inf)
-    improved = np.empty(n, dtype=bool)
     step = spec.effective_step
     # Pass k scores iterate k and, before the last, gives the gradient for
     # iterate k + 1: steps + 1 passes in all, the last without a backward.
     # A repeated iterate would score as its twin did and step to itself
     # again, so best_delta is final.
     for k in range(spec.steps + 1):
-        np.add(z0, delta, out=z)
+        z = z0 + delta
         if k < spec.steps:
             loss, grad = predictor_xent_grad(params, z, y)
         else:
             loss = predictor_xent(params, z, y)[0]
-        np.copyto(best_delta, delta, where=np.greater(loss, best_loss, out=improved)[:, None])
-        np.maximum(best_loss, loss, out=best_loss)
+        np.copyto(best_delta, delta, where=(loss > best_loss)[:, None])
+        best_loss = np.maximum(best_loss, loss)
         if k == spec.steps:
             break
         if spec.p == "inf":
             if not np.isfinite(grad).all():
                 raise FloatingPointError("non-finite attack gradient")
-            np.sign(grad, out=grad)
+            direction = np.sign(grad)
         else:
             # a non-finite entry makes its row norm non-finite, as overflow may
-            norms = _row_norms(grad, squares)
+            norms = _row_norms(grad)
             if np.count_nonzero(np.isfinite(norms)) < n and not np.isfinite(grad).all():
                 raise FloatingPointError("non-finite attack gradient")
-            grad /= np.maximum(norms, 1e-300)
-        np.multiply(grad, step, out=moved)
-        moved += delta
-        _project_in_place(moved, spec.p, spec.beta, squares)
+            direction = grad / np.maximum(norms, 1e-300)
+        moved = _project_in_place(delta + step * direction, spec.p, spec.beta)
         if moved.tobytes() == delta.tobytes():
             break
-        delta, moved = moved, delta
+        delta = moved
     return z0 + best_delta
 
 

@@ -105,6 +105,11 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _worse(worst: float, margin: float) -> float:
+    """The larger of two margins, or NaN once either is NaN."""
+    return margin if margin > worst or margin != margin else worst
+
+
 def run_audit(what: str, trials: int, seed: int, shape: str = "a"):
     """Run a named property suite; returns (failures, worst_margin)."""
     if trials < 0:
@@ -117,9 +122,8 @@ def run_audit(what: str, trials: int, seed: int, shape: str = "a"):
             lhs = infometrics.mutual_info(table, ("x",), ("z",))
             rhs = infometrics.mutual_info(table, ("x",), ("y",))
             margin = rhs - lhs
-            worst = max(worst, margin)
-            if margin > 1e-10:
-                failures += 1
+            worst = _worse(worst, margin)
+            failures += 0 if margin <= 1e-10 else 1
     elif what in ("lemma1", "lemma2"):
         for i in range(trials):
             model = scm_mod.random_scm(Rng(seed, stream=10 + i), shape=shape)
@@ -144,9 +148,8 @@ def run_audit(what: str, trials: int, seed: int, shape: str = "a"):
             joint = scm_mod.enumerate_joint(model, worlds).marginal(("pa", "y"))
             p_event = float(joint[0, 0])
             margin = abs((combined - alt) - p_event)
-            worst = max(worst, margin, max(0.0, combined - 1.0), -min(0.0, combined))
-            if margin > 1e-10 or not 0.0 <= combined <= 1.0 + 1e-10:
-                failures += 1
+            worst = _worse(worst, max(margin, combined - 1.0, -combined))
+            failures += 0 if margin <= 1e-10 and 0.0 <= combined <= 1.0 + 1e-10 else 1
     elif what == "gradcheck":
         for i in range(trials):
             rng = Rng(seed, stream=10 + i)
@@ -162,9 +165,8 @@ def run_audit(what: str, trials: int, seed: int, shape: str = "a"):
                                                 unchanged_below=first, **kw),
                 analytic, params.flat,
             )
-            worst = max(worst, err)
-            if err > 1e-4:
-                failures += 1
+            worst = _worse(worst, err)
+            failures += 0 if err <= 1e-4 else 1
     else:
         raise ConfigurationError(f"unknown audit suite {what!r}")
     return failures, worst

@@ -30,7 +30,6 @@ __all__ = [
     "LossBreakdown",
     "kl_gaussian",
     "intervene",
-    "assemble_loss",
     "encoded_loss_and_grads",
     "loss_and_grads",
     "loss_values",
@@ -76,25 +75,6 @@ def intervene(z_batch: np.ndarray, y_batch: np.ndarray, b: float = 0.8) -> np.nd
     return z + shift
 
 
-def assemble_loss(mode: str, positive_ll: float, kl: float | None = None,
-                  negative_ll: float | None = None, lam: float = 0.0,
-                  neg_weight: float = 1.0) -> LossBreakdown:
-    """Combine computed terms into the method's minimization objective."""
-    if mode not in METHODS:
-        raise ConfigurationError(f"unknown method {mode!r}")
-    total = -positive_ll
-    if mode in ("ib", "rcvae", "carr"):
-        if kl is None:
-            raise ConfigurationError(f"method {mode!r} requires the KL term")
-        total += lam * kl
-    if mode == "carr":
-        if negative_ll is None:
-            raise ConfigurationError("method 'carr' requires the negative term")
-        total += neg_weight * negative_ll
-    return LossBreakdown(positive_ll=positive_ll, kl=kl, negative_ll=negative_ll,
-                         total=total)
-
-
 def loss_and_grads(params: ModelParams, x_batch: np.ndarray, y_batch: np.ndarray,
                    mode: str, *, eps_std: np.ndarray | None = None, **loss_kw):
     """Full loss for one batch plus its flat gradient: :func:`carr.model.encode`
@@ -125,13 +105,18 @@ def _loss_forward(params: ModelParams, enc: EncoderOutput, y_batch: np.ndarray,
                   mode: str, lam: float = 0.001, b: float = 0.8,
                   neg_weight: float = 1.0, attack_delta: np.ndarray | None = None,
                   neg_delta: np.ndarray | None = None):
-    """Loss terms of one batch from its encoder forward ``enc``, assembled.
+    """Loss terms of one batch from its encoder forward ``enc``, each added
+    into the total as it is computed: ``-positive_ll`` for every method,
+    ``+ lam * kl`` for all but ``base``, ``+ neg_weight * negative_ll`` for
+    ``carr``.
 
     Returns the :class:`LossBreakdown`, the predictor caches of the
     positive and (``carr`` only) negative terms, and the KL's prior and
     ``exp(logvar)`` (None for ``base``).  Stacked parameters give every
     term a leading K axis.
     """
+    if mode not in METHODS:
+        raise ConfigurationError(f"unknown method {mode!r}")
     for name, delta in (("attack_delta", attack_delta), ("neg_delta", neg_delta)):
         if delta is not None and np.shape(delta) != enc.z.shape[-2:]:
             raise ConfigurationError(
@@ -143,11 +128,15 @@ def _loss_forward(params: ModelParams, enc: EncoderOutput, y_batch: np.ndarray,
     z_pos = enc.z if attack_delta is None else enc.z + attack_delta
     xent_pos, cache_pos = predictor_xent(params, z_pos, y)
     positive_ll = -_scalar(xent_pos.sum(-1) / len(y))
+    total = -positive_ll
 
     # KL against the conditional Gaussian prior N(y*1, I)
     prior = y[:, None].astype(float)
-    var = np.exp(enc.logvar) if mode != "base" else None
-    kl = kl_gaussian(enc.mean, enc.logvar, prior, var) if mode != "base" else None
+    kl = var = None
+    if mode != "base":
+        var = np.exp(enc.logvar)
+        kl = kl_gaussian(enc.mean, enc.logvar, prior, var)
+        total += lam * kl
 
     # Negative term on the randomly perturbed intervened representation
     negative_ll = cache_neg = None
@@ -156,8 +145,9 @@ def _loss_forward(params: ModelParams, enc: EncoderOutput, y_batch: np.ndarray,
         z_neg = z_bar if neg_delta is None else z_bar + neg_delta
         xent_neg, cache_neg = predictor_xent(params, z_neg, y)
         negative_ll = -_scalar(xent_neg.sum(-1) / len(y))
+        total += neg_weight * negative_ll
 
-    breakdown = assemble_loss(mode, positive_ll, kl, negative_ll, lam, neg_weight)
+    breakdown = LossBreakdown(positive_ll, kl, negative_ll, total)
     return breakdown, cache_pos, cache_neg, (prior, var)
 
 
@@ -181,7 +171,7 @@ def encoded_loss_and_grads(params: ModelParams, enc: EncoderOutput,
 
     # ----- backward through the predictor -----
     g_z = predictor_xent_backward(params, cache_pos, 1.0, g)[0]
-    if mode == "carr":
+    if cache_neg is not None:
         # the negative ll is ADDED to the minimized total, so its upstream
         # coefficient is -neg_weight relative to the positive branch
         g_z_neg, pred_grads_neg = predictor_xent_backward(

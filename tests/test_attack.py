@@ -62,6 +62,7 @@ def test_attack_spec_validation():
         AttackSpec(p="2", beta=0.1, step_size=0.0)
     assert AttackSpec(p="2", beta=0.1, steps=np.int64(3)).steps == 3
     assert AttackSpec(p="inf", beta=0.2, steps=8).effective_step == 2.5 * 0.2 / 8
+    assert AttackSpec(p="2", beta=0.2, steps=0).effective_step == 0.0
 
 
 @pytest.mark.parametrize("kw", [
@@ -361,7 +362,8 @@ def test_pgd_bit_identical_to_reference_on_a_diverged_predictor(monkeypatch, p):
 
 
 def test_pgd_result_outlives_the_next_call():
-    # each call sizes its own buffers by the batch and returns a new array
+    # each call allocates its own arrays, so a later call of another batch
+    # size leaves the returned one as it was
     params, z0, y = _rand_setup(22, 64, d_z=64)
     spec = AttackSpec(p="2", beta=0.3, steps=10)
     first = pgd_attack(params, z0, y, spec)

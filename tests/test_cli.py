@@ -9,7 +9,8 @@ import carr.cli
 import carr.numkit
 import carr.trainer
 from carr.cli import main, run_audit
-from carr.objective import loss_values
+from carr.numkit import ConfigurationError
+from carr.objective import loss_and_grads, loss_values
 
 
 def test_synth_writes_csv(tmp_path, capsys):
@@ -70,6 +71,17 @@ def test_train_seed_flag_overrides_config(tmp_path, capsys):
                  "--out", str(out)]) == 0
     capsys.readouterr()
     assert json.loads(out.read_text())["config"]["seed"] == 9
+
+
+@pytest.mark.parametrize("doc, seed_flag, seed", [
+    ({}, None, 42), ({"seed": 7}, None, 7), ({}, 9, 9),
+])
+def test_config_seed_from_env_only_without_flag_or_config_seed(
+        tmp_path, monkeypatch, doc, seed_flag, seed):
+    monkeypatch.setenv("CARR_SEED", "42")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**_SMALL, **doc}))
+    assert carr.cli._load_config(cfg_path, seed_flag).seed == seed
 
 
 def test_train_bad_config_exit_2(tmp_path, capsys):
@@ -401,6 +413,73 @@ def test_audit_negative_trials_exit_2(capsys):
     assert captured.out == ""
     assert "trials must be >= 0" in captured.err
     assert run_audit("dpi", 0, 0) == (0, 0.0)
+
+
+def test_run_audit_rejects_an_unknown_suite():
+    with pytest.raises(ConfigurationError, match="unknown audit suite 'everything'"):
+        run_audit("everything", 1, 0)
+
+
+@pytest.mark.parametrize("what", ["dpi", "pns", "gradcheck"])
+def test_run_audit_returns_a_count_and_a_margin(what):
+    # benchmarks/workloads.py unpacks this pair
+    failures, worst = run_audit(what, 2, 0)
+    assert isinstance(failures, int) and isinstance(worst, float)
+    assert failures == 0 and np.isfinite(worst)
+
+
+def _audit_line(capsys, what, trials):
+    assert main(["audit", "--what", what, "--trials", str(trials), "--seed", "0"]) == 1
+    return capsys.readouterr().out.strip()
+
+
+@pytest.mark.parametrize("rhs", [0.5, float("nan")])
+def test_audit_dpi_counts_every_violated_trial(monkeypatch, capsys, rhs):
+    # I(x; y) above I(x; z) breaks the inequality along the chain x - z - y;
+    # a NaN holds nothing, and stays NaN in the reported worst margin
+    info = {("z",): 0.125, ("y",): rhs}
+    monkeypatch.setattr(carr.cli.infometrics, "mutual_info",
+                        lambda table, a, b: info[b])
+    failures, worst = run_audit("dpi", 3, 0)
+    assert failures == 3
+    assert worst == 0.375 if rhs == 0.5 else np.isnan(worst)
+    assert _audit_line(capsys, "dpi", 3) == (
+        f"dpi: 0/3 hold, worst margin {worst:.3e} [FAILED]")
+
+
+@pytest.mark.parametrize("shift", [0.25, float("nan")])
+def test_audit_pns_counts_every_failed_trial(monkeypatch, capsys, shift):
+    # an alternative term that misses the identity by `shift`; trials whose
+    # query has no answer are skipped
+    pns, answered = carr.cli.infometrics.pns, []
+
+    def shifted(*args, **kw):
+        suff, nec, combined, alt = pns(*args, **kw)
+        answered.append(alt)
+        return suff, nec, combined, alt + shift
+
+    monkeypatch.setattr(carr.cli.infometrics, "pns", shifted)
+    failures, worst = run_audit("pns", 10, 0)
+    assert failures == len(answered) > 0
+    assert abs(worst - 0.25) < 1e-10 if shift == 0.25 else np.isnan(worst)
+    assert _audit_line(capsys, "pns", 10) == (
+        f"pns: {10 - failures}/10 hold, worst margin {worst:.3e} [FAILED]")
+
+
+@pytest.mark.parametrize("spoil", [1.0, float("nan")])
+def test_audit_gradcheck_counts_every_failed_trial(monkeypatch, capsys, spoil):
+    # one analytic coordinate off by `spoil`; a NaN used to read as holding
+    def spoiled(*args, **kw):
+        breakdown, grad = loss_and_grads(*args, **kw)
+        grad[7] += spoil
+        return breakdown, grad
+
+    monkeypatch.setattr(carr.cli, "loss_and_grads", spoiled)
+    failures, worst = run_audit("gradcheck", 2, 0)
+    assert failures == 2
+    assert worst > 1e-4 if spoil == 1.0 else np.isnan(worst)
+    assert _audit_line(capsys, "gradcheck", 2) == (
+        f"gradcheck: 0/2 hold, worst margin {worst:.3e} [FAILED]")
 
 
 def test_audit_gradcheck_small(capsys):

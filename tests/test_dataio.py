@@ -227,6 +227,15 @@ def test_tabular_load(tmp_path):
     assert np.array_equal(splits["test"].y, [1, 0])
 
 
+def test_blank_rows_are_skipped(tmp_path):
+    # not read as rows of the wrong width
+    path = tmp_path / "feats.csv"
+    path.write_text("f_0,f_1,label\n0.5,-0.5,1\n\n0.2,0.1,0\n\n")
+    split = load(DatasetSpec(kind="tabular", paths={"train": str(path)}))["train"]
+    assert split.x.tolist() == [[0.5, -0.5], [0.2, 0.1]]
+    assert split.y.tolist() == [1, 0]
+
+
 def test_split_three_way_partition():
     split = Split(x=np.arange(500, dtype=float)[:, None], y=np.zeros(500, dtype=int),
                   pa=np.arange(500, dtype=float)[:, None])

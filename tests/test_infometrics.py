@@ -37,6 +37,8 @@ def test_marginal_restores_axis_order():
     m = table.marginal(("c", "a"))
     assert m.shape == (4, 2)
     assert np.allclose(m, probs.sum(axis=1).T)
+    with pytest.raises(QueryError):
+        table.marginal(("a", "d"))
 
 
 def test_entropy_uniform():

@@ -113,6 +113,16 @@ def test_dense_forward_identity_math():
     assert np.array_equal(pre, out)
 
 
+@pytest.mark.parametrize("shape", [(5, 3), (6, 4)])
+def test_dense_backward_shape_check(shape):
+    # the upstream gradient must have the cached input's rows and the layer's outputs
+    layer = init_dense(Rng(0), 4, 3, "elu")
+    x = np.zeros((6, 4))
+    _, pre = dense_forward(layer, x)
+    with pytest.raises(ConfigurationError, match="upstream shape"):
+        dense_backward(layer, x, pre, np.zeros(shape))
+
+
 @pytest.mark.parametrize("activation", ["identity", "elu"])
 def test_dense_backward_gradients(activation):
     rng = Rng(11)

@@ -1,4 +1,4 @@
-"""Loss-term tests: KL closed form, intervention shift, method assembly,
+"""Loss-term tests: KL closed form, intervention shift, each method's terms,
 and end-to-end analytic gradients, also as a derandomized property test."""
 
 import numpy as np
@@ -13,7 +13,6 @@ from carr.model import LOGVAR_CLAMP, encode, init_params, predictor_xent
 from carr.numkit import ConfigurationError, Rng, grad_check
 from carr.objective import (
     METHODS,
-    assemble_loss,
     encoded_loss_and_grads,
     intervene,
     kl_gaussian,
@@ -72,30 +71,6 @@ def test_intervene_shift():
     assert np.allclose(out[y == 1], -0.8)
 
 
-def test_assemble_loss_terms():
-    out = assemble_loss("carr", positive_ll=-0.4, kl=2.0, negative_ll=-1.5,
-                        lam=0.01, neg_weight=0.5)
-    assert abs(out.total - (0.4 + 0.02 - 0.75)) < 1e-12
-    base = assemble_loss("base", positive_ll=-0.4)
-    assert base.total == 0.4
-
-
-def test_assemble_loss_missing_components():
-    with pytest.raises(ConfigurationError):
-        assemble_loss("ib", positive_ll=-0.4)
-    with pytest.raises(ConfigurationError):
-        assemble_loss("carr", positive_ll=-0.4, kl=1.0)
-    with pytest.raises(ConfigurationError):
-        assemble_loss("vae", positive_ll=-0.4)
-
-
-def test_lambda_linearity():
-    kl = 3.7
-    t1 = assemble_loss("ib", positive_ll=-1.0, kl=kl, lam=0.001).total
-    t2 = assemble_loss("ib", positive_ll=-1.0, kl=kl, lam=0.201).total
-    assert abs((t2 - t1) - 0.2 * kl) < 1e-12
-
-
 def _batch(seed, n=4, d_in=5, d_z=3):
     rng = Rng(seed, stream=50)
     params = init_params(rng, d_in=d_in, d_z=d_z)
@@ -118,6 +93,42 @@ def _gradcheck(params, x, y, mode, **kw):
     return grad_check(lambda vecs, first: loss_values(params, vecs, x, y, mode,
                                                       unchanged_below=first, **kw),
                       analytic, params.flat)
+
+
+# the terms each method adds to -positive_ll, in the order they are added
+_TERMS = {"base": (), "ib": ("kl",), "rcvae": ("kl",), "carr": ("kl", "negative_ll")}
+
+
+@pytest.mark.parametrize("mode", METHODS)
+def test_loss_total_adds_the_methods_terms(mode):
+    params, x, y, eps, delta, neg = _batch(seed=4)
+    weights = {"kl": 0.01, "negative_ll": 0.5}
+    out, _ = loss_and_grads(params, x, y, mode, lam=weights["kl"],
+                            neg_weight=weights["negative_ll"],
+                            **_offsets(mode, eps, delta, neg))
+    total = -out.positive_ll
+    for term in ("kl", "negative_ll"):
+        value = getattr(out, term)
+        assert (value is not None) == (term in _TERMS[mode])
+        if value is not None:
+            total += weights[term] * value
+    assert out.total == total  # bit for bit
+
+
+def test_lambda_linearity():
+    params, x, y, eps, *_ = _batch(seed=5)
+    low, _ = loss_and_grads(params, x, y, "ib", eps_std=eps, lam=0.001)
+    high, _ = loss_and_grads(params, x, y, "ib", eps_std=eps, lam=0.201)
+    assert (high.positive_ll, high.kl) == (low.positive_ll, low.kl)
+    assert abs((high.total - low.total) - 0.2 * low.kl) < 1e-12
+
+
+def test_unknown_method_rejected():
+    params, x, y, *_ = _batch(seed=6)
+    with pytest.raises(ConfigurationError, match="unknown method 'vae'"):
+        loss_and_grads(params, x, y, "vae")
+    with pytest.raises(ConfigurationError, match="unknown method 'vae'"):
+        loss_values(params, params.flat[None], x, y, "vae")
 
 
 @pytest.mark.parametrize("mode", METHODS)
