@@ -127,14 +127,11 @@ def run_audit(what: str, trials: int, seed: int, shape: str = "a"):
     elif what in ("lemma1", "lemma2"):
         for i in range(trials):
             model = scm_mod.random_scm(Rng(seed, stream=10 + i), shape=shape)
-            if what == "lemma1":
-                lhs, rhs, ok = infometrics.check_lemma1(model)
-                worst = max(worst, lhs - rhs)
-                failures += 0 if ok else 1
-            else:
-                ineq1, ineq2 = infometrics.check_lemma2(model)
-                worst = max(worst, ineq1[0] - ineq1[1], ineq2[0] - ineq2[1])
-                failures += 0 if (ineq1[2] and ineq2[2]) else 1
+            ineqs = ((infometrics.check_lemma1(model),) if what == "lemma1"
+                     else infometrics.check_lemma2(model))
+            for lhs, rhs, _ in ineqs:
+                worst = _worse(worst, lhs - rhs)
+            failures += 0 if all(ok for _, _, ok in ineqs) else 1
     elif what == "pns":
         for i in range(trials):
             model = scm_mod.random_scm(Rng(seed, stream=10 + i), shape=shape)

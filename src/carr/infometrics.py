@@ -65,18 +65,22 @@ class JointTable:
         object.__setattr__(self, "probs", probs)
 
     def axes(self, variables) -> tuple:
+        variables = tuple(variables)
         try:
-            return tuple(self.names.index(v) for v in variables)
-        except ValueError as exc:
-            raise QueryError(str(exc)) from None
+            return tuple(map(self.names.index, variables))
+        except ValueError:
+            unknown = next(v for v in variables if v not in self.names)
+            raise QueryError(f"variable {unknown!r} is not one of the table's "
+                             f"names {self.names}") from None
 
     def marginal(self, variables) -> np.ndarray:
         keep = self.axes(variables)
         drop = tuple(i for i in range(len(self.names)) if i not in keep)
         m = self.probs.sum(axis=drop)
+        if all(a < b for a, b in zip(keep, keep[1:])):  # already sum()'s order
+            return m
         # sum() collapses axes in index order; restore the requested order
-        order = tuple(sorted(keep).index(a) for a in keep)
-        return np.transpose(m, order)
+        return np.transpose(m, tuple(sorted(keep).index(a) for a in keep))
 
 
 def _h(p: np.ndarray) -> float:
@@ -165,17 +169,18 @@ def pns(scm: DiscreteSCM, z_var: str, z_val: int, y_var: str, y_val: int,
     """
     worlds = worlds or _worlds(scm)
     joint_zy = enumerate_joint(scm, worlds).marginal((z_var, y_var))
+    p_event_nec = float(joint_zy[z_val, y_val])
+    p_event_suff = 0.0
+    if p_event_nec > 0:  # else the sufficiency event need not be summed
+        mask = np.ones_like(joint_zy, dtype=bool)
+        mask[z_val, :] = False
+        mask[:, y_val] = False
+        p_event_suff = float(joint_zy[mask].sum())
+    if p_event_suff <= 0:
+        raise QueryError("PNS conditioning events must have nonzero probability")
+
     not_z = frozenset(range(scm.domains[z_var])) - {z_val}
     not_y = frozenset(range(scm.domains[y_var])) - {y_val}
-
-    mask = np.ones_like(joint_zy, dtype=bool)
-    mask[z_val, :] = False
-    mask[:, y_val] = False
-    p_event_suff = float(joint_zy[mask].sum())
-    p_event_nec = float(joint_zy[z_val, y_val])
-
-    if p_event_suff <= 0 or p_event_nec <= 0:
-        raise QueryError("PNS conditioning events must have nonzero probability")
 
     cf_suff = counterfactual_query(scm, {z_var: not_z, y_var: not_y}, {z_var: z_val},
                                    y_var, worlds)

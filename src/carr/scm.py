@@ -180,18 +180,17 @@ class DiscreteSCM:
                     raise ValueError(f"order is not topological: {p} after {v}")
             seen.add(v)
             table = np.asarray(self.tables[v])
-            expected = tuple(self.domains[p] for p in self.parents[v]) + (
-                len(self.exo_dists[v]),
-            )
+            expected = (*(self.domains[p] for p in self.parents[v]),
+                        len(self.exo_dists[v]))
             if table.shape != expected:
                 raise ValueError(
                     f"table for {v} has shape {table.shape}, expected {expected}"
                 )
-            entries = table.ravel().tolist()  # builtin min/max beat 2 reductions
+            entries = table.ravel().tolist()  # builtin min/max/sum beat reductions
             if min(entries) < 0 or max(entries) >= self.domains[v]:
                 raise ValueError(f"table for {v} leaves its domain")
-            pmf = np.asarray(self.exo_dists[v], dtype=float)
-            if min(pmf.tolist()) < 0 or not abs(pmf.sum() - 1.0) <= 1e-9:  # or NaN
+            pmf = np.asarray(self.exo_dists[v], dtype=float).tolist()
+            if min(pmf) < 0 or not abs(sum(pmf) - 1.0) <= 1e-9:  # or NaN
                 raise ValueError(f"exogenous pmf for {v} is not a distribution")
 
     def evaluate(self, exo: dict, intervention: dict | None = None) -> dict:
@@ -208,7 +207,7 @@ class DiscreteSCM:
             if v in intervention:
                 values[v] = np.broadcast_to(intervention[v], shape)
                 continue
-            idx = tuple(values[p] for p in self.parents[v]) + (exo[v],)
+            idx = (*map(values.__getitem__, self.parents[v]), exo[v])
             values[v] = np.asarray(self.tables[v])[idx]
         if shape == ():
             return {v: int(x) for v, x in values.items()}
@@ -220,7 +219,7 @@ def _worlds(scm: DiscreteSCM):
 
     Returns ({node: (W,) exogenous values}, (W,) probabilities, {node: (W,)
     factual values}); each probability is the left-to-right product of the
-    pmfs, from 1.0.  Raises :class:`CapacityError` above ``MAX_WORLDS``.
+    pmfs.  Raises :class:`CapacityError` above ``MAX_WORLDS``.
     """
     sizes = [len(scm.exo_dists[v]) for v in scm.order]
     count = math.prod(sizes)
@@ -228,9 +227,10 @@ def _worlds(scm: DiscreteSCM):
         raise CapacityError(f"exogenous state space exceeds {MAX_WORLDS}")
     # row-major digits of the world number, as np.indices would give them
     exo = dict(zip(scm.order, np.unravel_index(np.arange(count), sizes)))
-    prob = np.ones(count)
-    for v, e in exo.items():
-        prob *= np.asarray(scm.exo_dists[v], dtype=float)[e]
+    factors = (np.asarray(scm.exo_dists[v], dtype=float)[e] for v, e in exo.items())
+    prob = next(factors)
+    for factor in factors:  # one at a time: a list of them costs page faults
+        prob *= factor
     return exo, prob, scm.evaluate(exo)
 
 
@@ -267,12 +267,15 @@ def counterfactual_query(scm: DiscreteSCM, evidence: dict, intervention: dict,
     for var, want in evidence.items():
         if not isinstance(want, (set, frozenset, tuple, list)):
             want = (want,)
-        mask &= np.logical_or.reduce([values[var] == w for w in want])
-    z = np.cumsum(np.where(mask, prob, 0.0))[-1]
+        allowed = np.array([w in want for w in range(scm.domains[var])])
+        mask &= allowed[values[var]]
+    kept = prob[mask]
+    # sequential, like the world-at-a-time sum; skipped worlds would add 0.0
+    z = np.cumsum(kept)[-1] if kept.size else 0.0
     if z <= 0.0:
         raise InferenceError(f"evidence {evidence} has zero probability")
     after = scm.evaluate({v: e[mask] for v, e in exo.items()}, intervention)
-    return np.bincount(after[target], weights=prob[mask] / z,
+    return np.bincount(after[target], weights=kept / z,
                        minlength=scm.domains[target])
 
 
@@ -286,31 +289,26 @@ def random_scm(rng: Rng, shape: str = "a", max_domain: int = 4,
     """
     if shape not in ("a", "b"):
         raise ValueError(f"shape must be 'a' or 'b', got {shape!r}")
-
-    def dom():
-        return int(rng.integers(2, max_domain + 1))
-
-    domains = {"pa": dom(), "nd": dom(), "y": dom(), "dc": dom()}
+    order = ("pa", "nd", "y", "dc")
+    # draw order: domains, exogenous sizes, pmfs, tables, each over ``order``
+    domains = {v: int(rng.integers(2, max_domain + 1)) for v in order}
     parents = {
         "pa": (),
         "nd": ("pa",),
         "y": ("pa",),
         "dc": ("pa", "y") if shape == "b" else ("y",),
     }
-
-    def pmf(k):
+    exo_sizes = [1 if deterministic else int(rng.integers(2, 4)) for _ in order]
+    exo_dists = {}
+    for v, k in zip(order, exo_sizes):
         if deterministic:
-            out = np.zeros(k)
-            out[int(rng.integers(0, k))] = 1.0
-            return out
-        w = rng.uniform(0.05, 1.0, size=k)
-        return w / w.sum()
-
-    exo_sizes = {v: (1 if deterministic else int(rng.integers(2, 4))) for v in domains}
-    exo_dists = {v: pmf(exo_sizes[v]) for v in domains}
-    tables = {}
-    for v in ("pa", "nd", "y", "dc"):
-        shape_v = tuple(domains[p] for p in parents[v]) + (exo_sizes[v],)
-        tables[v] = rng.integers(0, domains[v], size=shape_v)
-    return DiscreteSCM(order=("pa", "nd", "y", "dc"), domains=domains,
-                       parents=parents, tables=tables, exo_dists=exo_dists)
+            exo_dists[v] = np.zeros(k)
+            exo_dists[v][int(rng.integers(0, k))] = 1.0
+        else:
+            w = rng.uniform(0.05, 1.0, size=k)
+            exo_dists[v] = w / w.sum()
+    tables = {v: rng.integers(0, domains[v],
+                              size=(*(domains[p] for p in parents[v]), k))
+              for v, k in zip(order, exo_sizes)}
+    return DiscreteSCM(order=order, domains=domains, parents=parents,
+                       tables=tables, exo_dists=exo_dists)

@@ -420,7 +420,7 @@ def test_run_audit_rejects_an_unknown_suite():
         run_audit("everything", 1, 0)
 
 
-@pytest.mark.parametrize("what", ["dpi", "pns", "gradcheck"])
+@pytest.mark.parametrize("what", ["dpi", "lemma1", "lemma2", "pns", "gradcheck"])
 def test_run_audit_returns_a_count_and_a_margin(what):
     # benchmarks/workloads.py unpacks this pair
     failures, worst = run_audit(what, 2, 0)
@@ -445,6 +445,36 @@ def test_audit_dpi_counts_every_violated_trial(monkeypatch, capsys, rhs):
     assert worst == 0.375 if rhs == 0.5 else np.isnan(worst)
     assert _audit_line(capsys, "dpi", 3) == (
         f"dpi: 0/3 hold, worst margin {worst:.3e} [FAILED]")
+
+
+@pytest.mark.parametrize("lhs", [0.5, float("nan")])
+def test_audit_lemma1_counts_every_violated_trial(monkeypatch, capsys, lhs):
+    # I(pa; nd, dc) above I(pa; nd, y) breaks Lemma 1; a NaN holds nothing,
+    # and stays NaN in the reported worst margin
+    info = {("nd", "dc"): lhs, ("nd", "y"): 0.125}
+    monkeypatch.setattr(carr.cli.infometrics, "mutual_info",
+                        lambda table, a, b: info[b])
+    failures, worst = run_audit("lemma1", 3, 0)
+    assert failures == 3
+    assert worst == 0.375 if lhs == 0.5 else np.isnan(worst)
+    assert _audit_line(capsys, "lemma1", 3) == (
+        f"lemma1: 0/3 hold, worst margin {worst:.3e} [FAILED]")
+
+
+@pytest.mark.parametrize("spoiled", [1, 2])
+def test_audit_lemma2_keeps_a_nan_from_either_inequality(monkeypatch, capsys,
+                                                         spoiled):
+    # one inequality reads NaN, the other holds by a wide margin; the NaN
+    # fails the trial and stays in the reported worst margin
+    nan = float("nan")
+    info = {("nd", "dc"): nan if spoiled == 1 else 0.0,
+            ("y",): nan if spoiled == 2 else 0.0, ("nd", "y"): 0.5}
+    monkeypatch.setattr(carr.cli.infometrics, "mutual_info",
+                        lambda table, a, b: info[b])
+    failures, worst = run_audit("lemma2", 3, 0)
+    assert failures == 3 and np.isnan(worst)
+    assert _audit_line(capsys, "lemma2", 3) == (
+        "lemma2: 0/3 hold, worst margin nan [FAILED]")
 
 
 @pytest.mark.parametrize("shift", [0.25, float("nan")])

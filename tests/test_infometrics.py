@@ -37,7 +37,8 @@ def test_marginal_restores_axis_order():
     m = table.marginal(("c", "a"))
     assert m.shape == (4, 2)
     assert np.allclose(m, probs.sum(axis=1).T)
-    with pytest.raises(QueryError):
+    with pytest.raises(QueryError, match=r"^variable 'd' is not one of the "
+                                         r"table's names \('a', 'b', 'c'\)$"):
         table.marginal(("a", "d"))
 
 

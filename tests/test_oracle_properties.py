@@ -159,6 +159,21 @@ def test_prebuilt_worlds_give_the_same_bytes(query):
 
 
 @SETTINGS
+@given(st.integers(0, 2 ** 20), st.sampled_from("ab"), st.sampled_from([2, 4]))
+def test_marginal_equals_sum_then_transpose(seed, shape, max_domain):
+    # marginal returns the sum as it is when the requested order is sorted
+    table = enumerate_joint(random_scm(Rng(seed), shape=shape, max_domain=max_domain))
+    names = table.names
+    for size in range(1, len(names) + 1):
+        for subset in itertools.permutations(names, size):
+            keep = [names.index(v) for v in subset]
+            drop = tuple(i for i in range(len(names)) if i not in keep)
+            order = tuple(np.argsort(np.argsort(keep)))
+            want = np.transpose(table.probs.sum(axis=drop), order)
+            assert _same_bits(table.marginal(subset), want)
+
+
+@SETTINGS
 @given(scms(), st.data())
 def test_pns_readings_differ_by_event_probability(scm, data):
     z_val, z_alt = data.draw(st.permutations(range(scm.domains["pa"])))[:2]

@@ -211,6 +211,7 @@ def _one_node(table, pmf, domain=2):
     ([0, 1], [0.5, 0.6], "exogenous pmf for x is not a distribution"),
     ([0, 1], [np.nan, 1.0], "exogenous pmf for x is not a distribution"),
     ([0, 1], [1.0, np.nan], "exogenous pmf for x is not a distribution"),
+    ([0, 1], [0.5, 0.5 + 2e-9], "exogenous pmf for x is not a distribution"),
 ])
 def test_discrete_scm_rejects_bad_tables_and_pmfs(table, pmf, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -219,6 +220,11 @@ def test_discrete_scm_rejects_bad_tables_and_pmfs(table, pmf, message):
 
 def test_discrete_scm_accepts_a_table_at_its_domain_edges():
     assert _one_node([1, 0, 1], [0.25, 0.25, 0.5]).evaluate({"x": 2}) == {"x": 1}
+
+
+def test_discrete_scm_accepts_a_pmf_within_its_tolerance():
+    # the sum may miss 1 by up to 1e-9; 2e-9 is rejected above
+    assert _one_node([0, 1], [0.5, 0.5 + 5e-10]).evaluate({"x": 1}) == {"x": 1}
 
 
 def test_evaluate_and_intervention():
@@ -277,6 +283,20 @@ def test_counterfactual_identity():
 def test_counterfactual_set_evidence():
     dist = counterfactual_query(_identity_chain(), {"x": {0, 1}}, {}, "y")
     assert np.allclose(dist, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("want", [{0, 7}, {0, -1}])
+def test_counterfactual_evidence_ignores_values_outside_the_domain(want):
+    # a negative value must not index from the end and admit x = 1
+    scm = _identity_chain()
+    dist = counterfactual_query(scm, {"x": want}, {}, "y")
+    assert dist.tolist() == [1.0, 0.0]
+    assert dist.tobytes() == counterfactual_query(scm, {"x": {0}}, {}, "y").tobytes()
+
+
+def test_counterfactual_evidence_outside_the_domain_has_zero_probability():
+    with pytest.raises(InferenceError):
+        counterfactual_query(_identity_chain(), {"x": 7}, {}, "y")
 
 
 def test_counterfactual_zero_probability_evidence():
