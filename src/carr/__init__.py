@@ -27,7 +27,6 @@ from .scm import (
     enumerate_joint,
     generate,
     kappa1,
-    kappa2,
     random_scm,
 )
 from .trainer import MetricsReport, RunConfig, evaluate, run_experiment, sweep, train

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, predictor_xent, predictor_xent_grad
-from .numkit import Rng, check_numbers
+from .numkit import check_numbers
 
 __all__ = ["AttackSpec", "project", "pgd_attack", "random_ball"]
 
@@ -125,7 +125,8 @@ def pgd_attack(params: ModelParams, z0_batch: np.ndarray, y_batch: np.ndarray,
     return z0 + best_delta
 
 
-def random_ball(z_batch: np.ndarray, p: str, beta: float, rng: Rng) -> np.ndarray:
+def random_ball(z_batch: np.ndarray, p: str, beta: float,
+                rng: np.random.Generator) -> np.ndarray:
     """Add an independent uniform draw from the p-ball to every row."""
     z = np.asarray(z_batch, dtype=float)
     _check_norm(p)
@@ -134,7 +135,7 @@ def random_ball(z_batch: np.ndarray, p: str, beta: float, rng: Rng) -> np.ndarra
     n, d = z.shape
     if p == "inf":
         return z + rng.uniform(-beta, beta, size=(n, d))
-    direction = rng.normal(size=(n, d))
+    direction = rng.standard_normal(size=(n, d))
     direction /= np.maximum(_row_norms(direction), 1e-300)
     radius = beta * rng.uniform(0.0, 1.0, size=(n, 1)) ** (1.0 / d)
     return z + radius * direction

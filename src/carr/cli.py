@@ -153,9 +153,9 @@ def run_audit(what: str, trials: int, seed: int, shape: str = "a"):
             params = init_params(rng, d_in=5, d_z=3)
             xb = rng.uniform(-1, 1, size=(4, 5))
             yb = rng.integers(0, 2, size=4)
-            kw = dict(eps_std=rng.normal(size=(4, 3)),
-                      attack_delta=0.05 * rng.normal(size=(4, 3)),
-                      neg_delta=0.05 * rng.normal(size=(4, 3)))
+            kw = dict(eps_std=rng.standard_normal(size=(4, 3)),
+                      attack_delta=0.05 * rng.standard_normal(size=(4, 3)),
+                      neg_delta=0.05 * rng.standard_normal(size=(4, 3)))
             _, analytic = loss_and_grads(params, xb, yb, "carr", **kw)
             err = grad_check(
                 lambda vecs, first: loss_values(params, vecs, xb, yb, "carr",

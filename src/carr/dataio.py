@@ -189,7 +189,7 @@ def split_three_way(split: Split, seed: int, shares=(0.8, 0.1)) -> list[Split]:
     each that share of the rows (rounded), then the rest.  The default is
     the 80/10/10 train/val/test split; ``(0.9,)`` carves one 10% part."""
     n = len(split)
-    idx = Rng(seed).shuffle_index(n)
+    idx = Rng(seed).permutation(n)
     cuts = np.cumsum([int(round(share * n)) for share in shares])
     return [split.take(part) for part in np.split(idx, cuts)]
 
@@ -199,7 +199,7 @@ def batch_iter(x: np.ndarray, y: np.ndarray, batch_size: int, seed: int):
     if batch_size < 1:
         raise DataError("batch_size must be >= 1")
     n = x.shape[0]
-    idx = Rng(seed).shuffle_index(n)
+    idx = Rng(seed).permutation(n)
     for start in range(0, n, batch_size):
         sel = idx[start:start + batch_size]
         yield x[sel], y[sel]

@@ -67,11 +67,15 @@ class JointTable:
     def axes(self, variables) -> tuple:
         variables = tuple(variables)
         try:
-            return tuple(map(self.names.index, variables))
+            axes = tuple(map(self.names.index, variables))
         except ValueError:
             unknown = next(v for v in variables if v not in self.names)
             raise QueryError(f"variable {unknown!r} is not one of the table's "
                              f"names {self.names}") from None
+        if len(set(axes)) < len(axes):
+            repeated = next(v for i, v in enumerate(variables) if v in variables[:i])
+            raise QueryError(f"variable {repeated!r} is named more than once")
+        return axes
 
     def marginal(self, variables) -> np.ndarray:
         keep = self.axes(variables)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .numkit import (ConfigurationError, DenseLayer, Rng, dense_backward, dense_forward,
+from .numkit import (ConfigurationError, DenseLayer, dense_backward, dense_forward,
                      dense_input_grad, init_dense)
 
 __all__ = [
@@ -131,7 +131,7 @@ class ModelParams:
         self.flat[:] = vec
 
 
-def init_params(rng: Rng, d_in: int, d_z: int = 64) -> ModelParams:
+def init_params(rng: np.random.Generator, d_in: int, d_z: int = 64) -> ModelParams:
     """Fresh parameters for ``d_in`` input features."""
     return ModelParams(
         enc_hidden=init_dense(rng, d_in, HIDDEN, "elu"),

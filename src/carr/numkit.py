@@ -79,34 +79,18 @@ def _key_sequence() -> type:
     return KeySequence
 
 
-class Rng:
-    """Counter-based deterministic random stream (Philox under the hood).
+def Rng(seed: int, stream: int = 0) -> np.random.Generator:
+    """The counter-based Philox generator keyed by (seed, stream).
 
     Identical (seed, stream) pairs produce bit-identical draws: those of
     ``Generator(Philox(key=seed mod 2**64 + stream * 2**64))``.
     """
-
-    def __init__(self, seed: int, stream: int = 0):
-        self.seed = int(seed)
-        self.stream = int(stream)
-        key = (self.seed & 0xFFFFFFFFFFFFFFFF) | (self.stream << 64)
-        if not 0 <= key < 1 << 128:  # Philox's own check and message
-            raise ValueError("key must be positive and less than 2**128.")
-        # Philox(key=key) reads the key as two 64-bit words, low word first
-        words = np.array([key & 0xFFFFFFFFFFFFFFFF, key >> 64], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(_key_sequence()(words)))
-
-    def uniform(self, lo: float = 0.0, hi: float = 1.0, size=None) -> np.ndarray:
-        return self._gen.uniform(lo, hi, size=size)
-
-    def normal(self, size=None) -> np.ndarray:
-        return self._gen.standard_normal(size=size)
-
-    def integers(self, lo: int, hi: int, size=None):
-        return self._gen.integers(lo, hi, size=size)
-
-    def shuffle_index(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
+    key = (int(seed) & 0xFFFFFFFFFFFFFFFF) | (int(stream) << 64)
+    if not 0 <= key < 1 << 128:  # Philox's own check and message
+        raise ValueError("key must be positive and less than 2**128.")
+    # Philox(key=key) reads the key as two 64-bit words, low word first
+    words = np.array([key & 0xFFFFFFFFFFFFFFFF, key >> 64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(_key_sequence()(words)))
 
 
 def elu(x):
@@ -161,7 +145,7 @@ class DenseLayer:
         return self.weights.shape[-2]
 
 
-def init_dense(rng: Rng, in_dim: int, out_dim: int,
+def init_dense(rng: np.random.Generator, in_dim: int, out_dim: int,
                activation: str = "identity") -> DenseLayer:
     """Glorot-uniform initialized layer with zero bias."""
     scale = np.sqrt(6.0 / (in_dim + out_dim))

@@ -23,7 +23,6 @@ from .numkit import Rng, check_numbers
 __all__ = [
     "SynthConfig",
     "kappa1",
-    "kappa2",
     "generate",
     "DiscreteSCM",
     "enumerate_joint",
@@ -58,12 +57,6 @@ def kappa1(x):
     return np.where(x > 0, x - 0.5, 0.0)
 
 
-def kappa2(x):
-    """x where x > 0, else 0 (ReLU)."""
-    x = np.asarray(x, dtype=float)
-    return np.where(x > 0, x, 0.0)
-
-
 @dataclass(frozen=True)
 class SynthConfig:
     beta: float = 0.3  # exogenous noise variance
@@ -86,22 +79,16 @@ class SynthConfig:
             raise ValueError(f"nc_cols must be >= 0, got {self.nc_cols}")
 
 
-def _mix(a_rows: np.ndarray, u: np.ndarray, q: float) -> np.ndarray:
-    """Row j of the output is a_rows[j] . u + q, batched over samples.
-
-    u: (n, width), a_rows: (k, width) -> (n, k)
-    """
-    return u @ a_rows.T + q
-
-
 def _two_branch(a_rows: np.ndarray, base: np.ndarray, noise: np.ndarray,
                 q: float) -> np.ndarray:
     """The simulator's shared two-branch composition before its sigmoid, as
-    it acts: v1 + v1 * q with v1 = A . k1(k2([base, noise])) + q, per output
-    coordinate.  The second branch v2 = A . k3(k2([-base, -noise])) + q of
-    v1 + v1 * v2 is q itself, because k3(k2(.)) is identically 0.
+    it acts: v1 + v1 * q with v1 = A . k1([base, noise]) + q, per output
+    coordinate.  The paper's v1 applies k1 after the ReLU k2, but k1(k2(.))
+    is k1 byte for byte: both give 0.0 wherever k2 does.  The second branch
+    v2 = A . k3(k2([-base, -noise])) + q of v1 + v1 * v2 is q itself,
+    because k3(k2(.)) is identically 0.
     """
-    v1 = _mix(a_rows, kappa1(kappa2(np.concatenate([base, noise], axis=1))), q)
+    v1 = kappa1(np.concatenate([base, noise], axis=1)) @ a_rows.T + q
     return v1 + v1 * q
 
 
@@ -124,21 +111,21 @@ def generate(config: SynthConfig) -> Split:
     """
     cfg = config
     wrng = Rng(cfg.weight_seed)
-    a_nd = wrng.normal(size=(ND_DIM, PA_DIM * 2))
-    a_y = wrng.normal(size=(1, PA_DIM * 2))
-    a_dc = wrng.normal(size=(DC_DIM, 1 + PA_DIM))
+    a_nd = wrng.standard_normal(size=(ND_DIM, PA_DIM * 2))
+    a_y = wrng.standard_normal(size=(1, PA_DIM * 2))
+    a_dc = wrng.standard_normal(size=(DC_DIM, 1 + PA_DIM))
 
     rng = Rng(cfg.seed)
     n = cfg.n
     pa = rng.uniform(-1.0, 1.0, size=(n, PA_DIM))
     sd = np.sqrt(cfg.beta)
-    eps1 = cfg.noise_mean + sd * rng.normal(size=(n, PA_DIM))
+    eps1 = cfg.noise_mean + sd * rng.standard_normal(size=(n, PA_DIM))
     if cfg.shared_noise:
         eps2 = eps1
         eps3 = eps1
     else:
-        eps2 = cfg.noise_mean + sd * rng.normal(size=(n, PA_DIM))
-        eps3 = cfg.noise_mean + sd * rng.normal(size=(n, PA_DIM))
+        eps2 = cfg.noise_mean + sd * rng.standard_normal(size=(n, PA_DIM))
+        eps3 = cfg.noise_mean + sd * rng.standard_normal(size=(n, PA_DIM))
 
     nd = _sigmoid(_two_branch(a_nd, pa, eps2, cfg.q))
     y = (_two_branch(a_y, pa, eps1, cfg.q)[:, 0] > 0).astype(int)
@@ -179,9 +166,13 @@ class DiscreteSCM:
                 if p not in seen:
                     raise ValueError(f"order is not topological: {p} after {v}")
             seen.add(v)
+            pmf = np.asarray(self.exo_dists[v], dtype=float)
+            weights = pmf.ravel().tolist()
+            if (pmf.ndim != 1 or min(weights, default=0.0) < 0
+                    or not abs(sum(weights) - 1.0) <= 1e-9):  # or NaN
+                raise ValueError(f"exogenous pmf for {v} is not a distribution")
             table = np.asarray(self.tables[v])
-            expected = (*(self.domains[p] for p in self.parents[v]),
-                        len(self.exo_dists[v]))
+            expected = (*(self.domains[p] for p in self.parents[v]), pmf.size)
             if table.shape != expected:
                 raise ValueError(
                     f"table for {v} has shape {table.shape}, expected {expected}"
@@ -189,9 +180,6 @@ class DiscreteSCM:
             entries = table.ravel().tolist()  # builtin min/max/sum beat reductions
             if min(entries) < 0 or max(entries) >= self.domains[v]:
                 raise ValueError(f"table for {v} leaves its domain")
-            pmf = np.asarray(self.exo_dists[v], dtype=float).tolist()
-            if min(pmf) < 0 or not abs(sum(pmf) - 1.0) <= 1e-9:  # or NaN
-                raise ValueError(f"exogenous pmf for {v} is not a distribution")
 
     def evaluate(self, exo: dict, intervention: dict | None = None) -> dict:
         """Deterministic world(s) given exogenous values and optional do().
@@ -279,7 +267,7 @@ def counterfactual_query(scm: DiscreteSCM, evidence: dict, intervention: dict,
                        minlength=scm.domains[target])
 
 
-def random_scm(rng: Rng, shape: str = "a", max_domain: int = 4,
+def random_scm(rng: np.random.Generator, shape: str = "a", max_domain: int = 4,
                deterministic: bool = False) -> DiscreteSCM:
     """Random four-node SCM in the pa/nd/y/dc causal shapes.
 

@@ -78,9 +78,6 @@ class RunConfig:
                 "robust training mode requires a positive training-attack radius"
             )
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
         return _read_stanza(cls, doc, "config",
@@ -116,9 +113,6 @@ class MetricsReport:
     dcor_nd: float | None = None
     dcor_dc: float | None = None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def train(config: RunConfig, train_split: Split, val_split: Split | None = None):
     """Optimize the configured objective; returns (params, history).
@@ -152,7 +146,7 @@ def train(config: RunConfig, train_split: Split, val_split: Split | None = None)
             batch_iter(train_split.x, train_split.y, cfg.batch_size,
                        seed=cfg.seed * 100003 + epoch)
         ):
-            enc = encode(params, xb, rng_eps.normal(size=(len(yb), cfg.d_z)))
+            enc = encode(params, xb, rng_eps.standard_normal(size=(len(yb), cfg.d_z)))
             attack_delta = None
             if robust:
                 z_adv = pgd_attack(params, enc.z, yb, cfg.attack)
@@ -254,8 +248,8 @@ def run_experiment(config: RunConfig, out_path=None, aggregate_path=None) -> dic
     params, history = train(config, train_split, val_split)
     metrics = evaluate(params, test_split, config.eval_attack)
     report = {
-        "config": config.to_dict(),
-        "metrics": metrics.to_dict(),
+        "config": asdict(config),
+        "metrics": asdict(metrics),
         "history": history,
         "wall_clock_s": time.time() - start,
     }
@@ -264,7 +258,7 @@ def run_experiment(config: RunConfig, out_path=None, aggregate_path=None) -> dic
     if aggregate_path is not None:
         row = {"method": config.method, "mode": config.training_mode,
                "p": config.eval_attack.p, "seed": config.seed}
-        row.update({k: v for k, v in metrics.to_dict().items() if v is not None})
+        row.update({k: v for k, v in report["metrics"].items() if v is not None})
         dataio.append_aggregate_row(aggregate_path, row)
     return report
 
@@ -289,7 +283,7 @@ def sweep(config: RunConfig, n_seeds: int, out_dir=None) -> dict:
     for key in keys:
         vals = np.array([r["metrics"][key] for r in reports], dtype=float)
         aggregate[key] = {"mean": float(vals.mean()), "std": float(vals.std(ddof=0))}
-    summary = {"config": config.to_dict(), "n_seeds": n_seeds,
+    summary = {"config": asdict(config), "n_seeds": n_seeds,
                "aggregate": aggregate}
     if out_dir is not None:
         dataio.save_report(summary, os.path.join(out_dir, "sweep_summary.json"))

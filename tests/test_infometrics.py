@@ -40,6 +40,10 @@ def test_marginal_restores_axis_order():
     with pytest.raises(QueryError, match=r"^variable 'd' is not one of the "
                                          r"table's names \('a', 'b', 'c'\)$"):
         table.marginal(("a", "d"))
+    with pytest.raises(QueryError, match=r"^variable 'c' is named more than once$"):
+        table.marginal(("c", "a", "c"))
+    with pytest.raises(QueryError, match=r"^variable 'a' is named more than once$"):
+        entropy(table, ("a", "a"))
 
 
 def test_entropy_uniform():

@@ -22,14 +22,14 @@ _EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, -745.0, -746.0, np.inf, -np.inf])
 
 
 def test_rng_same_key_identical():
-    a = Rng(7, stream=3).normal(size=100)
-    b = Rng(7, stream=3).normal(size=100)
+    a = Rng(7, stream=3).standard_normal(size=100)
+    b = Rng(7, stream=3).standard_normal(size=100)
     assert np.array_equal(a, b)
 
 
 def test_rng_streams_independent():
-    a = Rng(7, stream=1).normal(size=100)
-    b = Rng(7, stream=2).normal(size=100)
+    a = Rng(7, stream=1).standard_normal(size=100)
+    b = Rng(7, stream=2).standard_normal(size=100)
     assert not np.array_equal(a, b)
 
 
@@ -41,11 +41,12 @@ def test_rng_is_the_keyed_philox_generator(seed, stream):
     # Rng hands Philox its key without Philox(key=...)'s discarded SeedSequence
     want = np.random.Generator(np.random.Philox(key=seed % 2 ** 64 + stream * 2 ** 64))
     rng = Rng(seed, stream)
-    assert repr(rng._gen.bit_generator.state) == repr(want.bit_generator.state)
+    assert isinstance(rng, np.random.Generator)
+    assert repr(rng.bit_generator.state) == repr(want.bit_generator.state)
     for got, expected in ((rng.uniform(-1.0, 2.0, size=9), want.uniform(-1.0, 2.0, size=9)),
-                          (rng.normal(size=(3, 4)), want.standard_normal(size=(3, 4))),
+                          (rng.standard_normal(size=(3, 4)), want.standard_normal(size=(3, 4))),
                           (rng.integers(0, 7, size=11), want.integers(0, 7, size=11)),
-                          (rng.shuffle_index(20), want.permutation(20)),
+                          (rng.permutation(20), want.permutation(20)),
                           (rng.uniform(), want.uniform())):
         got, expected = np.asarray(got), np.asarray(expected)
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
@@ -61,7 +62,7 @@ def test_rng_rejects_keys_outside_128_bits_as_philox_does(stream):
 
 
 def test_rng_shuffle_is_permutation():
-    idx = Rng(3).shuffle_index(50)
+    idx = Rng(3).permutation(50)
     assert sorted(idx.tolist()) == list(range(50))
 
 

@@ -15,12 +15,18 @@ from carr.scm import (
     enumerate_joint,
     generate,
     kappa1,
-    kappa2,
     random_scm,
 )
 
 
 # ---- continuous simulator ----
+
+
+def kappa2(x):
+    """The paper's kappa2, a ReLU: x where x > 0, else 0.  The simulator
+    leaves it out, because kappa1 gives 0.0 wherever kappa2 does."""
+    x = np.asarray(x, dtype=float)
+    return np.where(x > 0, x, 0.0)
 
 
 def kappa3(x):
@@ -31,6 +37,11 @@ def kappa3(x):
     return np.where(x < 0, x + 0.5, 0.0)
 
 
+def _mix(a_rows, u, q):
+    """The paper's mixing step: row j of the output is a_rows[j] . u + q."""
+    return u @ a_rows.T + q
+
+
 def test_kappa_pointwise():
     x = np.array([-1.0, -0.25, 0.0, 0.25, 1.0])
     assert np.allclose(kappa1(x), [0.0, 0.0, 0.0, -0.25, 0.5])
@@ -38,9 +49,15 @@ def test_kappa_pointwise():
     assert np.allclose(kappa3(x), [-0.5, 0.25, 0.0, 0.0, 0.0])
 
 
+def test_kappa1_after_kappa2_is_kappa1_byte_for_byte():
+    edges = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]
+    x = np.concatenate([edges, Rng(21).standard_normal(size=10_000)])
+    assert kappa1(kappa2(x)).tobytes() == kappa1(x).tobytes()
+
+
 def _two_branch_generate(cfg):
     # the simulator written with both branches, as the paper states it
-    from carr.scm import DC_DIM, ND_DIM, PA_DIM, _mix, _sigmoid
+    from carr.scm import DC_DIM, ND_DIM, PA_DIM, _sigmoid
 
     def two_branch(a, base, noise):
         u = np.concatenate([base, noise], axis=1)
@@ -49,14 +66,14 @@ def _two_branch_generate(cfg):
         return v1 + v1 * v2
 
     wrng = Rng(cfg.weight_seed)
-    a_nd = wrng.normal(size=(ND_DIM, PA_DIM * 2))
-    a_y = wrng.normal(size=(1, PA_DIM * 2))
-    a_dc = wrng.normal(size=(DC_DIM, 1 + PA_DIM))
+    a_nd = wrng.standard_normal(size=(ND_DIM, PA_DIM * 2))
+    a_y = wrng.standard_normal(size=(1, PA_DIM * 2))
+    a_dc = wrng.standard_normal(size=(DC_DIM, 1 + PA_DIM))
     rng = Rng(cfg.seed)
     pa = rng.uniform(-1.0, 1.0, size=(cfg.n, PA_DIM))
-    eps = [cfg.noise_mean + np.sqrt(cfg.beta) * rng.normal(size=(cfg.n, PA_DIM))]
+    eps = [cfg.noise_mean + np.sqrt(cfg.beta) * rng.standard_normal(size=(cfg.n, PA_DIM))]
     eps += eps * 2 if cfg.shared_noise else [
-        cfg.noise_mean + np.sqrt(cfg.beta) * rng.normal(size=(cfg.n, PA_DIM))
+        cfg.noise_mean + np.sqrt(cfg.beta) * rng.standard_normal(size=(cfg.n, PA_DIM))
         for _ in range(2)]
     nd = _sigmoid(two_branch(a_nd, pa, eps[1]))
     y = (two_branch(a_y, pa, eps[0])[:, 0] > 0).astype(int)
@@ -212,6 +229,11 @@ def _one_node(table, pmf, domain=2):
     ([0, 1], [np.nan, 1.0], "exogenous pmf for x is not a distribution"),
     ([0, 1], [1.0, np.nan], "exogenous pmf for x is not a distribution"),
     ([0, 1], [0.5, 0.5 + 2e-9], "exogenous pmf for x is not a distribution"),
+    # a pmf must be 1-D, whatever shape the table has
+    ([0, 1], [[0.5], [0.5]], "exogenous pmf for x is not a distribution"),
+    ([[0, 1]], [[0.5, 0.5]], "exogenous pmf for x is not a distribution"),
+    ([0], 1.0, "exogenous pmf for x is not a distribution"),
+    ([], [], "exogenous pmf for x is not a distribution"),
 ])
 def test_discrete_scm_rejects_bad_tables_and_pmfs(table, pmf, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

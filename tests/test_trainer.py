@@ -103,7 +103,7 @@ def test_every_scalar_config_field_is_type_checked(cls, required):
 def test_config_dict_round_trip():
     cfg = _cfg(method="ib", training_mode="standard",
                attack=AttackSpec(p="2", beta=0.0), seed=3)
-    doc = cfg.to_dict()
+    doc = dataclasses.asdict(cfg)
     assert RunConfig.from_dict(doc) == cfg
     assert json.loads(json.dumps(doc)) == doc  # JSON-serializable
 
@@ -192,7 +192,7 @@ def test_run_experiment_deterministic(tmp_path):
     assert first["metrics"] == second["metrics"]  # bit-exact replay
     on_disk = json.loads((tmp_path / "report.json").read_text())
     assert on_disk["metrics"] == first["metrics"]
-    assert on_disk["config"] == cfg.to_dict()
+    assert on_disk["config"] == dataclasses.asdict(cfg)
 
 
 def test_carr_zero_neg_weight_reproduces_rcvae():
