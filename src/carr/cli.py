@@ -170,6 +170,8 @@ def run_audit(what: str, trials: int, seed: int, shape: str = "a"):
 
 
 def cmd_audit(args) -> int:
+    if args.trials == 0:  # run_audit rejects a negative count
+        raise ConfigurationError("trials must be >= 1: an audit of 0 trials checks nothing")
     seed = args.seed if args.seed is not None else _default_seed()
     failures, worst = run_audit(args.what, args.trials, seed, args.shape)
     status = "ok" if failures == 0 else "FAILED"

@@ -169,8 +169,15 @@ def pns(scm: DiscreteSCM, z_var: str, z_val: int, y_var: str, y_val: int,
     positive-counterfactual necessary term instead; the two differ by
     exactly P(Z=z, Y=y).  "Z != z" as an intervention target is realized
     by the single designated alternative value ``z_alt``.  ``worlds`` is
-    :func:`carr.scm._worlds` of this model, built here when None.
+    :func:`carr.scm._worlds` of this model, built here when None.  A
+    ``z_val`` or ``y_val`` outside its domain, or ``z_alt == z_val``, raises
+    ``ValueError``; a zero-probability event raises :class:`QueryError`.
     """
+    for var, val in ((z_var, z_val), (y_var, y_val)):
+        if var not in scm.domains or val not in range(scm.domains[var]):
+            raise ValueError(f"{var}={val!r} is outside the model's domains")
+    if z_alt == z_val:
+        raise ValueError(f"z_alt={z_alt!r} equals z_val, so it cannot stand for Z != z")
     worlds = worlds or _worlds(scm)
     joint_zy = enumerate_joint(scm, worlds).marginal((z_var, y_var))
     p_event_nec = float(joint_zy[z_val, y_val])
@@ -202,11 +209,10 @@ def pns(scm: DiscreteSCM, z_var: str, z_val: int, y_var: str, y_val: int,
 def random_markov_chain(rng) -> JointTable:
     """Random joint over a chain X - Z - Y of three-valued variables:
     p(x) p(z|x) p(y|z)."""
-    px = rng.uniform(0.05, 1.0, size=3)
+    w = rng.uniform(0.05, 1.0, size=21)  # one draw, cut in draw order
+    px, pzx, pyz = w[:3], w[3:12].reshape(3, 3), w[12:].reshape(3, 3)
     px /= px.sum()
-    pzx = rng.uniform(0.05, 1.0, size=(3, 3))
     pzx /= pzx.sum(axis=1, keepdims=True)
-    pyz = rng.uniform(0.05, 1.0, size=(3, 3))
     pyz /= pyz.sum(axis=1, keepdims=True)
     probs = px[:, None, None] * pzx[:, :, None] * pyz[None, :, :]
     return JointTable(names=("x", "z", "y"), probs=probs)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -247,6 +248,9 @@ def counterfactual_query(scm: DiscreteSCM, evidence: dict, intervention: dict,
     intervention.  Prediction: push the posterior through the mutated model.
     ``worlds`` is :func:`_worlds` of this model, built here when None.
     """
+    for var in (*evidence, target):
+        if var not in scm.domains:
+            raise ValueError(f"variable {var!r} is not in the model")
     for var, val in intervention.items():
         if var not in scm.domains or val not in range(scm.domains[var]):
             raise ValueError(f"do({var}={val!r}) is outside the model's domains")
@@ -274,29 +278,41 @@ def random_scm(rng: np.random.Generator, shape: str = "a", max_domain: int = 4,
     shape "a": pa -> y, pa -> nd, y -> dc.
     shape "b": additionally pa -> dc (pa confounds y and dc).
     ``deterministic`` collapses every exogenous pmf to a point mass.
+    ``max_domain`` is the largest domain size, an integer >= 2.
     """
     if shape not in ("a", "b"):
         raise ValueError(f"shape must be 'a' or 'b', got {shape!r}")
+    if (isinstance(max_domain, bool) or not isinstance(max_domain, (int, np.integer))
+            or max_domain < 2):
+        raise ValueError(f"max_domain must be an integer >= 2, got {max_domain!r}")
     order = ("pa", "nd", "y", "dc")
-    # draw order: domains, exogenous sizes, pmfs, tables, each over ``order``
-    domains = {v: int(rng.integers(2, max_domain + 1)) for v in order}
     parents = {
         "pa": (),
         "nd": ("pa",),
         "y": ("pa",),
         "dc": ("pa", "y") if shape == "b" else ("y",),
     }
-    exo_sizes = [1 if deterministic else int(rng.integers(2, 4)) for _ in order]
-    exo_dists = {}
-    for v, k in zip(order, exo_sizes):
-        if deterministic:
-            exo_dists[v] = np.zeros(k)
-            exo_dists[v][int(rng.integers(0, k))] = 1.0
-        else:
-            w = rng.uniform(0.05, 1.0, size=k)
+    # One Philox call per kind of draw, in the order of one call per node:
+    # domains, exogenous sizes, pmfs, tables, each over ``order``.  NumPy
+    # takes a bounded integer from one 32-bit word (none for a single value)
+    # whether its bound is a scalar or per element, so the numbers match.
+    # Slices cut the draws apart: ``np.split``'s overhead gives the gain back.
+    draws = rng.integers(2, [max_domain + 1] * 4
+                         + ([] if deterministic else [4] * 4)).tolist()
+    domains = dict(zip(order, draws))
+    exo_sizes = draws[4:] or [1] * 4
+    if deterministic:
+        exo_dists = {v: np.ones(1) for v in order}
+    else:
+        weights = rng.uniform(0.05, 1.0, size=sum(exo_sizes))
+        exo_dists = {}
+        for v, k, end in zip(order, exo_sizes, accumulate(exo_sizes)):
+            w = weights[end - k:end]
             exo_dists[v] = w / w.sum()
-    tables = {v: rng.integers(0, domains[v],
-                              size=(*(domains[p] for p in parents[v]), k))
-              for v, k in zip(order, exo_sizes)}
+    shapes = [(*(domains[p] for p in parents[v]), k) for v, k in zip(order, exo_sizes)]
+    sizes = [math.prod(s) for s in shapes]
+    entries = rng.integers(0, np.repeat(draws[:4], sizes))
+    tables = {v: entries[end - n:end].reshape(s)
+              for v, s, n, end in zip(order, shapes, sizes, accumulate(sizes))}
     return DiscreteSCM(order=order, domains=domains, parents=parents,
                        tables=tables, exo_dists=exo_dists)

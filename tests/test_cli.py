@@ -415,6 +415,16 @@ def test_audit_negative_trials_exit_2(capsys):
     assert run_audit("dpi", 0, 0) == (0, 0.0)
 
 
+@pytest.mark.parametrize("what", ["dpi", "pns", "gradcheck"])
+def test_audit_of_zero_trials_exit_2(monkeypatch, capsys, what):
+    # an audit of nothing must not pass; it fails before any suite runs
+    monkeypatch.setattr("carr.cli.run_audit", lambda *a: pytest.fail("suite ran"))
+    assert main(["audit", "--what", what, "--trials", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: trials must be >= 1" in captured.err
+
+
 def test_run_audit_rejects_an_unknown_suite():
     with pytest.raises(ConfigurationError, match="unknown audit suite 'everything'"):
         run_audit("everything", 1, 0)

@@ -153,6 +153,29 @@ def test_dpi_mutual_infos_equal_separate_entropy_calls():
             assert float(mutual_info(table, a, b)).hex() == float(want).hex()
 
 
+def _per_factor_markov_chain(rng):
+    """The reference for ``random_markov_chain``: one uniform draw per
+    factor."""
+    px = rng.uniform(0.05, 1.0, size=3)
+    px /= px.sum()
+    pzx = rng.uniform(0.05, 1.0, size=(3, 3))
+    pzx /= pzx.sum(axis=1, keepdims=True)
+    pyz = rng.uniform(0.05, 1.0, size=(3, 3))
+    pyz /= pyz.sum(axis=1, keepdims=True)
+    return px[:, None, None] * pzx[:, :, None] * pyz[None, :, :]
+
+
+def test_random_markov_chain_draws_the_per_factor_numbers():
+    for seed in range(4):
+        for stream in range(20):
+            got_rng, want_rng = Rng(seed, stream), Rng(seed, stream)
+            got = random_markov_chain(got_rng).probs
+            want = _per_factor_markov_chain(want_rng)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
+
+
 def test_entropies_are_kept_per_ordered_variable_tuple():
     # axis order changes the summation order, so ("a", "b") and ("b", "a")
     # are kept apart; each equals its own fresh computation
@@ -217,6 +240,20 @@ def test_pns_difference_identity_random():
         assert abs((combined - alt) - joint.probs[0, 0]) < 1e-10
         checked += 1
     assert checked > 10  # zero-probability events skip the rest
+
+
+@pytest.mark.parametrize("args, message", [
+    (("z", 2, "y", 1, 0), "z=2 is outside"),
+    (("z", -1, "y", 1, 0), "z=-1 is outside"),
+    (("z", 1, "y", 2, 0), "y=2 is outside"),
+    (("z", 1, "w", 1, 0), "w=1 is outside"),
+    (("z", 1, "y", 1, 1), "z_alt=1 equals z_val"),
+])
+def test_pns_rejects_a_bad_query_by_name(args, message):
+    # a ValueError, not the QueryError that the audit reads as a skipped trial
+    with pytest.raises(ValueError, match=message) as info:
+        pns(_identity_scm(), *args[:4], z_alt=args[4])
+    assert not isinstance(info.value, QueryError)
 
 
 def test_pns_zero_probability_event():

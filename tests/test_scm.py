@@ -335,6 +335,12 @@ def test_counterfactual_rejects_bad_intervention(intervention):
         counterfactual_query(_identity_chain(), {"x": 0}, intervention, "y")
 
 
+@pytest.mark.parametrize("evidence, target", [({"w": 0}, "y"), ({"x": 0}, "w")])
+def test_counterfactual_rejects_a_variable_the_model_lacks(evidence, target):
+    with pytest.raises(ValueError, match="variable 'w' is not in the model"):
+        counterfactual_query(_identity_chain(), evidence, {}, target)
+
+
 def test_random_scm_structure():
     a = random_scm(Rng(0, stream=1), shape="a")
     assert a.parents["dc"] == ("y",)
@@ -355,3 +361,58 @@ def test_random_scm_joint_normalizes():
     for i in range(10):
         table = enumerate_joint(random_scm(Rng(2, stream=i), shape="b"))
         assert abs(table.probs.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("max_domain", [1, 0, -3, 2.5, 4.0, True, "4", None])
+def test_random_scm_rejects_a_bad_max_domain(max_domain):
+    rng = Rng(0, stream=1)
+    before = repr(rng.bit_generator.state)
+    with pytest.raises(ValueError, match=f"max_domain must be an integer >= 2, "
+                                         f"got {max_domain!r}"):
+        random_scm(rng, max_domain=max_domain)
+    assert repr(rng.bit_generator.state) == before  # rejected before any draw
+
+
+def _per_node_random_scm(rng, shape="a", max_domain=4, deterministic=False):
+    """The reference for ``random_scm``: one generator call per node and
+    kind of draw."""
+    order = ("pa", "nd", "y", "dc")
+    domains = {v: int(rng.integers(2, max_domain + 1)) for v in order}
+    parents = {"pa": (), "nd": ("pa",), "y": ("pa",),
+               "dc": ("pa", "y") if shape == "b" else ("y",)}
+    exo_sizes = [1 if deterministic else int(rng.integers(2, 4)) for _ in order]
+    exo_dists = {}
+    for v, k in zip(order, exo_sizes):
+        if deterministic:
+            exo_dists[v] = np.zeros(k)
+            exo_dists[v][int(rng.integers(0, k))] = 1.0
+        else:
+            w = rng.uniform(0.05, 1.0, size=k)
+            exo_dists[v] = w / w.sum()
+    tables = {v: rng.integers(0, domains[v],
+                              size=(*(domains[p] for p in parents[v]), k))
+              for v, k in zip(order, exo_sizes)}
+    return DiscreteSCM(order=order, domains=domains, parents=parents,
+                       tables=tables, exo_dists=exo_dists)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("deterministic", [False, True])
+@pytest.mark.parametrize("max_domain", [2, 3, 4, 6])
+def test_random_scm_draws_the_per_node_numbers(max_domain, deterministic):
+    for seed in range(4):
+        for stream in range(10):
+            for shape in "ab":
+                got_rng, want_rng = Rng(seed, stream), Rng(seed, stream)
+                got = random_scm(got_rng, shape, max_domain, deterministic)
+                want = _per_node_random_scm(want_rng, shape, max_domain, deterministic)
+                assert got.domains == want.domains
+                assert all(type(d) is int for d in got.domains.values())
+                for v in want.order:
+                    assert _same_bits(got.tables[v], want.tables[v])
+                    assert _same_bits(got.exo_dists[v], want.exo_dists[v])
+                assert _same_bits(enumerate_joint(got).probs, enumerate_joint(want).probs)
+                assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
