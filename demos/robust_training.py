@@ -1,9 +1,11 @@
 """Train the four methods on synthetic data and compare them under attack.
 
 Methods: plain cross-entropy (base), the KL-regularized bottleneck (ib),
-the adversarially trained bottleneck (rcvae), and the full objective with
-the counterfactual negative term (carr).  Evaluation attacks the learned
-representation with 10-step PGD in an L2 ball of radius 0.3.
+rcvae, which assembles the same loss as ib today, and the full objective
+with the counterfactual negative term (carr).  Any method trains on
+PGD-attacked representations when its training mode is robust; here rcvae
+and carr do, so rcvae differs from ib only in that.  Evaluation attacks the
+learned representation with 10-step PGD in an L2 ball of radius 0.3.
 
 The robustness story is stark: methods trained on attacked representations
 keep most of their attacked AUC, the rest collapse.  The dcor columns show

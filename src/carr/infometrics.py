@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scm import DiscreteSCM, _worlds, counterfactual_query, enumerate_joint
+from .scm import (DiscreteSCM, _check_value, _worlds, counterfactual_query,
+                  enumerate_joint)
 
 __all__ = [
     "JointTable",
@@ -59,7 +60,7 @@ class JointTable:
         probs = np.array(self.probs, dtype=float)
         if probs.ndim != len(self.names):
             raise QueryError("probs must have one axis per variable")
-        if probs.min() < -1e-12 or abs(probs.sum() - 1.0) > 1e-9:
+        if not (probs.min() >= -1e-12 and abs(probs.sum() - 1.0) <= 1e-9):  # NaN fails
             raise QueryError("probabilities must be nonnegative and sum to 1")
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
@@ -146,7 +147,9 @@ def check_lemma2(scm: DiscreteSCM):
     """Two inequalities with X read as the tuple (pa, nd, dc).
 
     1. I(pa; nd, dc) <= I(pa; X) where I(pa; X) = H(pa) since pa is part
-       of X (the mixing function is injective).
+       of X (the mixing function is injective).  This holds for every
+       joint table, since no mutual information with pa exceeds H(pa), so
+       it cannot fail but by roundoff.
     2. I(pa; y) <= I(pa; nd, y).
     """
     table = _role_table(scm)
@@ -168,14 +171,17 @@ def pns(scm: DiscreteSCM, z_var: str, z_val: int, y_var: str, y_val: int,
     ``combined = sufficient + necessary`` and ``alternative`` subtracts the
     positive-counterfactual necessary term instead; the two differ by
     exactly P(Z=z, Y=y).  "Z != z" as an intervention target is realized
-    by the single designated alternative value ``z_alt``.  ``worlds`` is
-    :func:`carr.scm._worlds` of this model, built here when None.  A
-    ``z_val`` or ``y_val`` outside its domain, or ``z_alt == z_val``, raises
-    ``ValueError``; a zero-probability event raises :class:`QueryError`.
+    by the single designated alternative value ``z_alt``, so the
+    decomposition is the PNS only for binary Z and Y; on larger domains it
+    can differ from the per-world P(Y(do z) = y, Y(do z_alt) != y).
+    ``worlds`` is :func:`carr.scm._worlds` of this model, built here when
+    None.  A ``z_val``, ``y_val`` or ``z_alt`` that is not an integer (a
+    bool is not) in its domain, or ``z_alt == z_val``, raises
+    ``ValueError`` before any world is built; a zero-probability event
+    raises :class:`QueryError`.
     """
-    for var, val in ((z_var, z_val), (y_var, y_val)):
-        if var not in scm.domains or val not in range(scm.domains[var]):
-            raise ValueError(f"{var}={val!r} is outside the model's domains")
+    for var, val in ((z_var, z_val), (y_var, y_val), (z_var, z_alt)):
+        _check_value(scm, var, val)
     if z_alt == z_val:
         raise ValueError(f"z_alt={z_alt!r} equals z_val, so it cannot stand for Z != z")
     worlds = worlds or _worlds(scm)
@@ -250,18 +256,15 @@ def _pairwise_distances(m: np.ndarray) -> np.ndarray:
 def distance_correlation(a: np.ndarray, b: np.ndarray) -> float:
     """Sample distance correlation (biased V-statistic) between two blocks.
 
-    Rows are joint observations; returns a value in [0, 1], with 0 when
-    either argument has zero distance variance (constant rows).  A block of
-    zero width has no distance to measure and raises :class:`MetricError`.
-    The computation holds 4 n-by-n float64 matrices at once, so n above
-    8192 (about 2 GiB) raises :class:`MetricError`.
+    Rows are joint observations, and a 1-D block is one column; returns a
+    value in [0, 1], with 0 when either argument has zero distance variance
+    (constant rows).  A block of zero width has no distance to measure and
+    raises :class:`MetricError`.  The computation holds 4 n-by-n float64
+    matrices at once, so n above 8192 (about 2 GiB) raises
+    :class:`MetricError`.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if a.shape[0] == 1:
-        a = a.T
-    if b.shape[0] == 1:
-        b = b.T
+    a, b = (np.asarray(m, dtype=float) for m in (a, b))
+    a, b = (m.reshape(-1, 1) if m.ndim < 2 else m for m in (a, b))
     n = a.shape[0]
     if n < 2 or b.shape[0] != n:
         raise QueryError("need n >= 2 paired observations")

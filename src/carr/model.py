@@ -8,8 +8,7 @@ predictor maps z through one hidden ELU layer to two logits.
 from __future__ import annotations
 
 import copy
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,8 +52,8 @@ class ModelParams:
 
     Every array is a view of the one float64 vector ``flat``, laid out as
     the weights and bias of each layer in field order.  Update the arrays
-    in place; rebinding one detaches it.  :meth:`stacked` gives the same
-    model over K such vectors at once.
+    in place; rebinding one detaches it.  :meth:`over` lays the same model
+    over another vector, such as a gradient, or over K such vectors at once.
     """
 
     enc_hidden: DenseLayer  # d_in -> 64, elu
@@ -63,60 +62,44 @@ class ModelParams:
     pred_out: DenseLayer  # 64 -> 2, identity
     d_z: int
     flat: np.ndarray = field(init=False, repr=False)
-    _layout: list = field(init=False, repr=False)  # (key, start, stop, shape)
 
     def __post_init__(self):
-        slots = [(f"{name}.{attr}", getattr(self, name), attr)
-                 for name in _LAYERS for attr in ("weights", "bias")]
-        self._layout, start = [], 0
-        for key, layer, attr in slots:
-            shape = getattr(layer, attr).shape
-            stop = start + math.prod(shape)
-            self._layout.append((key, start, stop, shape))
-            start = stop
-        self.flat = np.concatenate([np.ravel(getattr(layer, attr))
-                                    for _, layer, attr in slots], dtype=float)
-        for (_, layer, attr), view in zip(slots, self.views(self.flat).values()):
-            setattr(layer, attr, view)
+        self.flat = np.concatenate([np.ravel(a) for name in _LAYERS for a in (
+            getattr(self, name).weights, getattr(self, name).bias)], dtype=float)
+        laid = self.over(self.flat)
+        for name in _LAYERS:
+            setattr(self, name, getattr(laid, name))
 
-    def views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
-        """Views of a (..., P) array shaped (...,) plus the shape of each
-        parameter array, in layout order, keyed "<layer>.weights" and
-        "<layer>.bias"."""
-        return {key: vec[..., start:stop].reshape(vec.shape[:-1] + shape)
-                for key, start, stop, shape in self._layout}
+    def over(self, vec: np.ndarray, unchanged_below: int = 0) -> ModelParams:
+        """This model laid over ``vec``, a (P,) vector such as a gradient or
+        a (K, P) stack of K parameter vectors: its ``flat`` is ``vec`` (a
+        float64 copy if it is not float64), and every array is a view of it
+        in this model's layout, with a leading K axis for a stack, which the
+        forward passes carry through.
 
-    def stacked(self, vecs: np.ndarray, unchanged_below: int = 0) -> ModelParams:
-        """Parameters over the (K, P) stack ``vecs``: row k is a parameter
-        vector of this model, and every array is a view of ``flat`` (``vecs``
-        itself when it is float64) with a leading K axis, which the forward
-        passes carry through.
-
-        The caller promises that every row equals ``flat`` below index
-        ``unchanged_below``.  A layer whose parameters all lie below it
-        keeps this model's own unstacked arrays, so the forward runs it once
+        The caller promises that ``vec`` equals this model's ``flat`` below
+        index ``unchanged_below``.  A layer whose parameters all lie below
+        it keeps this model's own arrays, so a stack's forward runs it once
         for all K rows.
         """
-        vecs = np.asarray(vecs, dtype=float)
-        if vecs.ndim != 2 or vecs.shape[1] != self.flat.size:
+        vec = np.asarray(vec, dtype=float)
+        size = self.flat.size
+        if vec.ndim not in (1, 2) or vec.shape[-1] != size:
+            raise ConfigurationError(f"parameter vector has shape {vec.shape}, "
+                                     f"expected ({size},) or (K, {size})")
+        if not 0 <= unchanged_below < size:
             raise ConfigurationError(
-                f"parameter stack has shape {vecs.shape}, "
-                f"expected (K, {self.flat.size})"
-            )
-        if not 0 <= unchanged_below < self.flat.size:
-            raise ConfigurationError(
-                f"unchanged_below must lie in [0, {self.flat.size}), "
-                f"got {unchanged_below}"
-            )
-        stops = {key: stop for key, _, stop, _ in self._layout}
-        v = self.views(vecs)
+                f"unchanged_below must lie in [0, {size}), got {unchanged_below}")
         out = copy.copy(self)
-        out.flat = vecs
+        out.flat = vec
+        stop = 0
         for name in _LAYERS:
-            if stops[f"{name}.bias"] > unchanged_below:
-                layer = replace(getattr(self, name), weights=v[f"{name}.weights"],
-                                bias=v[f"{name}.bias"])
-                setattr(out, name, layer)
+            layer = getattr(self, name)
+            start, mid = stop, stop + layer.weights.size
+            stop = mid + layer.bias.size
+            if stop > unchanged_below:
+                w = vec[..., start:mid].reshape(vec.shape[:-1] + layer.weights.shape)
+                setattr(out, name, DenseLayer(w, vec[..., mid:stop], layer.activation))
         return out
 
     def to_vector(self) -> np.ndarray:
@@ -228,19 +211,20 @@ def _logit_grad(cache: tuple, coeff: float | None) -> np.ndarray:
 
 
 def predictor_xent_backward(params: ModelParams, cache: tuple,
-                            coeff: float | None = None, out: dict | None = None,
-                            z_grad: bool = True):
+                            coeff: float | None = None,
+                            out: ModelParams | None = None, z_grad: bool = True):
     """Gradients of ``coeff * xent.mean()`` (the plain mean for ``coeff``
     None) from the cache of a 2-D :func:`predictor_xent`, which it
-    overwrites.  Returns ``(z_grad, layer_grads)``, the second keyed as in
-    :meth:`ModelParams.views` and written into ``out``'s arrays of those
-    keys (such as views of one flat gradient), new arrays if None; with
-    ``z_grad`` False the first is None, not formed."""
+    overwrites.  Returns ``(z_grad, out)``: the predictor layers' gradients
+    are written into those of ``out``, ``params`` laid over a gradient
+    vector (a new one, zero elsewhere, if None); with ``z_grad`` False the
+    first is None, not formed."""
     z, _, hidden, hidden_neg, _, logits = cache
-    g, grads, out = _logit_grad(cache, coeff), {}, out or {}
+    g = _logit_grad(cache, coeff)
+    out = params.over(np.zeros_like(params.flat)) if out is None else out
     for name, x, layer_cache, need in (("pred_out", hidden, logits, True),
                                        ("pred_hidden", z, hidden_neg, z_grad)):
-        w, b = f"{name}.weights", f"{name}.bias"
-        g, grads[w], grads[b] = dense_backward(getattr(params, name), x, layer_cache,
-                                               g, out.get(w), out.get(b), need)
-    return g, grads
+        layer = getattr(out, name)
+        g = dense_backward(getattr(params, name), x, layer_cache, g, layer.weights,
+                           layer.bias, need)[0]
+    return g, out

@@ -96,9 +96,9 @@ def loss_values(params: ModelParams, vecs: np.ndarray, x_batch: np.ndarray,
     passes); the layers that lie wholly below it then run once, unstacked,
     and the totals are bit-identical to those with the default 0.
     """
-    stacked = params.stacked(vecs, unchanged_below)
-    enc = encode(stacked, x_batch, eps_std)
-    return _loss_forward(stacked, enc, y_batch, mode, **loss_kw)[0].total
+    laid = params.over(vecs, unchanged_below)
+    return _loss_forward(laid, encode(laid, x_batch, eps_std), y_batch, mode,
+                         **loss_kw)[0].total
 
 
 def _loss_forward(params: ModelParams, enc: EncoderOutput, y_batch: np.ndarray,
@@ -156,17 +156,18 @@ def encoded_loss_and_grads(params: ModelParams, enc: EncoderOutput,
                            b: float = 0.8, neg_weight: float = 1.0,
                            attack_delta: np.ndarray | None = None,
                            neg_delta: np.ndarray | None = None,
-                           stop_grad_negative: bool = False, out=None):
+                           stop_grad_negative: bool = False,
+                           out: ModelParams | None = None):
     """Loss of one batch and its flat gradient, backpropagated from the
     batch's encoder forward ``enc``.  ``attack_delta`` shifts z for the
     positive term and ``neg_delta`` the intervened z for the negative term;
     both have z's shape and are constants during differentiation.  The
-    gradient goes into ``out``, a float64 vector the size of ``params.flat``
-    and its :meth:`ModelParams.views` (new ones if None), and is returned."""
+    gradient is written into every entry of ``out.flat``, where ``out`` is
+    ``params`` laid over a float64 vector by :meth:`ModelParams.over` (a
+    new one if None), and that vector is returned."""
     breakdown, cache_pos, cache_neg, (prior, var) = _loss_forward(
         params, enc, y_batch, mode, lam, b, neg_weight, attack_delta, neg_delta)
-    grad = np.empty_like(params.flat) if out is None else out[0]
-    g = params.views(grad) if out is None else out[1]
+    g = params.over(np.empty_like(params.flat)) if out is None else out
     n, d_z = enc.z.shape
 
     # ----- backward through the predictor -----
@@ -174,12 +175,13 @@ def encoded_loss_and_grads(params: ModelParams, enc: EncoderOutput,
     if cache_neg is not None:
         # the negative ll is ADDED to the minimized total, so its upstream
         # coefficient is -neg_weight relative to the positive branch
-        g_z_neg, pred_grads_neg = predictor_xent_backward(
-            params, cache_neg, -neg_weight, z_grad=not stop_grad_negative)
+        g_z_neg, neg = predictor_xent_backward(params, cache_neg, -neg_weight,
+                                               z_grad=not stop_grad_negative)
         if not stop_grad_negative:
             g_z += g_z_neg  # intervention shift is additive, identity jacobian
-        for key, value in pred_grads_neg.items():
-            g[key] += value
+        for name in ("pred_hidden", "pred_out"):
+            getattr(g, name).weights += getattr(neg, name).weights
+            getattr(g, name).bias += getattr(neg, name).bias
 
     # ----- backward through the encoder -----
     g_head = np.empty((n, 2 * d_z))
@@ -192,8 +194,8 @@ def encoded_loss_and_grads(params: ModelParams, enc: EncoderOutput,
     g_logvar *= np.abs(enc.head[:, d_z:]) < LOGVAR_CLAMP
 
     g_enc_hidden_out = dense_backward(params.enc_head, enc.hidden, enc.head, g_head,
-                                      g["enc_head.weights"], g["enc_head.bias"])[0]
+                                      g.enc_head.weights, g.enc_head.bias)[0]
     # nothing reads the gradient of the raw features, so it is not formed
     dense_backward(params.enc_hidden, enc.feats, enc.hidden_neg, g_enc_hidden_out,
-                   g["enc_hidden.weights"], g["enc_hidden.bias"], False)
-    return breakdown, grad
+                   g.enc_hidden.weights, g.enc_hidden.bias, False)
+    return breakdown, g.flat

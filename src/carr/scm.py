@@ -239,6 +239,14 @@ def enumerate_joint(scm: DiscreteSCM, worlds=None):
     return JointTable(names=tuple(scm.order), probs=probs.reshape(shape))
 
 
+def _check_value(scm: DiscreteSCM, var: str, val) -> None:
+    """Raise ValueError unless ``var`` is a node of ``scm`` and ``val`` an
+    int or numpy integer, not a bool, in its domain."""
+    if (isinstance(val, bool) or not isinstance(val, (int, np.integer))
+            or not 0 <= val < scm.domains.get(var, 0)):
+        raise ValueError(f"{var}={val!r} is outside the model's domains")
+
+
 def counterfactual_query(scm: DiscreteSCM, evidence: dict, intervention: dict,
                          target: str, worlds=None) -> np.ndarray:
     """Exact counterfactual distribution of ``target``.
@@ -246,14 +254,15 @@ def counterfactual_query(scm: DiscreteSCM, evidence: dict, intervention: dict,
     Abduction: posterior over exogenous worlds given the evidence (values may
     be single values or sets of admissible values).  Action: apply the do()
     intervention.  Prediction: push the posterior through the mutated model.
-    ``worlds`` is :func:`_worlds` of this model, built here when None.
+    ``worlds`` is :func:`_worlds` of this model, built here when None.  A
+    do() value that is not an integer (a bool is not) in its variable's
+    domain raises ``ValueError``.
     """
     for var in (*evidence, target):
         if var not in scm.domains:
             raise ValueError(f"variable {var!r} is not in the model")
     for var, val in intervention.items():
-        if var not in scm.domains or val not in range(scm.domains[var]):
-            raise ValueError(f"do({var}={val!r}) is outside the model's domains")
+        _check_value(scm, var, val)
     exo, prob, values = worlds or _worlds(scm)
     mask = np.ones(prob.shape, dtype=bool)
     for var, want in evidence.items():

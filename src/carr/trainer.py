@@ -130,8 +130,8 @@ def train(config: RunConfig, train_split: Split, val_split: Split | None = None)
     params = init_params(rng_init, d_in=train_split.x.shape[1], d_z=cfg.d_z)
 
     velocity = np.zeros_like(params.flat)
-    grad = np.empty_like(params.flat)  # every batch's gradient is written here
-    grad_views = params.views(grad)
+    # every batch's gradient is written into this model's arrays
+    grads = params.over(np.empty_like(params.flat))
     robust = cfg.training_mode == "robust"
     validate = val_split is not None and len(val_split) > 0
     history = []
@@ -159,7 +159,7 @@ def train(config: RunConfig, train_split: Split, val_split: Split | None = None)
                 params, enc, yb, cfg.method, lam=cfg.lam, b=cfg.b,
                 neg_weight=cfg.neg_weight, attack_delta=attack_delta,
                 neg_delta=neg_delta, stop_grad_negative=cfg.stop_grad_negative,
-                out=(grad, grad_views),
+                out=grads,
             )
             if not np.isfinite(breakdown.total):
                 raise TrainingError(

@@ -1,5 +1,6 @@
 """Information measures, inequality checkers, PNS, and sample statistics."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,14 @@ from carr.infometrics import (
 )
 from carr.numkit import Rng
 from carr.scm import DiscreteSCM, enumerate_joint, random_scm
+
+
+def test_joint_table_rejects_a_nan_cell():
+    # a NaN compares False both ways, so each check must be written to fail
+    # on it; _h would drop it and read the rest as a distribution
+    for probs in ([[np.nan, 0.5], [0.25, 0.25]], [[0.5, 0.5], [np.nan, 0.0]]):
+        with pytest.raises(QueryError, match="nonnegative and sum to 1"):
+            JointTable(("a", "b"), np.array(probs))
 
 
 def test_joint_table_validation():
@@ -256,6 +265,26 @@ def test_pns_rejects_a_bad_query_by_name(args, message):
     assert not isinstance(info.value, QueryError)
 
 
+@pytest.mark.parametrize("value", [1.0, True, np.float64(1)], ids=repr)
+@pytest.mark.parametrize("slot", ["z_val", "y_val", "z_alt"])
+def test_pns_rejects_a_value_that_is_not_an_integer(slot, value, monkeypatch):
+    # each equals 1, so `value in range(domain)` used to let it through; the
+    # check comes before any world is built
+    query = dict(z_val=1, y_val=0, z_alt=0)
+    query[slot] = value
+    scm = random_scm(Rng(0, stream=14))
+    monkeypatch.setattr("carr.infometrics._worlds", None)
+    var = "y" if slot == "y_val" else "pa"
+    with pytest.raises(ValueError, match="^" + re.escape(f"{var}={value!r} is outside")):
+        pns(scm, "pa", query["z_val"], "y", query["y_val"], z_alt=query["z_alt"])
+
+
+def test_pns_accepts_numpy_integers():
+    want = pns(_identity_scm(), "z", 1, "y", 1, z_alt=0)
+    assert pns(_identity_scm(), "z", np.int64(1), "y", np.int64(1),
+               z_alt=np.int64(0)) == want
+
+
 def test_pns_zero_probability_event():
     # Z constant 0 makes the (Z=1, Y=1) event impossible
     scm = DiscreteSCM(order=("z", "y"), domains={"z": 2, "y": 2},
@@ -297,6 +326,13 @@ def test_distance_correlation_rejects_zero_width_block():
     for a, b in ((z, np.empty((10, 0))), (np.empty((10, 0)), z)):
         with pytest.raises(MetricError, match="zero-width"):
             distance_correlation(a, b)
+
+
+def test_distance_correlation_reads_a_one_row_block_as_one_observation():
+    # a (1, 5) block is one row of 5 features, not 5 rows of 1 feature
+    row = np.arange(5.0)[None, :]
+    with pytest.raises(QueryError, match="need n >= 2"):
+        distance_correlation(row, row ** 2)
 
 
 def test_distance_correlation_accepts_1d():

@@ -62,42 +62,68 @@ def test_arrays_are_views_of_flat(make):
     assert params.pred_out.bias[-1] == params.flat.size - 1
 
 
+_NAMES = ["enc_hidden", "enc_head", "pred_hidden", "pred_out"]
+
+
+@pytest.mark.parametrize("make", [_params, _direct_params], ids=["d_in", "direct"])
+def test_over_a_vector_shares_its_memory_in_layout_order(make):
+    params = make()
+    vec = np.arange(params.flat.size, dtype=float)
+    laid = params.over(vec)
+    assert laid.flat is vec and laid.d_z == params.d_z
+    arrays = [a for name in _NAMES for a in (getattr(laid, name).weights,
+                                              getattr(laid, name).bias)]
+    assert all(np.shares_memory(a, vec) for a in arrays)
+    assert np.concatenate([a.ravel() for a in arrays]).tobytes() == vec.tobytes()
+    for name in _NAMES:
+        layer, row = getattr(params, name), getattr(laid, name)
+        assert row.activation == layer.activation
+        assert row.weights.shape == layer.weights.shape
+    laid.pred_out.bias[-1] = -1.0  # a gradient is written through its arrays
+    assert vec[-1] == -1.0 and params.flat[-1] != -1.0
+
+
 @pytest.mark.parametrize("make", [_params, _direct_params], ids=["d_in", "direct"])
 def test_stacked_rows_are_parameter_vectors(make):
     params = make()
     vec = params.to_vector()
     vecs = np.stack([vec, -vec, np.zeros_like(vec)])
-    stack = params.stacked(vecs)
+    stack = params.over(vecs)
     assert stack.flat is vecs
-    names = ["enc_hidden", "enc_head", "pred_hidden", "pred_out"]
     for k, vec in enumerate(vecs):
         params.from_vector(vec)
-        for name in names:
+        for name in _NAMES:
             layer, row = getattr(params, name), getattr(stack, name)
             assert row.activation == layer.activation
             assert np.array_equal(row.weights[k], layer.weights)
             assert np.array_equal(row.bias[k], layer.bias)
-    with pytest.raises(ConfigurationError):
-        params.stacked(vecs[:, :-1])
+
+
+def test_over_rejects_a_vector_of_the_wrong_shape():
+    params = _params()
+    size = params.flat.size
+    for bad in (np.zeros(size - 1), np.zeros(size + 1), np.zeros((3, size - 1)),
+                np.zeros((2, 3, size)), np.zeros(())):
+        with pytest.raises(ConfigurationError, match="parameter vector has shape"):
+            params.over(bad)
 
 
 def test_stacked_keeps_layers_below_unchanged_below():
     params = _params()
     size = params.flat.size
     vecs = np.tile(params.flat, (3, 1))
-    names = ["enc_hidden", "enc_head", "pred_hidden", "pred_out"]
     weights_stop = params.enc_hidden.weights.size
-    stack = params.stacked(vecs, weights_stop)  # enc_hidden's bias is not below
-    assert all(getattr(stack, name).weights.ndim == 3 for name in names)
-    stack = params.stacked(vecs, weights_stop + params.enc_hidden.bias.size)
+    stack = params.over(vecs, weights_stop)  # enc_hidden's bias is not below
+    assert all(getattr(stack, name).weights.ndim == 3 for name in _NAMES)
+    stack = params.over(vecs, weights_stop + params.enc_hidden.bias.size)
     assert stack.enc_hidden is params.enc_hidden
     assert stack.enc_head.weights.ndim == 3
-    stack = params.stacked(vecs, size - 1)
-    assert [getattr(stack, name) is getattr(params, name) for name in names] == [
+    stack = params.over(vecs, size - 1)
+    assert [getattr(stack, name) is getattr(params, name) for name in _NAMES] == [
         True, True, True, False]
     for bad in (-1, size):
         with pytest.raises(ConfigurationError):
-            params.stacked(vecs, bad)
+            params.over(vecs, bad)
 
 
 def test_encode_deterministic_repeatable():
@@ -192,9 +218,9 @@ def test_predictor_backward_without_z_gradient_keeps_layer_gradients():
     _, want = predictor_xent_backward(params, predictor_xent(params, z, y)[1], -1.3)
     gz, got = predictor_xent_backward(params, predictor_xent(params, z, y)[1], -1.3,
                                       z_grad=False)
-    assert gz is None and got.keys() == want.keys()
-    for key in want:
-        assert got[key].tobytes() == want[key].tobytes()
+    assert gz is None
+    assert got.flat.tobytes() == want.flat.tobytes()
+    assert not got.enc_hidden.weights.any() and not got.enc_head.bias.any()
 
 
 def test_softmax_two_column_form_matches_axis_reductions():

@@ -155,7 +155,9 @@ def test_loss_values_equals_loss_and_grads_totals(n, mode):
 def _unchanged_below_cases(params):
     # 0, each parameter array's start and one either side of it, and the
     # middle of each array
-    stops = np.cumsum([a.size for a in params.views(params.flat).values()])
+    stops = np.cumsum([a.size for layer in (params.enc_hidden, params.enc_head,
+                                            params.pred_hidden, params.pred_out)
+                       for a in (layer.weights, layer.bias)])
     cases = {0}
     for start, stop in zip(np.r_[0, stops[:-1]], stops):
         cases |= {start - 1, start, start + 1, (start + stop) // 2}
@@ -315,9 +317,8 @@ def test_step_bytes_equal_reference(make, mode, offsets, stop_grad_negative):
     breakdown, grad = loss_and_grads(params, x, y, mode, eps_std=eps, **kw)
     # a reused buffer holding garbage: every entry must be written
     buffer = np.full_like(params.flat, np.nan)
-    out = buffer, params.views(buffer)
     again, written = encoded_loss_and_grads(params, encode(params, x, eps), y, mode,
-                                            out=out, **kw)
+                                            out=params.over(buffer), **kw)
     assert written is buffer
     for got in (breakdown, again):
         got_terms = (got.positive_ll, got.kl, got.negative_ll, got.total)

@@ -1,5 +1,7 @@
 """Simulator and discrete-SCM oracle tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -333,6 +335,21 @@ def test_counterfactual_rejects_bad_intervention(intervention):
     # negative values used to wrap around inside the tables
     with pytest.raises(ValueError, match="outside"):
         counterfactual_query(_identity_chain(), {"x": 0}, intervention, "y")
+
+
+@pytest.mark.parametrize("value", [1.0, True, np.float64(1)], ids=repr)
+def test_counterfactual_rejects_a_do_value_that_is_not_an_integer(value, monkeypatch):
+    # each equals 1, so `value in range(2)` used to let it through; the check
+    # comes before any world is built
+    monkeypatch.setattr("carr.scm._worlds", None)
+    with pytest.raises(ValueError, match=re.escape(f"x={value!r} is outside")):
+        counterfactual_query(_identity_chain(), {"x": 0}, {"x": value}, "y")
+
+
+def test_counterfactual_accepts_a_numpy_integer_do_value():
+    dist = counterfactual_query(_identity_chain(), {"x": 0, "y": 0}, {"x": np.int64(1)},
+                                "y")
+    assert dist.tolist() == [0.0, 1.0]
 
 
 @pytest.mark.parametrize("evidence, target", [({"w": 0}, "y"), ({"x": 0}, "w")])
