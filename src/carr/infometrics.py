@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scm import (DiscreteSCM, _check_value, _worlds, counterfactual_query,
-                  enumerate_joint)
+from .scm import (DiscreteSCM, _check_value, _unchecked, _worlds,
+                  counterfactual_query, enumerate_joint)
 
 __all__ = [
     "JointTable",
@@ -20,6 +20,7 @@ __all__ = [
     "check_lemma1",
     "check_lemma2",
     "pns",
+    "pns_per_world",
     "distance_correlation",
     "auc",
     "acc",
@@ -173,7 +174,8 @@ def pns(scm: DiscreteSCM, z_var: str, z_val: int, y_var: str, y_val: int,
     exactly P(Z=z, Y=y).  "Z != z" as an intervention target is realized
     by the single designated alternative value ``z_alt``, so the
     decomposition is the PNS only for binary Z and Y; on larger domains it
-    can differ from the per-world P(Y(do z) = y, Y(do z_alt) != y).
+    can differ from the per-world P(Y(do z) = y, Y(do z_alt) != y) of
+    :func:`pns_per_world`.
     ``worlds`` is :func:`carr.scm._worlds` of this model, built here when
     None.  A ``z_val``, ``y_val`` or ``z_alt`` that is not an integer (a
     bool is not) in its domain, or ``z_alt == z_val``, raises
@@ -212,16 +214,43 @@ def pns(scm: DiscreteSCM, z_var: str, z_val: int, y_var: str, y_val: int,
     return sufficient, necessary, pns_combined, pns_alt
 
 
+def pns_per_world(scm: DiscreteSCM, z_var: str, z_val: int, y_var: str,
+                  y_val: int, z_alt: int, worlds=None) -> float:
+    """P(Y(do Z=z) = y, Y(do Z=z_alt) != y), summed over the exogenous worlds.
+
+    The PNS read world by world (Tian & Pearl 2000): both interventions act
+    on each world, so it needs no conditioning event and no binary domain;
+    it equals :func:`pns`'s ``combined`` where Z and Y are binary.
+    ``worlds`` is :func:`carr.scm._worlds` of this model, built here when
+    None.  A value that is not an integer (a bool is not) in its domain
+    raises ``ValueError`` before any world is built.
+    """
+    for var, val in ((z_var, z_val), (y_var, y_val), (z_var, z_alt)):
+        _check_value(scm, var, val)
+    exo, prob, _ = worlds or _worlds(scm)
+    y_z = scm.evaluate(exo, {z_var: z_val})[y_var]
+    y_alt = scm.evaluate(exo, {z_var: z_alt})[y_var]
+    return float(prob[(y_z == y_val) & (y_alt != y_val)].sum())
+
+
 def random_markov_chain(rng) -> JointTable:
     """Random joint over a chain X - Z - Y of three-valued variables:
-    p(x) p(z|x) p(y|z)."""
+    p(x) p(z|x) p(y|z).
+
+    The table skips :class:`JointTable`'s copy and its checks (one axis per
+    name, nonnegative cells that sum to 1), which a product of normalized
+    positive draws passes; its fresh ``probs`` is made read-only and its
+    entropy memo starts empty, as the constructor leaves them.
+    ``test_drawn_chains_pass_their_constructor`` holds drawn chains to that.
+    """
     w = rng.uniform(0.05, 1.0, size=21)  # one draw, cut in draw order
     px, pzx, pyz = w[:3], w[3:12].reshape(3, 3), w[12:].reshape(3, 3)
     px /= px.sum()
     pzx /= pzx.sum(axis=1, keepdims=True)
     pyz /= pyz.sum(axis=1, keepdims=True)
     probs = px[:, None, None] * pzx[:, :, None] * pyz[None, :, :]
-    return JointTable(names=("x", "z", "y"), probs=probs)
+    probs.flags.writeable = False
+    return _unchecked(JointTable, names=("x", "z", "y"), probs=probs, _entropies={})
 
 
 # ---------------------------------------------------------------------------

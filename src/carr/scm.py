@@ -152,6 +152,11 @@ class DiscreteSCM:
     it is an integer ndarray of shape (*parent domain sizes, exo domain size).
     ``exo_dists[v]`` is the pmf of v's exogenous input.  Exogenous variables
     are mutually independent; ``order`` must be topological.
+
+    The constructor checks this once: a topological order, 1-D nonnegative
+    pmfs that sum to 1, and tables of that shape with entries in their
+    node's domain.  :func:`random_scm` skips the checks, which its draws
+    pass by construction.
     """
 
     order: tuple
@@ -201,6 +206,15 @@ class DiscreteSCM:
         if shape == ():
             return {v: int(x) for v, x in values.items()}
         return values
+
+
+def _unchecked(cls, **fields):
+    """An instance of the dataclass ``cls`` holding ``fields`` as given,
+    built without ``__post_init__``: for values that pass its checks by
+    construction."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _worlds(scm: DiscreteSCM):
@@ -288,6 +302,13 @@ def random_scm(rng: np.random.Generator, shape: str = "a", max_domain: int = 4,
     shape "b": additionally pa -> dc (pa confounds y and dc).
     ``deterministic`` collapses every exogenous pmf to a point mass.
     ``max_domain`` is the largest domain size, an integer >= 2.
+
+    The model skips :class:`DiscreteSCM`'s checks, which its draw passes:
+    each pmf is ``w / w.sum()`` of positive weights, and each table entry an
+    ``integers(0, domain)`` draw in a table of the checked shape.
+    ``test_drawn_models_pass_their_constructor`` holds drawn models to
+    them, and ``test_audits_run_no_check_on_drawn_models`` counts that the
+    audits run none.
     """
     if shape not in ("a", "b"):
         raise ValueError(f"shape must be 'a' or 'b', got {shape!r}")
@@ -323,5 +344,5 @@ def random_scm(rng: np.random.Generator, shape: str = "a", max_domain: int = 4,
     entries = rng.integers(0, np.repeat(draws[:4], sizes))
     tables = {v: entries[end - n:end].reshape(s)
               for v, s, n, end in zip(order, shapes, sizes, accumulate(sizes))}
-    return DiscreteSCM(order=order, domains=domains, parents=parents,
-                       tables=tables, exo_dists=exo_dists)
+    return _unchecked(DiscreteSCM, order=order, domains=domains, parents=parents,
+                      tables=tables, exo_dists=exo_dists)

@@ -7,8 +7,10 @@ import pytest
 
 import carr.cli
 import carr.numkit
+import carr.scm
 import carr.trainer
 from carr.cli import main, run_audit
+from carr.infometrics import JointTable
 from carr.numkit import ConfigurationError
 from carr.objective import loss_and_grads, loss_values
 
@@ -418,7 +420,7 @@ def test_audit_negative_trials_exit_2(capsys):
 @pytest.mark.parametrize("what", ["dpi", "pns", "gradcheck"])
 def test_audit_of_zero_trials_exit_2(monkeypatch, capsys, what):
     # an audit of nothing must not pass; it fails before any suite runs
-    monkeypatch.setattr("carr.cli.run_audit", lambda *a: pytest.fail("suite ran"))
+    monkeypatch.setattr("carr.cli._audit", lambda *a: pytest.fail("suite ran"))
     assert main(["audit", "--what", what, "--trials", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -432,8 +434,9 @@ def test_run_audit_rejects_an_unknown_suite():
 
 @pytest.mark.parametrize("what", ["dpi", "lemma1", "lemma2", "pns", "gradcheck"])
 def test_run_audit_returns_a_count_and_a_margin(what):
-    # benchmarks/workloads.py unpacks this pair
-    failures, worst = run_audit(what, 2, 0)
+    # benchmarks/workloads.py unpacks this pair; seed 0 audits its first pns
+    # trial at the fifth
+    failures, worst = run_audit(what, 5 if what == "pns" else 2, 0)
     assert isinstance(failures, int) and isinstance(worst, float)
     assert failures == 0 and np.isfinite(worst)
 
@@ -503,7 +506,48 @@ def test_audit_pns_counts_every_failed_trial(monkeypatch, capsys, shift):
     assert failures == len(answered) > 0
     assert abs(worst - 0.25) < 1e-10 if shift == 0.25 else np.isnan(worst)
     assert _audit_line(capsys, "pns", 10) == (
-        f"pns: {10 - failures}/10 hold, worst margin {worst:.3e} [FAILED]")
+        f"pns: 0/{failures} hold, {10 - failures} skipped (zero-probability event), "
+        f"worst margin {worst:.3e} [FAILED]")
+
+
+def test_audit_pns_counts_audited_and_skipped_trials(capsys):
+    assert carr.cli._audit("pns", 10, 0) == (*run_audit("pns", 10, 0), 4)
+    assert main(["audit", "--what", "pns", "--trials", "10", "--seed", "0"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "pns: 4/4 hold, 6 skipped (zero-probability event), worst margin ")
+
+
+def test_audit_that_audits_no_trial_fails(capsys):
+    # seed 0's first two pns models each have a zero-probability event
+    assert _audit_line(capsys, "pns", 2) == (
+        "pns: 0/0 hold, 2 skipped (zero-probability event), "
+        "worst margin 0.000e+00 [FAILED]")
+
+
+@pytest.mark.parametrize("what, trials", [("dpi", 3), ("lemma1", 3), ("pns", 10)])
+def test_audits_run_no_check_on_drawn_models(monkeypatch, what, trials):
+    # a drawn model or chain passes its constructor's checks by construction
+    # (tests/test_oracle_properties.py), so the audits skip them; a joint
+    # table built by enumerate_joint is checked once
+    counts = {"scm": 0, "table": 0, "joint": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kw):
+            counts[key] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    monkeypatch.setattr(carr.scm.DiscreteSCM, "__post_init__",
+                        counted("scm", carr.scm.DiscreteSCM.__post_init__))
+    monkeypatch.setattr(JointTable, "__post_init__",
+                        counted("table", JointTable.__post_init__))
+    joint = counted("joint", carr.scm.enumerate_joint)
+    monkeypatch.setattr(carr.scm, "enumerate_joint", joint)
+    monkeypatch.setattr(carr.cli.infometrics, "enumerate_joint", joint)
+    run_audit(what, trials, 0)
+    assert counts["scm"] == 0
+    assert counts["table"] == counts["joint"]
+    assert (counts["joint"] > 0) == (what != "dpi")
 
 
 @pytest.mark.parametrize("spoil", [1.0, float("nan")])

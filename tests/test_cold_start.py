@@ -22,7 +22,7 @@ def scipy_modules():
 import carr, carr.cli
 assert not scipy_modules(), scipy_modules()[:5]
 assert not [m for m in sys.modules if m.startswith("numpy.random")]
-carr.cli.run_audit("pns", 3, 0)
+carr.cli.run_audit("pns", 5, 0)  # the fifth trial is audited
 with contextlib.redirect_stdout(io.StringIO()):
     assert carr.cli.main(["bound"]) == 0
 assert not scipy_modules(), scipy_modules()[:5]

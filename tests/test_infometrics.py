@@ -18,6 +18,7 @@ from carr.infometrics import (
     entropy,
     mutual_info,
     pns,
+    pns_per_world,
     random_markov_chain,
 )
 from carr.numkit import Rng
@@ -283,6 +284,39 @@ def test_pns_accepts_numpy_integers():
     want = pns(_identity_scm(), "z", 1, "y", 1, z_alt=0)
     assert pns(_identity_scm(), "z", np.int64(1), "y", np.int64(1),
                z_alt=np.int64(0)) == want
+
+
+def test_pns_per_world_identity_scm_is_one():
+    assert abs(pns_per_world(_identity_scm(), "z", 1, "y", 1, z_alt=0) - 1.0) < 1e-12
+
+
+def _two_node_scm():
+    """Z ~ (0.4, 0.6); Y = table[z, u] with u ~ (0.1, 0.2, 0.3, 0.4): u=0
+    copies z, u=1 gives 1, u=2 gives 2 - z, u=3 gives 1 - z."""
+    return DiscreteSCM(
+        order=("z", "y"), domains={"z": 2, "y": 3},
+        parents={"z": (), "y": ("z",)},
+        tables={"z": np.array([0, 1]), "y": np.array([[0, 1, 2, 1], [1, 1, 1, 0]])},
+        exo_dists={"z": np.array([0.4, 0.6]), "y": np.array([0.1, 0.2, 0.3, 0.4])},
+    )
+
+
+@pytest.mark.parametrize("z_val, y_val, z_alt, want", [
+    (1, 1, 0, 0.4),  # u=0 (Y_1=1, Y_0=0) and u=2 (Y_1=1, Y_0=2)
+    (0, 2, 1, 0.3),  # u=2 alone
+    (0, 1, 1, 0.4),  # u=3 alone: u=1 gives 1 under both
+    (1, 2, 0, 0.0),  # no world gives Y_1=2
+])
+def test_pns_per_world_two_node_model_by_hand(z_val, y_val, z_alt, want):
+    got = pns_per_world(_two_node_scm(), "z", z_val, "y", y_val, z_alt=z_alt)
+    assert abs(got - want) < 1e-12
+
+
+@pytest.mark.parametrize("value", [1.0, True, 2])
+def test_pns_per_world_rejects_a_bad_value_before_building_worlds(value, monkeypatch):
+    monkeypatch.setattr("carr.infometrics._worlds", None)
+    with pytest.raises(ValueError, match="^" + re.escape(f"z={value!r} is outside")):
+        pns_per_world(_identity_scm(), "z", value, "y", 1, z_alt=0)
 
 
 def test_pns_zero_probability_event():

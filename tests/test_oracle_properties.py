@@ -6,6 +6,7 @@ derandomized so that every run draws the same cases.
 """
 
 import itertools
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,9 +14,18 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from carr.infometrics import QueryError, entropy, mutual_info, pns  # noqa: E402
+from carr.infometrics import (  # noqa: E402
+    JointTable,
+    QueryError,
+    entropy,
+    mutual_info,
+    pns,
+    pns_per_world,
+    random_markov_chain,
+)
 from carr.numkit import Rng  # noqa: E402
 from carr.scm import (  # noqa: E402
+    DiscreteSCM,
     InferenceError,
     _worlds,
     counterfactual_query,
@@ -89,11 +99,16 @@ def _ref_counterfactual(scm, evidence, intervention, target):
 
 
 @st.composite
-def scms(draw):
+def rngs(draw):
+    return Rng(draw(st.integers(0, 2 ** 20)), stream=draw(st.integers(0, 50)))
+
+
+@st.composite
+def scms(draw, max_domains=st.integers(2, 4)):
     return random_scm(
-        Rng(draw(st.integers(0, 2 ** 20)), stream=draw(st.integers(0, 50))),
+        draw(rngs()),
         shape=draw(st.sampled_from("ab")),
-        max_domain=draw(st.integers(2, 4)),
+        max_domain=draw(max_domains),
         deterministic=draw(st.booleans()),
     )
 
@@ -198,3 +213,60 @@ def test_mutual_info_symmetric_and_nonnegative(scm, data):
     assert ab >= 0.0
     assert abs(ab - ba) <= 1e-12
     assert ab <= min(entropy(table, a), entropy(table, b)) + 1e-12
+
+
+# ---- drawn models skip their constructor's checks, which they pass ----
+
+
+@SETTINGS
+@given(scms(st.sampled_from([2, 3, 4, 6])))
+def test_drawn_models_pass_their_constructor(scm):
+    rebuilt = DiscreteSCM(**{f.name: getattr(scm, f.name) for f in fields(DiscreteSCM)})
+    assert vars(rebuilt).keys() == vars(scm).keys()
+    assert (rebuilt.order, rebuilt.domains, rebuilt.parents) == (
+        scm.order, scm.domains, scm.parents)
+    for v in scm.order:
+        assert _same_bits(rebuilt.tables[v], scm.tables[v])
+        assert _same_bits(rebuilt.exo_dists[v], scm.exo_dists[v])
+
+
+@SETTINGS
+@given(rngs())
+def test_drawn_chains_pass_their_constructor(rng):
+    chain = random_markov_chain(rng)
+    rebuilt = JointTable(names=chain.names, probs=chain.probs)
+    assert vars(chain).keys() == vars(rebuilt).keys()
+    assert chain.names == rebuilt.names and chain._entropies == rebuilt._entropies == {}
+    assert _same_bits(chain.probs, rebuilt.probs)
+    assert not chain.probs.flags.writeable
+    assert chain.probs.flags.c_contiguous
+
+
+# ---- the per-world PNS ----
+
+
+@SETTINGS
+@given(scms(st.just(2)), st.data())
+def test_pns_per_world_equals_combined_on_binary_models(scm, data):
+    z_val, z_alt = data.draw(st.permutations([0, 1]))
+    y_val = data.draw(st.sampled_from([0, 1]))
+    worlds = _worlds(scm)
+    try:
+        combined = pns(scm, "pa", z_val, "y", y_val, z_alt=z_alt, worlds=worlds)[2]
+    except QueryError:
+        return  # a conditioning event has probability zero
+    assert abs(pns_per_world(scm, "pa", z_val, "y", y_val, z_alt, worlds)
+               - combined) <= 1e-12
+
+
+@SETTINGS
+@given(scms(st.just(4)), st.data())
+def test_pns_per_world_within_tian_pearl_bounds(scm, data):
+    # max(0, P(y_z) - P(y_z_alt)) <= PNS <= min(P(y_z), 1 - P(y_z_alt))
+    z_val, z_alt = data.draw(st.permutations(range(scm.domains["pa"])))[:2]
+    y_val = data.draw(st.sampled_from(range(scm.domains["y"])))
+    worlds = _worlds(scm)
+    p_z, p_alt = (counterfactual_query(scm, {}, {"pa": z}, "y", worlds)[y_val]
+                  for z in (z_val, z_alt))
+    value = pns_per_world(scm, "pa", z_val, "y", y_val, z_alt, worlds)
+    assert max(0.0, p_z - p_alt) - 1e-12 <= value <= min(p_z, 1.0 - p_alt) + 1e-12
