@@ -115,13 +115,15 @@ def run_audit(what: str, trials: int, seed: int, shape: str = "a"):
     return _audit(what, trials, seed, shape)[:2]
 
 
-def _audit(what: str, trials: int, seed: int, shape: str = "a"):
+def _audit(what: str, trials: int, seed: int, shape: str = "a", ineq2=None):
     """:func:`run_audit`, also returning how many trials were audited: a
-    ``pns`` trial whose conditioning event has probability zero is skipped."""
+    ``pns`` trial whose conditioning event has probability zero is skipped.
+    A list passed as ``ineq2`` receives the worst margin of ``lemma2``'s
+    second inequality alone, since its first holds for every table."""
     if trials < 0:
         raise ConfigurationError(f"trials must be >= 0, got {trials}")
     failures = 0
-    worst = 0.0
+    worst = worst2 = 0.0
     skipped = 0
     if what == "dpi":
         for i in range(trials):
@@ -138,7 +140,11 @@ def _audit(what: str, trials: int, seed: int, shape: str = "a"):
                      else infometrics.check_lemma2(model))
             for lhs, rhs, _ in ineqs:
                 worst = _worse(worst, lhs - rhs)
+            if what == "lemma2":
+                worst2 = _worse(worst2, ineqs[1][0] - ineqs[1][1])
             failures += 0 if all(ok for _, _, ok in ineqs) else 1
+        if what == "lemma2" and ineq2 is not None:
+            ineq2.append(worst2)
     elif what == "pns":
         for i in range(trials):
             model = scm_mod.random_scm(Rng(seed, stream=10 + i), shape=shape)
@@ -181,12 +187,15 @@ def cmd_audit(args) -> int:
     if args.trials == 0:  # run_audit rejects a negative count
         raise ConfigurationError("trials must be >= 1: an audit of 0 trials checks nothing")
     seed = args.seed if args.seed is not None else _default_seed()
-    failures, worst, audited = _audit(args.what, args.trials, seed, args.shape)
+    ineq2 = []
+    failures, worst, audited = _audit(args.what, args.trials, seed, args.shape, ineq2)
     skipped = args.trials - audited
     ok = failures == 0 and audited > 0  # a suite that audits nothing fails
     print(f"{args.what}: {audited - failures}/{audited} hold, "
           + (f"{skipped} skipped (zero-probability event), " if skipped else "")
-          + f"worst margin {worst:.3e} [{'ok' if ok else 'FAILED'}]")
+          + f"worst margin {worst:.3e}"
+          + (f", inequality 2 alone {ineq2[0]:.3e}" if ineq2 else "")
+          + f" [{'ok' if ok else 'FAILED'}]")
     return 0 if ok else 1
 
 

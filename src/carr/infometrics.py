@@ -67,31 +67,58 @@ class JointTable:
         object.__setattr__(self, "probs", probs)
 
     def axes(self, variables) -> tuple:
-        variables = tuple(variables)
-        try:
-            axes = tuple(map(self.names.index, variables))
-        except ValueError:
-            unknown = next(v for v in variables if v not in self.names)
-            raise QueryError(f"variable {unknown!r} is not one of the table's "
-                             f"names {self.names}") from None
-        if len(set(axes)) < len(axes):
-            repeated = next(v for i, v in enumerate(variables) if v in variables[:i])
-            raise QueryError(f"variable {repeated!r} is named more than once")
-        return axes
+        """The axis of each of ``variables``, in their order."""
+        return _plan(self.names, tuple(variables))[0]
 
     def marginal(self, variables) -> np.ndarray:
-        keep = self.axes(variables)
-        drop = tuple(i for i in range(len(self.names)) if i not in keep)
-        m = self.probs.sum(axis=drop)
-        if all(a < b for a, b in zip(keep, keep[1:])):  # already sum()'s order
-            return m
-        # sum() collapses axes in index order; restore the requested order
-        return np.transpose(m, tuple(sorted(keep).index(a) for a in keep))
+        """The marginal table over ``variables``, one axis each in their
+        order.  Its axes are planned once per names and variables (see
+        :func:`_plan`), and the sum is ``probs.sum`` over the other axes,
+        transposed when the variables are out of table order."""
+        _, drop, perm = _plan(self.names, tuple(variables))
+        m = np.add.reduce(self.probs, axis=drop)  # what ndarray.sum calls
+        return m if perm is None else np.transpose(m, perm)
+
+
+# (names, variables) -> (keep, drop, perm) of JointTable.marginal; every
+# table over the same names shares its plans
+_PLANS = {}
+_MAX_PLANS = 256  # enough for every subset order over a few names
+
+
+def _plan(names: tuple, variables: tuple) -> tuple:
+    """The axes to keep, in the order of ``variables``, the axes to sum out,
+    and the transpose that restores that order after the sum (None when it
+    is already table order), cached in ``_PLANS``.  An unknown or repeated
+    variable raises :class:`QueryError`, and is not cached."""
+    key = (names, variables)
+    try:
+        return _PLANS[key]
+    except KeyError:
+        cache = len(_PLANS) < _MAX_PLANS
+    except TypeError:  # an unhashable entry, which no name can equal
+        cache = False
+    try:
+        keep = tuple(map(names.index, variables))
+    except ValueError:
+        unknown = next(v for v in variables if v not in names)
+        raise QueryError(f"variable {unknown!r} is not one of the table's "
+                         f"names {names}") from None
+    if len(set(keep)) < len(keep):
+        repeated = next(v for i, v in enumerate(variables) if v in variables[:i])
+        raise QueryError(f"variable {repeated!r} is named more than once")
+    drop = tuple(i for i in range(len(names)) if i not in keep)
+    # sum() collapses axes in index order; a transpose restores the asked one
+    perm = (None if all(a < b for a, b in zip(keep, keep[1:]))
+            else tuple(sorted(keep).index(a) for a in keep))
+    if cache:
+        _PLANS[key] = keep, drop, perm
+    return keep, drop, perm
 
 
 def _h(p: np.ndarray) -> float:
     p = p[p > 0]
-    return float(-(p * np.log(p)).sum())
+    return float(-np.add.reduce(p * np.log(p)))
 
 
 def entropy(table: JointTable, variables) -> float:
@@ -151,7 +178,9 @@ def check_lemma2(scm: DiscreteSCM):
        of X (the mixing function is injective).  This holds for every
        joint table, since no mutual information with pa exceeds H(pa), so
        it cannot fail but by roundoff.
-    2. I(pa; y) <= I(pa; nd, y).
+    2. I(pa; y) <= I(pa; nd, y).  This holds for every table as well, by
+       the chain rule I(pa; nd, y) = I(pa; y) + I(pa; nd | y), so neither
+       inequality can fail but by roundoff.
     """
     table = _role_table(scm)
     lhs1 = mutual_info(table, ("pa",), ("nd", "dc"))

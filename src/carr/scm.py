@@ -13,8 +13,10 @@ Two halves live here:
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import accumulate
+from types import MappingProxyType
 
 import numpy as np
 
@@ -154,55 +156,71 @@ class DiscreteSCM:
     are mutually independent; ``order`` must be topological.
 
     The constructor checks this once: a topological order, 1-D nonnegative
-    pmfs that sum to 1, and tables of that shape with entries in their
-    node's domain.  :func:`random_scm` skips the checks, which its draws
-    pass by construction.
+    pmfs that sum to 1, and integer tables of that shape with entries in
+    their node's domain.  It then freezes the model: it keeps read-only
+    copies of the tables and of the pmfs (float64), and holds them, the
+    domains and the parents (as tuples) in read-only mappings, so no field
+    can change after the check and the caller's arrays stay the caller's.
+    :func:`random_scm` builds its model frozen and skips the checks, which
+    its draws pass by construction.
     """
 
     order: tuple
-    domains: dict
-    parents: dict
-    tables: dict
-    exo_dists: dict
+    domains: Mapping
+    parents: Mapping
+    tables: Mapping
+    exo_dists: Mapping
 
     def __post_init__(self):
         seen = set()
+        tables, exo_dists = {}, {}
         for v in self.order:
             for p in self.parents[v]:
                 if p not in seen:
                     raise ValueError(f"order is not topological: {p} after {v}")
             seen.add(v)
-            pmf = np.asarray(self.exo_dists[v], dtype=float)
+            pmf = np.array(self.exo_dists[v], dtype=float)
             weights = pmf.ravel().tolist()
             if (pmf.ndim != 1 or min(weights, default=0.0) < 0
                     or not abs(sum(weights) - 1.0) <= 1e-9):  # or NaN
                 raise ValueError(f"exogenous pmf for {v} is not a distribution")
-            table = np.asarray(self.tables[v])
+            table = np.array(self.tables[v])
             expected = (*(self.domains[p] for p in self.parents[v]), pmf.size)
             if table.shape != expected:
                 raise ValueError(
                     f"table for {v} has shape {table.shape}, expected {expected}"
                 )
+            if table.dtype.kind not in "iu":  # a float or bool array indexes wrongly
+                raise ValueError(f"table for {v} is not an integer array")
             entries = table.ravel().tolist()  # builtin min/max/sum beat reductions
             if min(entries) < 0 or max(entries) >= self.domains[v]:
                 raise ValueError(f"table for {v} leaves its domain")
+            pmf.flags.writeable = table.flags.writeable = False
+            exo_dists[v], tables[v] = pmf, table
+        parents = {v: tuple(ps) for v, ps in self.parents.items()}
+        for name, value in (("order", tuple(self.order)),
+                            ("domains", MappingProxyType(dict(self.domains))),
+                            ("parents", MappingProxyType(parents)),
+                            ("tables", MappingProxyType(tables)),
+                            ("exo_dists", MappingProxyType(exo_dists))):
+            object.__setattr__(self, name, value)
 
     def evaluate(self, exo: dict, intervention: dict | None = None) -> dict:
         """Deterministic world(s) given exogenous values and optional do().
 
         ``exo`` values are ints, or equal-shape integer arrays that evaluate
         many worlds at once: one fancy index per node in topological order,
-        with do() values broadcast to the worlds' shape.
+        with do() values filled to the worlds' shape.
         """
         intervention = intervention or {}
         shape = np.broadcast(*exo.values()).shape
         values = {}
         for v in self.order:
             if v in intervention:
-                values[v] = np.broadcast_to(intervention[v], shape)
+                values[v] = np.full(shape, intervention[v])
                 continue
             idx = (*map(values.__getitem__, self.parents[v]), exo[v])
-            values[v] = np.asarray(self.tables[v])[idx]
+            values[v] = self.tables[v][idx]
         if shape == ():
             return {v: int(x) for v, x in values.items()}
         return values
@@ -230,7 +248,7 @@ def _worlds(scm: DiscreteSCM):
         raise CapacityError(f"exogenous state space exceeds {MAX_WORLDS}")
     # row-major digits of the world number, as np.indices would give them
     exo = dict(zip(scm.order, np.unravel_index(np.arange(count), sizes)))
-    factors = (np.asarray(scm.exo_dists[v], dtype=float)[e] for v, e in exo.items())
+    factors = (scm.exo_dists[v][e] for v, e in exo.items())
     prob = next(factors)
     for factor in factors:  # one at a time: a list of them costs page faults
         prob *= factor
@@ -242,15 +260,20 @@ def enumerate_joint(scm: DiscreteSCM, worlds=None):
 
     Returns a :class:`carr.infometrics.JointTable`, summed over every
     exogenous world in world order.  ``worlds`` is :func:`_worlds` of this
-    model, built here when None.
+    model, built here when None.  The table skips :class:`JointTable`'s
+    copy and checks: the model was checked once and cannot change since,
+    so its worlds' probabilities are nonnegative and sum to 1 up to
+    roundoff.  Its fresh ``probs`` is made read-only and its entropy memo
+    starts empty, as the constructor leaves them.
     """
     from .infometrics import JointTable  # local import to avoid a cycle
 
     _, prob, values = worlds or _worlds(scm)
     shape = tuple(scm.domains[v] for v in scm.order)
     flat = np.ravel_multi_index(tuple(values[v] for v in scm.order), shape)
-    probs = np.bincount(flat, weights=prob, minlength=math.prod(shape))
-    return JointTable(names=tuple(scm.order), probs=probs.reshape(shape))
+    probs = np.bincount(flat, weights=prob, minlength=math.prod(shape)).reshape(shape)
+    probs.flags.writeable = False
+    return _unchecked(JointTable, names=scm.order, probs=probs, _entropies={})
 
 
 def _check_value(scm: DiscreteSCM, var: str, val) -> None:
@@ -303,8 +326,11 @@ def random_scm(rng: np.random.Generator, shape: str = "a", max_domain: int = 4,
     ``deterministic`` collapses every exogenous pmf to a point mass.
     ``max_domain`` is the largest domain size, an integer >= 2.
 
-    The model skips :class:`DiscreteSCM`'s checks, which its draw passes:
-    each pmf is ``w / w.sum()`` of positive weights, and each table entry an
+    The model is built frozen, as the constructor leaves a checked one: its
+    tables and pmfs are read-only views of the two draw buffers, held with
+    the domains and parents in read-only mappings.  It skips
+    :class:`DiscreteSCM`'s checks, which its draw passes: each pmf is
+    ``w / w.sum()`` of positive weights, and each table entry an
     ``integers(0, domain)`` draw in a table of the checked shape.
     ``test_drawn_models_pass_their_constructor`` holds drawn models to
     them, and ``test_audits_run_no_check_on_drawn_models`` counts that the
@@ -331,18 +357,23 @@ def random_scm(rng: np.random.Generator, shape: str = "a", max_domain: int = 4,
                          + ([] if deterministic else [4] * 4)).tolist()
     domains = dict(zip(order, draws))
     exo_sizes = draws[4:] or [1] * 4
-    if deterministic:
-        exo_dists = {v: np.ones(1) for v in order}
-    else:
-        weights = rng.uniform(0.05, 1.0, size=sum(exo_sizes))
-        exo_dists = {}
-        for v, k, end in zip(order, exo_sizes, accumulate(exo_sizes)):
-            w = weights[end - k:end]
-            exo_dists[v] = w / w.sum()
+    cuts = list(zip(order, exo_sizes, accumulate(exo_sizes)))
+    # Each draw buffer is made read-only once, before the views kept in the
+    # model are cut from it, so that every one of them is read-only too.
+    # ``w /= w.sum()`` gives the bits of ``w / w.sum()``.
+    weights = (np.ones(4) if deterministic
+               else rng.uniform(0.05, 1.0, size=sum(exo_sizes)))
+    for _, k, end in cuts:
+        w = weights[end - k:end]
+        w /= w.sum()
+    weights.flags.writeable = False
+    exo_dists = {v: weights[end - k:end] for v, k, end in cuts}
     shapes = [(*(domains[p] for p in parents[v]), k) for v, k in zip(order, exo_sizes)]
     sizes = [math.prod(s) for s in shapes]
     entries = rng.integers(0, np.repeat(draws[:4], sizes))
+    entries.flags.writeable = False
     tables = {v: entries[end - n:end].reshape(s)
               for v, s, n, end in zip(order, shapes, sizes, accumulate(sizes))}
-    return _unchecked(DiscreteSCM, order=order, domains=domains, parents=parents,
-                      tables=tables, exo_dists=exo_dists)
+    return _unchecked(DiscreteSCM, order=order, domains=MappingProxyType(domains),
+                      parents=MappingProxyType(parents), tables=MappingProxyType(tables),
+                      exo_dists=MappingProxyType(exo_dists))

@@ -23,6 +23,9 @@ Both are analysed in detail in the project notes; the tests still encode
 the criteria exactly as stated.
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -175,6 +178,42 @@ def test_pns_oracle():
              "by the joint event probability", ok,
              f"identity={combined:.12f}, worst reading gap {worst:.1e} "
              f"over {audited} models")
+
+
+def _learning_curves_demo():
+    path = Path(__file__).resolve().parents[1] / "demos" / "learning_curves.py"
+    spec = importlib.util.spec_from_file_location("learning_curves", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_exact_learning_curves_favour_pa():
+    # Criteria fixed before the first run, on 200 shape-a models with 50
+    # samples per m (demos/learning_curves.py has the setup):
+    # 1. the pa rule's mean excess risk is below the all-feature rule's at
+    #    every m;
+    # 2. the pa rule's accuracy after dc's or nd's table is redrawn equals
+    #    its iid accuracy to 1e-12, for every model, m and sample;
+    # 3. at every m >= 100, the all-feature rule's mean accuracy after dc's
+    #    table is redrawn is below the pa rule's.
+    demo = _learning_curves_demo()
+    acc, bayes = demo.curves("a", 200)
+    excess = {r: bayes[r].mean() - acc[r]["iid"].mean(axis=(0, 2)) for r in ("pa", "all")}
+    less_excess = bool((excess["pa"] < excess["all"]).all())
+    drift = max(np.abs(acc["pa"][s] - acc["pa"]["iid"]).max() for s in ("dc", "nd"))
+    shifted = {r: acc[r]["dc"].mean(axis=(0, 2)) for r in ("pa", "all")}
+    late = np.array(demo.SIZES) >= 100
+    shift_hurts = bool((shifted["all"][late] < shifted["pa"][late]).all())
+    ok = less_excess and drift <= 1e-12 and shift_hurts
+    _verdict("exact learning curves: the pa rule learns with less excess risk "
+             "and keeps its accuracy under shift", ok,
+             "excess risk pa/all "
+             + ", ".join(f"m={m}: {a:.3f}/{b:.3f}" for m, a, b in
+                         zip(demo.SIZES, excess["pa"], excess["all"]))
+             + f"; pa drift under shift {drift:.1e}; dc-shifted accuracy pa/all "
+             + ", ".join(f"m={m}: {a:.3f}/{b:.3f}" for m, a, b in
+                         zip(demo.SIZES, shifted["pa"], shifted["all"])))
 
 
 def test_gradient_correctness():

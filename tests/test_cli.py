@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import carr.cli
+import carr.infometrics
 import carr.numkit
 import carr.scm
 import carr.trainer
@@ -478,7 +479,8 @@ def test_audit_lemma1_counts_every_violated_trial(monkeypatch, capsys, lhs):
 def test_audit_lemma2_keeps_a_nan_from_either_inequality(monkeypatch, capsys,
                                                          spoiled):
     # one inequality reads NaN, the other holds by a wide margin; the NaN
-    # fails the trial and stays in the reported worst margin
+    # fails the trial and stays in the reported worst margin, and in the
+    # second inequality's own margin when it is the second's
     nan = float("nan")
     info = {("nd", "dc"): nan if spoiled == 1 else 0.0,
             ("y",): nan if spoiled == 2 else 0.0, ("nd", "y"): 0.5}
@@ -486,8 +488,9 @@ def test_audit_lemma2_keeps_a_nan_from_either_inequality(monkeypatch, capsys,
                         lambda table, a, b: info[b])
     failures, worst = run_audit("lemma2", 3, 0)
     assert failures == 3 and np.isnan(worst)
+    own = "nan" if spoiled == 2 else "0.000e+00"
     assert _audit_line(capsys, "lemma2", 3) == (
-        "lemma2: 0/3 hold, worst margin nan [FAILED]")
+        f"lemma2: 0/3 hold, worst margin nan, inequality 2 alone {own} [FAILED]")
 
 
 @pytest.mark.parametrize("shift", [0.25, float("nan")])
@@ -528,7 +531,8 @@ def test_audit_that_audits_no_trial_fails(capsys):
 def test_audits_run_no_check_on_drawn_models(monkeypatch, what, trials):
     # a drawn model or chain passes its constructor's checks by construction
     # (tests/test_oracle_properties.py), so the audits skip them; a joint
-    # table built by enumerate_joint is checked once
+    # table built by enumerate_joint comes from a model that was checked
+    # once and is frozen since, so it is not checked either
     counts = {"scm": 0, "table": 0, "joint": 0}
 
     def counted(key, fn):
@@ -545,9 +549,19 @@ def test_audits_run_no_check_on_drawn_models(monkeypatch, what, trials):
     monkeypatch.setattr(carr.scm, "enumerate_joint", joint)
     monkeypatch.setattr(carr.cli.infometrics, "enumerate_joint", joint)
     run_audit(what, trials, 0)
-    assert counts["scm"] == 0
-    assert counts["table"] == counts["joint"]
+    assert counts["scm"] == counts["table"] == 0
     assert (counts["joint"] > 0) == (what != "dpi")
+
+
+def test_audits_plan_a_handful_of_marginals(monkeypatch):
+    # every table of one suite has the same names, so the plan cache holds
+    # one entry per variable tuple that the suites ask for: dpi 5 over
+    # (x, z, y), and 7 over (pa, nd, y, dc) that the lemma and pns suites share
+    monkeypatch.setattr(carr.infometrics, "_PLANS", {})
+    for what in ("dpi", "lemma1", "lemma2", "pns"):
+        for shape in "ab":
+            run_audit(what, 10, 0, shape)
+    assert len(carr.infometrics._PLANS) == 12
 
 
 @pytest.mark.parametrize("spoil", [1.0, float("nan")])

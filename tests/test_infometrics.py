@@ -1,11 +1,13 @@
 """Information measures, inequality checkers, PNS, and sample statistics."""
 
+import itertools
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import carr.infometrics
 from carr.infometrics import (
     JointTable,
     MetricError,
@@ -54,6 +56,45 @@ def test_marginal_restores_axis_order():
         table.marginal(("c", "a", "c"))
     with pytest.raises(QueryError, match=r"^variable 'a' is named more than once$"):
         entropy(table, ("a", "a"))
+
+
+def test_planned_axes_and_marginals():
+    # each (names, variables) pair is planned once and read from the plan
+    # after that; two tables over the same names share their plans
+    names = ("a", "b", "c")
+    tables = []
+    for seed in (0, 1):
+        probs = Rng(seed).uniform(0.1, 1.0, size=(2, 3, 4))
+        tables.append(JointTable(names=names, probs=probs / probs.sum()))
+    tables.append(JointTable(names=list(names), probs=tables[0].probs))  # unhashable
+    for table in tables * 2:
+        for subset in itertools.chain.from_iterable(
+                itertools.permutations(names, k) for k in (1, 2, 3)):
+            keep = tuple(names.index(v) for v in subset)
+            assert table.axes(subset) == table.axes(iter(subset)) == keep
+            drop = tuple(i for i in range(3) if i not in keep)
+            want = np.transpose(table.probs.sum(axis=drop),
+                                tuple(np.argsort(np.argsort(keep))))
+            got = table.marginal(subset)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        unknown = f"is not one of the table's names {table.names}"
+        repeated = "is named more than once"
+        for call in (table.axes, table.marginal):
+            for bad, message in ((("a", "d"), f"variable 'd' {unknown}"),
+                                 ((["a"],), f"variable ['a'] {unknown}"),
+                                 (("c", "a", "c"), f"variable 'c' {repeated}"),
+                                 (("b", "b"), f"variable 'b' {repeated}")):
+                with pytest.raises(QueryError, match=f"^{re.escape(message)}$"):
+                    call(bad)
+
+
+def test_the_plan_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(carr.infometrics, "_PLANS", {})
+    probs = np.full(4, 0.25)
+    for i in range(carr.infometrics._MAX_PLANS + 10):
+        table = JointTable(names=(f"v{i}",), probs=probs)
+        assert table.marginal((f"v{i}",)).tobytes() == probs.tobytes()
+    assert len(carr.infometrics._PLANS) == carr.infometrics._MAX_PLANS
 
 
 def test_entropy_uniform():

@@ -242,6 +242,52 @@ def test_drawn_chains_pass_their_constructor(rng):
     assert chain.probs.flags.c_contiguous
 
 
+def _large_like(seed, exo):
+    """A shape-b model built the way benchmarks/workloads.large_scm builds
+    its models, with ``exo`` exogenous states and three values per node."""
+    rng = np.random.default_rng([exo, seed])
+    order = ("pa", "nd", "y", "dc")
+    parents = {"pa": (), "nd": ("pa",), "y": ("pa",), "dc": ("pa", "y")}
+    domains = dict.fromkeys(order, 3)
+    tables, exo_dists = {}, {}
+    for v in order:
+        w = rng.uniform(0.05, 1.0, size=exo)
+        exo_dists[v] = w / w.sum()
+        tables[v] = rng.integers(0, 3, size=(*(domains[p] for p in parents[v]), exo))
+    return DiscreteSCM(order=order, domains=domains, parents=parents,
+                       tables=tables, exo_dists=exo_dists)
+
+
+def _assert_joint_passes_its_constructor(scm):
+    table = enumerate_joint(scm)
+    checked = JointTable(table.names, table.probs)
+    assert vars(table).keys() == vars(checked).keys()
+    assert table.names == checked.names == scm.order
+    assert table._entropies == checked._entropies == {}
+    assert _same_bits(table.probs, checked.probs)
+    assert not table.probs.flags.writeable
+    assert table.probs.flags.c_contiguous
+
+
+@pytest.mark.parametrize("deterministic", [False, True])
+@pytest.mark.parametrize("max_domain", [2, 3, 4])
+@pytest.mark.parametrize("shape", ["a", "b"])
+@settings(SETTINGS, max_examples=25)
+@given(rngs())
+def test_enumerated_joints_pass_their_constructor(shape, max_domain, deterministic,
+                                                  rng):
+    # enumerate_joint skips JointTable's checks, which a frozen checked
+    # model's joint passes
+    _assert_joint_passes_its_constructor(random_scm(rng, shape, max_domain,
+                                                    deterministic))
+
+
+@pytest.mark.parametrize("exo", [2, 5, 8])
+def test_enumerated_joints_of_large_models_pass_their_constructor(exo):
+    for seed in range(3):
+        _assert_joint_passes_its_constructor(_large_like(seed, exo))
+
+
 # ---- the per-world PNS ----
 
 

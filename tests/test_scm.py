@@ -251,6 +251,73 @@ def test_discrete_scm_accepts_a_pmf_within_its_tolerance():
     assert _one_node([0, 1], [0.5, 0.5 + 5e-10]).evaluate({"x": 1}) == {"x": 1}
 
 
+@pytest.mark.parametrize("table", [[0.0, 1.0], [False, True]])
+def test_discrete_scm_rejects_a_table_that_is_not_integer(table):
+    # a float table cannot index its children, and a bool one indexes them
+    # as a mask
+    with pytest.raises(ValueError, match="^table for x is not an integer array$"):
+        _one_node(table, [0.5, 0.5])
+
+
+def _frozen_fields(scm):
+    """The arrays and mappings that a frozen model must refuse to change."""
+    arrays = [*scm.tables.values(), *scm.exo_dists.values()]
+    mappings = [scm.domains, scm.parents, scm.tables, scm.exo_dists]
+    return arrays, mappings
+
+
+@pytest.mark.parametrize("build", ["checked", "drawn", "drawn deterministic"])
+def test_a_model_cannot_change_after_its_check(build):
+    if build == "checked":
+        scm = _identity_chain()
+    else:
+        scm = random_scm(Rng(0, stream=10), deterministic=build != "drawn")
+    arrays, mappings = _frozen_fields(scm)
+    assert len(arrays) == 2 * len(scm.order)
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    for m in mappings:
+        with pytest.raises(TypeError):
+            m[scm.order[0]] = m[scm.order[0]]
+    assert scm.order == tuple(scm.order)
+    assert all(type(p) is tuple for p in scm.parents.values())
+    assert all(t.dtype.kind in "iu" for t in scm.tables.values())
+    assert all(p.dtype == np.float64 for p in scm.exo_dists.values())
+
+
+def test_a_drawn_pmf_no_longer_takes_a_write():
+    # this write used to reach the model, and only enumerate_joint's table
+    # check caught it, as a QueryError far from the write
+    scm = random_scm(Rng(0, stream=10))
+    with pytest.raises(ValueError, match="read-only"):
+        scm.exo_dists["pa"][:] = 0.9
+    assert abs(enumerate_joint(scm).probs.sum() - 1.0) < 1e-12
+
+
+def test_the_constructor_copies_its_inputs():
+    tables = {"x": np.array([0, 1]), "y": np.array([[0], [1]])}
+    exo_dists = {"x": np.array([0.5, 0.5]), "y": np.array([1.0])}
+    domains, parents = {"x": 2, "y": 2}, {"x": [], "y": ["x"]}
+    scm = DiscreteSCM(order=["x", "y"], domains=domains, parents=parents,
+                      tables=tables, exo_dists=exo_dists)
+    before = enumerate_joint(scm).probs.copy()
+    for a in (*tables.values(), *exo_dists.values()):
+        assert a.flags.writeable  # the caller's arrays stay the caller's
+    tables["x"][:] = 1
+    tables["y"] = np.array([[1], [0]])
+    exo_dists["x"][:] = [0.9, 0.1]
+    domains["x"], parents["y"] = 3, []
+    parents["x"].append("y")
+    assert scm.order == ("x", "y")
+    assert dict(scm.domains) == {"x": 2, "y": 2}
+    assert dict(scm.parents) == {"x": (), "y": ("x",)}
+    assert scm.tables["x"].tolist() == [0, 1]
+    assert scm.tables["y"].tolist() == [[0], [1]]
+    assert scm.exo_dists["x"].tolist() == [0.5, 0.5]
+    assert enumerate_joint(scm).probs.tobytes() == before.tobytes()
+
+
 def test_evaluate_and_intervention():
     scm = _identity_chain()
     assert scm.evaluate({"x": 1, "y": 0}) == {"x": 1, "y": 1}
