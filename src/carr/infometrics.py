@@ -48,8 +48,8 @@ class MetricError(ValueError):
 class JointTable:
     """Joint probability table over named finite variables.
 
-    ``probs`` is a read-only copy of the given table, so the entropies that
-    :func:`entropy` keeps per variable tuple cannot go stale.
+    ``probs`` is a view of a read-only copy of the given table, whose flag
+    cannot be set back, so the entropies :func:`entropy` keeps cannot go stale.
     """
 
     names: tuple
@@ -63,8 +63,8 @@ class JointTable:
             raise QueryError("probs must have one axis per variable")
         if not (probs.min() >= -1e-12 and abs(probs.sum() - 1.0) <= 1e-9):  # NaN fails
             raise QueryError("probabilities must be nonnegative and sum to 1")
-        probs.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
+        probs.setflags(write=False)
+        object.__setattr__(self, "probs", probs.view())
 
     def axes(self, variables) -> tuple:
         """The axis of each of ``variables``, in their order."""
@@ -268,8 +268,8 @@ def random_markov_chain(rng) -> JointTable:
 
     The table skips :class:`JointTable`'s copy and its checks (one axis per
     name, nonnegative cells that sum to 1), which a product of normalized
-    positive draws passes; its fresh ``probs`` is made read-only and its
-    entropy memo starts empty, as the constructor leaves them.
+    positive draws passes; it is frozen, its ``probs`` a view of a read-only
+    buffer, and its entropy memo starts empty, as the constructor leaves them.
     ``test_drawn_chains_pass_their_constructor`` holds drawn chains to that.
     """
     w = rng.uniform(0.05, 1.0, size=21)  # one draw, cut in draw order
@@ -278,8 +278,9 @@ def random_markov_chain(rng) -> JointTable:
     pzx /= pzx.sum(axis=1, keepdims=True)
     pyz /= pyz.sum(axis=1, keepdims=True)
     probs = px[:, None, None] * pzx[:, :, None] * pyz[None, :, :]
-    probs.flags.writeable = False
-    return _unchecked(JointTable, names=("x", "z", "y"), probs=probs, _entropies={})
+    probs.setflags(write=False)
+    return _unchecked(JointTable, names=("x", "z", "y"), probs=probs.view(),
+                      _entropies={})
 
 
 # ---------------------------------------------------------------------------

@@ -215,16 +215,14 @@ def predictor_xent_backward(params: ModelParams, cache: tuple,
                             out: ModelParams | None = None, z_grad: bool = True):
     """Gradients of ``coeff * xent.mean()`` (the plain mean for ``coeff``
     None) from the cache of a 2-D :func:`predictor_xent`, which it
-    overwrites.  Returns ``(z_grad, out)``: the predictor layers' gradients
-    are written into those of ``out``, ``params`` laid over a gradient
-    vector (a new one, zero elsewhere, if None); with ``z_grad`` False the
-    first is None, not formed."""
+    overwrites.  Returns ``(z_grad, grads)``, ``grads`` the weight and bias
+    gradients of ``pred_out`` and of ``pred_hidden``: the arrays of ``out``
+    (``params`` laid over a gradient) written over, or new ones if None.
+    With ``z_grad`` False the first is None, not formed."""
     z, _, hidden, hidden_neg, _, logits = cache
-    g = _logit_grad(cache, coeff)
-    out = params.over(np.zeros_like(params.flat)) if out is None else out
-    for name, x, layer_cache, need in (("pred_out", hidden, logits, True),
-                                       ("pred_hidden", z, hidden_neg, z_grad)):
-        layer = getattr(out, name)
-        g = dense_backward(getattr(params, name), x, layer_cache, g, layer.weights,
-                           layer.bias, need)[0]
-    return g, out
+    into = [None] * 4 if out is None else [a for layer in (out.pred_out, out.pred_hidden)
+                                           for a in (layer.weights, layer.bias)]
+    g, *grads = dense_backward(params.pred_out, hidden, logits,
+                               _logit_grad(cache, coeff), *into[:2])
+    g, *more = dense_backward(params.pred_hidden, z, hidden_neg, g, *into[2:], z_grad)
+    return g, (*grads, *more)

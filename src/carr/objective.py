@@ -162,16 +162,16 @@ def encoded_loss_and_grads(params: ModelParams, enc: EncoderOutput,
     batch's encoder forward ``enc``.  ``attack_delta`` shifts z for the
     positive term and ``neg_delta`` the intervened z for the negative term;
     both have z's shape and are constants during differentiation.  The
-    gradient is written into every entry of ``out.flat``, where ``out`` is
-    ``params`` laid over a float64 vector by :meth:`ModelParams.over` (a
-    new one if None), and that vector is returned."""
+    gradient is written into every entry of ``out.flat`` (``out`` is ``params``
+    laid over a float64 vector by :meth:`ModelParams.over`, a new one if None),
+    the negative term's predictor gradients added in; that vector is returned."""
     breakdown, cache_pos, cache_neg, (prior, var) = _loss_forward(
         params, enc, y_batch, mode, lam, b, neg_weight, attack_delta, neg_delta)
     g = params.over(np.empty_like(params.flat)) if out is None else out
     n, d_z = enc.z.shape
 
     # ----- backward through the predictor -----
-    g_z = predictor_xent_backward(params, cache_pos, 1.0, g)[0]
+    g_z, pos = predictor_xent_backward(params, cache_pos, 1.0, g)
     if cache_neg is not None:
         # the negative ll is ADDED to the minimized total, so its upstream
         # coefficient is -neg_weight relative to the positive branch
@@ -179,9 +179,8 @@ def encoded_loss_and_grads(params: ModelParams, enc: EncoderOutput,
                                                z_grad=not stop_grad_negative)
         if not stop_grad_negative:
             g_z += g_z_neg  # intervention shift is additive, identity jacobian
-        for name in ("pred_hidden", "pred_out"):
-            getattr(g, name).weights += getattr(neg, name).weights
-            getattr(g, name).bias += getattr(neg, name).bias
+        for into, add in zip(pos, neg):  # pos holds the arrays written into g
+            into += add
 
     # ----- backward through the encoder -----
     g_head = np.empty((n, 2 * d_z))

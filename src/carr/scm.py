@@ -157,10 +157,10 @@ class DiscreteSCM:
 
     The constructor checks this once: a topological order, 1-D nonnegative
     pmfs that sum to 1, and integer tables of that shape with entries in
-    their node's domain.  It then freezes the model: it keeps read-only
-    copies of the tables and of the pmfs (float64), and holds them, the
-    domains and the parents (as tuples) in read-only mappings, so no field
-    can change after the check and the caller's arrays stay the caller's.
+    their node's domain.  It then freezes the model: views of read-only
+    copies of the tables and pmfs (float64), whose flags cannot be set back,
+    are held with the domains and parents (as tuples) in read-only mappings,
+    so no field can change after the check and the caller's arrays stay theirs.
     :func:`random_scm` builds its model frozen and skips the checks, which
     its draws pass by construction.
     """
@@ -195,8 +195,9 @@ class DiscreteSCM:
             entries = table.ravel().tolist()  # builtin min/max/sum beat reductions
             if min(entries) < 0 or max(entries) >= self.domains[v]:
                 raise ValueError(f"table for {v} leaves its domain")
-            pmf.flags.writeable = table.flags.writeable = False
-            exo_dists[v], tables[v] = pmf, table
+            pmf.setflags(write=False)
+            table.setflags(write=False)
+            exo_dists[v], tables[v] = pmf.view(), table.view()
         parents = {v: tuple(ps) for v, ps in self.parents.items()}
         for name, value in (("order", tuple(self.order)),
                             ("domains", MappingProxyType(dict(self.domains))),
@@ -263,17 +264,18 @@ def enumerate_joint(scm: DiscreteSCM, worlds=None):
     model, built here when None.  The table skips :class:`JointTable`'s
     copy and checks: the model was checked once and cannot change since,
     so its worlds' probabilities are nonnegative and sum to 1 up to
-    roundoff.  Its fresh ``probs`` is made read-only and its entropy memo
-    starts empty, as the constructor leaves them.
+    roundoff.  It is frozen, its ``probs`` a view of a read-only buffer, and
+    its entropy memo starts empty, as the constructor leaves them.
     """
     from .infometrics import JointTable  # local import to avoid a cycle
 
     _, prob, values = worlds or _worlds(scm)
     shape = tuple(scm.domains[v] for v in scm.order)
     flat = np.ravel_multi_index(tuple(values[v] for v in scm.order), shape)
-    probs = np.bincount(flat, weights=prob, minlength=math.prod(shape)).reshape(shape)
-    probs.flags.writeable = False
-    return _unchecked(JointTable, names=scm.order, probs=probs, _entropies={})
+    probs = np.bincount(flat, weights=prob, minlength=math.prod(shape))
+    probs.setflags(write=False)
+    return _unchecked(JointTable, names=scm.order, probs=probs.reshape(shape),
+                      _entropies={})
 
 
 def _check_value(scm: DiscreteSCM, var: str, val) -> None:
@@ -366,12 +368,12 @@ def random_scm(rng: np.random.Generator, shape: str = "a", max_domain: int = 4,
     for _, k, end in cuts:
         w = weights[end - k:end]
         w /= w.sum()
-    weights.flags.writeable = False
+    weights.setflags(write=False)
     exo_dists = {v: weights[end - k:end] for v, k, end in cuts}
     shapes = [(*(domains[p] for p in parents[v]), k) for v, k in zip(order, exo_sizes)]
     sizes = [math.prod(s) for s in shapes]
     entries = rng.integers(0, np.repeat(draws[:4], sizes))
-    entries.flags.writeable = False
+    entries.setflags(write=False)
     tables = {v: entries[end - n:end].reshape(s)
               for v, s, n, end in zip(order, shapes, sizes, accumulate(sizes))}
     return _unchecked(DiscreteSCM, order=order, domains=MappingProxyType(domains),

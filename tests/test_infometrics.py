@@ -249,6 +249,19 @@ def test_joint_table_probs_cannot_change_under_its_entropies():
     assert probs.flags.writeable
     assert table.probs[0, 0] == 0.25 and entropy(table, ("a",)) == h
     assert entropy(JointTable(names=("a", "b"), probs=probs), ("a",)) != h
+    # nor can the writeable flag be set back, on a checked table or on one
+    # built from a checked model, a drawn model or a drawn chain
+    checked = DiscreteSCM(order=("x",), domains={"x": 2}, parents={"x": ()},
+                          tables={"x": np.array([0, 1])},
+                          exo_dists={"x": np.array([0.25, 0.75])})
+    for table in (table, enumerate_joint(checked),
+                  enumerate_joint(random_scm(Rng(0, stream=10))),
+                  random_markov_chain(Rng(0, stream=100))):
+        for flip in (lambda: setattr(table.probs.flags, "writeable", True),
+                     lambda: table.probs.setflags(write=True)):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                flip()
+        assert not table.probs.flags.writeable
 
 
 def test_lemma_checkers_require_roles():

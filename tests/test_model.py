@@ -212,15 +212,31 @@ def test_predictor_xent_grad_is_the_full_backwards_z_gradient(n):
 
 
 def test_predictor_backward_without_z_gradient_keeps_layer_gradients():
+    # the layer gradients returned without ``out`` are new arrays equal, bit
+    # for bit, to those written into a laid buffer, whose arrays come back
     params = _params(seed=5, d_z=16)
     rng = Rng(5, stream=7)
     z, y = rng.normal(size=(9, 16)), rng.integers(0, 2, size=9)
-    _, want = predictor_xent_backward(params, predictor_xent(params, z, y)[1], -1.3)
-    gz, got = predictor_xent_backward(params, predictor_xent(params, z, y)[1], -1.3,
-                                      z_grad=False)
-    assert gz is None
-    assert got.flat.tobytes() == want.flat.tobytes()
-    assert not got.enc_hidden.weights.any() and not got.enc_head.bias.any()
+    for coeff in (None, 1.0, -1.3):
+        for z_grad in (True, False):
+            laid = params.over(np.full_like(params.flat, np.nan))
+            gz_laid, written = predictor_xent_backward(
+                params, predictor_xent(params, z, y)[1], coeff, laid, z_grad)
+            gz, got = predictor_xent_backward(
+                params, predictor_xent(params, z, y)[1], coeff, z_grad=z_grad)
+            into = (laid.pred_out.weights, laid.pred_out.bias,
+                    laid.pred_hidden.weights, laid.pred_hidden.bias)
+            assert all(a is b for a, b in zip(written, into, strict=True))
+            for a, b in zip(got, into, strict=True):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert not np.shares_memory(a, laid.flat)
+            assert not any(np.isnan(a).any() for a in into)
+            assert np.isnan(laid.enc_hidden.weights).all()  # other layers untouched
+            assert np.isnan(laid.enc_head.bias).all()
+            if z_grad:
+                assert gz.tobytes() == gz_laid.tobytes()
+            else:
+                assert gz is None and gz_laid is None
 
 
 def test_softmax_two_column_form_matches_axis_reductions():

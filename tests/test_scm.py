@@ -277,6 +277,13 @@ def test_a_model_cannot_change_after_its_check(build):
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
+        # an owned array's flag could be set back, and a later write would
+        # reach the model; a view of a read-only owner refuses the flip
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            a.flags.writeable = True
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            a.setflags(write=True)
+        assert not a.flags.writeable
     for m in mappings:
         with pytest.raises(TypeError):
             m[scm.order[0]] = m[scm.order[0]]

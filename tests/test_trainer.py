@@ -176,6 +176,28 @@ def test_encoder_runs_once_per_batch(monkeypatch):
     assert in_dims.count(4) == 128 // 32
 
 
+@pytest.mark.parametrize("stop_grad_negative", [True, False])
+def test_a_carr_run_lays_the_model_a_fixed_number_of_times(monkeypatch,
+                                                          stop_grad_negative):
+    # once in init_params and once for the step's gradient buffer: a robust
+    # carr step's negative branch lays no model of its own
+    over = model.ModelParams.over
+    calls = []
+
+    def counted(self, *args, **kw):
+        calls.append(1)
+        return over(self, *args, **kw)
+
+    monkeypatch.setattr(model.ModelParams, "over", counted)
+    counts = []
+    for epochs in (1, 3):  # 4 and 12 steps
+        calls.clear()
+        train(_cfg(method="carr", epochs=epochs, batch_size=32,
+                   stop_grad_negative=stop_grad_negative), _toy_gaussians(n=128))
+        counts.append(len(calls))
+    assert counts == [2, 2]
+
+
 def test_divergence_raises_training_error():
     cfg = RunConfig(method="base", training_mode="standard",
                     attack=AttackSpec(p="2", beta=0.0), lr=1e4, epochs=10,
