@@ -172,8 +172,8 @@ def _audit(what: str, trials: int, seed: int, shape: str = "a", ineq2=None):
                       neg_delta=0.05 * rng.standard_normal(size=(4, 3)))
             _, analytic = loss_and_grads(params, xb, yb, "carr", **kw)
             err = grad_check(
-                lambda vecs, first: loss_values(params, vecs, xb, yb, "carr",
-                                                unchanged_below=first, **kw),
+                lambda vecs, changed: loss_values(params, vecs, xb, yb, "carr",
+                                                  changed=changed, **kw),
                 analytic, params.flat,
             )
             worst = _worse(worst, err)

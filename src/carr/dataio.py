@@ -143,6 +143,10 @@ def _load_synthetic(path) -> tuple[list[str], Split]:
 def write_csv(split: Split, path) -> None:
     """Persist a simulator split in the layout :func:`load_synthetic_csv` reads."""
     blocks = {"pa": split.pa, "nd": split.nd, "dc": split.dc}
+    missing = [name for name, block in blocks.items() if block is None]
+    if missing:
+        raise DataError(f"the split has no {', '.join(missing)} block: only a "
+                        "simulator split can be written")
     header = [f"{name}_{i}" for name, block in blocks.items()
               for i in range(block.shape[1])]
     header += [f"nc_{i}" for i in range(split.x.shape[1] - len(header))] + ["y"]

@@ -70,26 +70,32 @@ class ModelParams:
         for name in _LAYERS:
             setattr(self, name, getattr(laid, name))
 
-    def over(self, vec: np.ndarray, unchanged_below: int = 0) -> ModelParams:
+    def over(self, vec: np.ndarray, changed: range | None = None) -> ModelParams:
         """This model laid over ``vec``, a (P,) vector such as a gradient or
         a (K, P) stack of K parameter vectors: its ``flat`` is ``vec`` (a
         float64 copy if it is not float64), and every array is a view of it
         in this model's layout, with a leading K axis for a stack, which the
         forward passes carry through.
 
-        The caller promises that ``vec`` equals this model's ``flat`` below
-        index ``unchanged_below``.  A layer whose parameters all lie below
-        it keeps this model's own arrays, so a stack's forward runs it once
-        for all K rows.
+        ``changed``, a ``range(start, stop)`` of coordinates, is the
+        caller's promise that ``vec`` equals this model's ``flat`` outside
+        it.  Only the layers that hold a coordinate of it are then laid over
+        ``vec``; every other layer keeps this model's own arrays, so a
+        stack's forward runs the layers below them once for all K rows and
+        multiplies by one shared weight above them.
         """
         vec = np.asarray(vec, dtype=float)
         size = self.flat.size
         if vec.ndim not in (1, 2) or vec.shape[-1] != size:
             raise ConfigurationError(f"parameter vector has shape {vec.shape}, "
                                      f"expected ({size},) or (K, {size})")
-        if not 0 <= unchanged_below < size:
+        if changed is None:
+            changed = range(size)
+        elif not (isinstance(changed, range) and changed.step == 1
+                  and 0 <= changed.start < changed.stop <= size):
             raise ConfigurationError(
-                f"unchanged_below must lie in [0, {size}), got {unchanged_below}")
+                f"changed must be a non-empty range(start, stop) within [0, {size}), "
+                f"got {changed!r}")
         out = copy.copy(self)
         out.flat = vec
         stop = 0
@@ -97,7 +103,7 @@ class ModelParams:
             layer = getattr(self, name)
             start, mid = stop, stop + layer.weights.size
             stop = mid + layer.bias.size
-            if stop > unchanged_below:
+            if start < changed.stop and changed.start < stop:
                 w = vec[..., start:mid].reshape(vec.shape[:-1] + layer.weights.shape)
                 setattr(out, name, DenseLayer(w, vec[..., mid:stop], layer.activation))
         return out

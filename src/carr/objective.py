@@ -86,17 +86,17 @@ def loss_and_grads(params: ModelParams, x_batch: np.ndarray, y_batch: np.ndarray
 
 def loss_values(params: ModelParams, vecs: np.ndarray, x_batch: np.ndarray,
                 y_batch: np.ndarray, mode: str, *, eps_std: np.ndarray | None = None,
-                unchanged_below: int = 0, **loss_kw) -> np.ndarray:
+                changed: range | None = None, **loss_kw) -> np.ndarray:
     """Totals of one batch under each row of the (K, P) stack ``vecs`` of
     parameter vectors of ``params``: the forward of :func:`loss_and_grads`
     with the same keywords, run once over the stack, without the backward.
 
-    Every row must equal ``params.flat`` below index ``unchanged_below``
-    (:func:`carr.numkit.grad_check` guarantees it for the ``first`` it
-    passes); the layers that lie wholly below it then run once, unstacked,
-    and the totals are bit-identical to those with the default 0.
+    Every row must equal ``params.flat`` outside the ``range`` ``changed``
+    (:func:`carr.numkit.grad_check` guarantees it for the range it passes);
+    the layers that hold none of its coordinates then keep their unstacked
+    arrays, and the totals are bit-identical to those with the default None.
     """
-    laid = params.over(vecs, unchanged_below)
+    laid = params.over(vecs, changed)
     return _loss_forward(laid, encode(laid, x_batch, eps_std), y_batch, mode,
                          **loss_kw)[0].total
 

@@ -232,8 +232,8 @@ def test_gradient_correctness():
                   neg_delta=neg if mode == "carr" else None)
         _, analytic = loss_and_grads(params, x, y, mode, **kw)
         worst = max(worst, grad_check(
-            lambda vecs, first: loss_values(params, vecs, x, y, mode,
-                                            unchanged_below=first, **kw),
+            lambda vecs, changed: loss_values(params, vecs, x, y, mode,
+                                              changed=changed, **kw),
             analytic, params.flat))
     _verdict("analytic gradients of all four objectives vs central "
              "differences over 50 draws", worst <= 1e-4,

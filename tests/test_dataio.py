@@ -73,6 +73,21 @@ def test_synthetic_round_trip(tmp_path):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
+@pytest.mark.parametrize("drop, message", [
+    (("pa", "nd", "dc"), "no pa, nd, dc block"),  # a tabular split
+    (("dc",), "no dc block"),
+])
+def test_write_csv_needs_every_block(tmp_path, drop, message):
+    data = generate(SynthConfig(beta=0.3, n=10, seed=1))
+    split = Split(x=data.x, y=data.y, pa=data.pa, nd=data.nd, dc=data.dc)
+    for name in drop:
+        setattr(split, name, None)
+    path = tmp_path / "d.csv"
+    with pytest.raises(DataError, match=message):
+        write_csv(split, path)
+    assert not path.exists()
+
+
 def test_synthetic_csv_errors(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("pa_0,zz_0,y\n0.1,0.2,1\n")

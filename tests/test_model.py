@@ -109,20 +109,31 @@ def test_over_rejects_a_vector_of_the_wrong_shape():
 
 
 def test_stacked_keeps_layers_below_unchanged_below():
+    # a layer that holds no coordinate of changed keeps the model's own
+    # arrays; the others are laid over the stack
     params = _params()
     size = params.flat.size
     vecs = np.tile(params.flat, (3, 1))
-    weights_stop = params.enc_hidden.weights.size
-    stack = params.over(vecs, weights_stop)  # enc_hidden's bias is not below
-    assert all(getattr(stack, name).weights.ndim == 3 for name in _NAMES)
-    stack = params.over(vecs, weights_stop + params.enc_hidden.bias.size)
-    assert stack.enc_hidden is params.enc_hidden
-    assert stack.enc_head.weights.ndim == 3
-    stack = params.over(vecs, size - 1)
-    assert [getattr(stack, name) is getattr(params, name) for name in _NAMES] == [
-        True, True, True, False]
-    for bad in (-1, size):
-        with pytest.raises(ConfigurationError):
+    hidden_stop = params.enc_hidden.weights.size + params.enc_hidden.bias.size
+    for changed, laid in [
+        (range(10, 20), [True, False, False, False]),  # inside one array
+        (range(hidden_stop - 2, hidden_stop + 3), [True, True, False, False]),
+        (range(0, 1), [True, False, False, False]),  # the first coordinate
+        (range(size - 1, size), [False, False, False, True]),  # the last
+        (range(size), [True] * 4),
+        (None, [True] * 4),
+    ]:
+        stack = params.over(vecs, changed)
+        for name, stacked in zip(_NAMES, laid):
+            layer, own = getattr(stack, name), getattr(params, name)
+            if stacked:
+                assert layer.weights.ndim == 3 and np.shares_memory(layer.weights, vecs)
+            else:
+                assert layer is own
+                assert layer.weights is own.weights and layer.bias is own.bias
+    for bad in (range(-1, 3), range(size - 1, size + 1), range(5, 5), range(0, 9, 2),
+                range(9, 0, -1), 0, slice(0, 3)):
+        with pytest.raises(ConfigurationError, match="changed must be"):
             params.over(vecs, bad)
 
 
@@ -178,7 +189,7 @@ def test_predictor_xent_grad_finite_difference():
     z0 = rng.uniform(-1, 1, size=(4, 3))
     y = np.array([0, 1, 1, 0])
 
-    def loss(vecs, first):
+    def loss(vecs, changed):
         return predictor_xent(params, vecs.reshape(-1, 4, 3), y)[0].mean(axis=-1)
 
     _, gz = predictor_xent_grad(params, z0, y)

@@ -131,7 +131,7 @@ def test_dense_backward_gradients(activation):
     x = rng.uniform(-1, 1, size=(6, 4))
     target = rng.normal(size=(6, 3))
 
-    def loss_of(vecs, first):
+    def loss_of(vecs, changed):
         lyr = DenseLayer(vecs[:, :12].reshape(-1, 3, 4), vecs[:, 12:], activation)
         out, _ = dense_forward(lyr, x)
         return 0.5 * ((out - target) ** 2).sum(axis=(-2, -1))
@@ -147,7 +147,7 @@ def test_dense_backward_input_grad():
     layer = init_dense(rng, 3, 2, "elu")
     x0 = rng.uniform(-1, 1, size=(1, 3))
 
-    def loss_of(vecs, first):
+    def loss_of(vecs, changed):
         out, _ = dense_forward(layer, vecs.reshape(-1, 1, 3))
         return 0.5 * (out ** 2).sum(axis=(-2, -1))
 
@@ -171,6 +171,14 @@ def test_stacked_dense_forward_equals_slices(activation, shared_input):
             x if shared_input else x[k])
         assert out[k].tobytes() == ref_out.tobytes()
         assert pre[k].tobytes() == ref_pre.tobytes()
+    if not shared_input:  # one 2-D layer over a stacked input
+        shared = DenseLayer(layer.weights[0], layer.bias[0], activation)
+        out, pre = dense_forward(shared, x)
+        assert out.shape == pre.shape == (7, 5, 64)
+        for k in range(7):
+            ref_out, ref_pre = dense_forward(shared, x[k])
+            assert out[k].tobytes() == ref_out.tobytes()
+            assert pre[k].tobytes() == ref_pre.tobytes()
 
 
 def _pre_activation(layer, x):
@@ -187,6 +195,22 @@ def test_elu_cache_is_min_of_pre_activation(stacked):
     out, cache = dense_forward(layer, x)
     assert cache.tobytes() == np.minimum(pre, 0.0).tobytes()
     assert out.tobytes() == elu(pre).tobytes()
+    # the edge values and NaN as pre-activations: zero weights and the
+    # values as bias.  A BLAS sum starts at +0.0, which turns a -0.0 bias
+    # into +0.0, so -0.0 meets the forward's min on its own below
+    edges = np.append(_EDGES, np.nan)
+    layer = DenseLayer(np.zeros(shape[:-2] + (edges.size, 1)),
+                       np.broadcast_to(edges, shape[:-2] + (edges.size,)), "elu")
+    x = np.ones((2, 1))
+    pre = _pre_activation(layer, x)
+    assert pre.tobytes() == np.broadcast_to(np.where(edges == 0, 0.0, edges),
+                                            pre.shape).tobytes()
+    out, cache = dense_forward(layer, x)
+    assert cache.tobytes() == np.minimum(pre, 0.0).tobytes()
+    assert out.tobytes() == elu(pre).tobytes()
+    pre = np.broadcast_to(edges, pre.shape)
+    assert (np.minimum(pre, np.zeros(edges.size)).tobytes()
+            == np.minimum(pre, 0.0).tobytes())
 
 
 def test_elu_backward_through_cache_matches_elu_grad_on_edges():
@@ -272,7 +296,7 @@ def test_stacked_dense_layer_validation():
 def test_grad_check_flags_wrong_gradient():
     point = np.array([1.0, -2.0])
     # correct grad is 2*point
-    err = grad_check(lambda vecs, first: (vecs ** 2).sum(axis=-1), 3.0 * point, point)
+    err = grad_check(lambda vecs, changed: (vecs ** 2).sum(axis=-1), 3.0 * point, point)
     assert err > 0.1
 
 
@@ -301,28 +325,56 @@ def test_grad_check_chunk_edges(monkeypatch, size, per_chunk, stacks):
     point = rng.normal(size=size)
     weights = rng.uniform(0.5, 2.0, size=size)
     analytic = 3 * weights * point ** 2 + rng.normal(size=size) * 1e-3
-    seen, seen_first = [], []
+    seen, seen_changed = [], []
 
-    def loss(vecs, first):
+    def loss(vecs, changed):
         seen.append(vecs.shape[0])
-        seen_first.append(first)
+        seen_changed.append(changed)
         assert vecs.shape[1] == size
-        # the promise a loss may rely on: every row is the point below first
-        assert (vecs[:, :first] == point[:first]).all()
-        assert not (vecs[:, first] == point[first]).all()
+        # the promise a loss may rely on: every row is the point outside
+        # changed, and inside it row i and row k + i bump coordinate i
+        outside = np.ones(size, dtype=bool)
+        outside[changed.start:changed.stop] = False
+        assert (vecs[:, outside] == point[outside]).all()
+        k = len(changed)
+        moved = vecs[:, changed.start:changed.stop] != point[changed.start:changed.stop]
+        assert np.array_equal(moved, np.vstack([np.eye(k, dtype=bool)] * 2))
         return (weights * vecs ** 3).sum(axis=-1)
 
     err = grad_check(loss, analytic, point)
     assert seen == stacks
-    assert seen_first == list(range(0, size, per_chunk))
+    assert seen_changed == [range(start, min(start + per_chunk, size))
+                            for start in range(0, size, per_chunk)]
     reference = _loop_grad_check(lambda v: float((weights * v ** 3).sum()),
                                  analytic, point)
     assert err == reference
     assert err > 1e-5  # the perturbed analytic gradient is flagged
 
 
+@pytest.mark.parametrize("point", [np.zeros(0), np.zeros((2, 3)), np.float64(1.0)],
+                         ids=["empty", "2-D", "0-D"])
+def test_grad_check_rejects_a_point_that_is_not_a_non_empty_vector(point):
+    def loss(vecs, changed):
+        raise AssertionError("loss called")
+
+    with pytest.raises(ConfigurationError, match="point must be a non-empty 1-D"):
+        grad_check(loss, np.zeros(np.shape(point)), point)
+
+
+@pytest.mark.parametrize("shape", [(3, 1), (), (1,), (2,), (1, 3)])
+def test_grad_check_rejects_an_analytic_gradient_of_another_shape(shape):
+    # each of these would broadcast against the (3,) point: the (3, 1)
+    # correct gradient of sum(x**2) would compare 3x3 pairs and read 3.0
+    point = np.array([1.0, -2.0, 0.5])
+    calls = []
+    with pytest.raises(ConfigurationError, match="analytic gradient has shape"):
+        grad_check(lambda vecs, changed: calls.append(changed) or (vecs ** 2).sum(-1),
+                   np.resize(2.0 * point, shape), point)
+    assert calls == []
+
+
 def test_grad_check_rejects_non_finite_loss():
-    def loss(vecs, first):  # infinite at the upper point only
+    def loss(vecs, changed):  # infinite at the upper point only
         return np.where(vecs[:, 0] > 0, np.inf, 0.0)
 
     with pytest.raises(FloatingPointError):

@@ -90,8 +90,8 @@ def _offsets(mode, eps, delta, neg):
 
 def _gradcheck(params, x, y, mode, **kw):
     _, analytic = loss_and_grads(params, x, y, mode, **kw)
-    return grad_check(lambda vecs, first: loss_values(params, vecs, x, y, mode,
-                                                      unchanged_below=first, **kw),
+    return grad_check(lambda vecs, changed: loss_values(params, vecs, x, y, mode,
+                                                        changed=changed, **kw),
                       analytic, params.flat)
 
 
@@ -152,30 +152,34 @@ def test_loss_values_equals_loss_and_grads_totals(n, mode):
         assert breakdown.total == total  # bit for bit
 
 
-def _unchanged_below_cases(params):
-    # 0, each parameter array's start and one either side of it, and the
-    # middle of each array
+def _changed_cases(params):
+    # ranges as a gradient check's chunks run: ending in the middle of each
+    # parameter array, one before and at its end, and one after it (in the
+    # next layer), each one and 56 coordinates wide and from 0
+    size = params.flat.size
     stops = np.cumsum([a.size for layer in (params.enc_hidden, params.enc_head,
                                             params.pred_hidden, params.pred_out)
                        for a in (layer.weights, layer.bias)])
-    cases = {0}
+    ends = set()
     for start, stop in zip(np.r_[0, stops[:-1]], stops):
-        cases |= {start - 1, start, start + 1, (start + stop) // 2}
-    return sorted(int(c) for c in cases if 0 <= c < params.flat.size)
+        ends |= {(start + stop) // 2, stop - 1, stop, stop + 1}
+    return sorted({range(max(0, end - width), end) for end in ends if 0 < end <= size
+                   for width in (1, 56, end)}, key=lambda r: (r.stop, r.start))
 
 
 @pytest.mark.parametrize("n", [4, 20], ids=["d_in", "d_in-n20"])
 @pytest.mark.parametrize("mode", METHODS)
 def test_loss_values_unchanged_below_is_bit_identical(n, mode):
+    # totals with changed are those of changed=None, byte for byte
     params, x, y, eps, delta, neg = _batch(8, n=n)
     kw = _offsets(mode, eps, delta, neg)
-    size = params.flat.size
-    for first in _unchanged_below_cases(params):
-        # every row equals params.flat below first, as grad_check promises
+    for changed in _changed_cases(params):
+        # every row equals params.flat outside changed, as grad_check promises
         vecs = np.tile(params.flat, (6, 1))
-        vecs[:, first:] += 0.01 * Rng(first).normal(size=(6, size - first))
+        vecs[:, changed.start:changed.stop] += 0.01 * Rng(changed.stop).normal(
+            size=(6, len(changed)))
         want = loss_values(params, vecs, x, y, mode, **kw)
-        got = loss_values(params, vecs, x, y, mode, unchanged_below=first, **kw)
+        got = loss_values(params, vecs, x, y, mode, changed=changed, **kw)
         assert got.shape == (6,)
         assert got.tobytes() == want.tobytes()
 
