@@ -25,13 +25,11 @@ __all__ = [
     "DatasetSpec",
     "Split",
     "load",
-    "load_synthetic_csv",
     "write_csv",
     "split_three_way",
     "batch_iter",
     "save_report",
     "append_aggregate_row",
-    "AGGREGATE_COLUMNS",
 ]
 
 KINDS = ("synthetic_csv", "tabular")
@@ -109,11 +107,6 @@ def _read_rows(path):
     return header, np.array(rows, dtype=float)
 
 
-def load_synthetic_csv(path) -> Split:
-    """Load a simulator CSV and recover the ground-truth partition."""
-    return _load_synthetic(path)[1]
-
-
 def _load_synthetic(path) -> tuple[list[str], Split]:
     """The header and the split of a simulator CSV."""
     header, data = _read_rows(path)
@@ -141,7 +134,8 @@ def _load_synthetic(path) -> tuple[list[str], Split]:
 
 
 def write_csv(split: Split, path) -> None:
-    """Persist a simulator split in the layout :func:`load_synthetic_csv` reads."""
+    """Persist a simulator split in the layout :func:`load` reads as
+    ``synthetic_csv``."""
     blocks = {"pa": split.pa, "nd": split.nd, "dc": split.dc}
     missing = [name for name, block in blocks.items() if block is None]
     if missing:
@@ -213,22 +207,23 @@ def batch_iter(x: np.ndarray, y: np.ndarray, batch_size: int, seed: int):
 # Report persistence
 # ---------------------------------------------------------------------------
 
-AGGREGATE_COLUMNS = [
-    "method", "mode", "p", "seed", "auc", "acc", "adv_auc", "adv_acc",
-    "dcor_pa", "dcor_nd", "dcor_dc",
-]
-
-
 def save_report(report: dict, path) -> None:
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
 
 
 def append_aggregate_row(path, row: dict) -> None:
-    """Append one run to the aggregate CSV, writing the header if new."""
-    new = not os.path.exists(path)
-    with open(path, "a", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=AGGREGATE_COLUMNS)
-        if new:
-            writer.writeheader()
-        writer.writerow({k: row.get(k, "") for k in AGGREGATE_COLUMNS})
+    """Append one run to the aggregate CSV, None as an empty field.  A new
+    or empty file gets the row's keys as its header; a file with another
+    header raises :class:`DataError` and is left as it was."""
+    header = list(row)
+    with open(path, "a+", newline="") as fh:
+        fh.seek(0)
+        found = next(csv.reader(fh), None)
+        if found not in (None, header):
+            raise DataError(f"{path}: header {','.join(found)!r} differs from "
+                            f"the row's {','.join(header)!r}")
+        writer = csv.writer(fh)
+        if found is None:
+            writer.writerow(header)
+        writer.writerow(row.values())

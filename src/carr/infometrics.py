@@ -46,10 +46,13 @@ class MetricError(ValueError):
 
 @dataclass(frozen=True)
 class JointTable:
-    """Joint probability table over named finite variables.
+    """Joint probability table over distinct named finite variables.
 
     ``probs`` is a view of a read-only copy of the given table, whose flag
-    cannot be set back, so the entropies :func:`entropy` keeps cannot go stale.
+    cannot be set back, so the entropies :func:`entropy` keeps cannot go
+    stale.  The freeze stops writes to ``probs`` and flips of its flag, but
+    not a flip of the flag of its ``.base``, after which a write through
+    that buffer changes the table.
     """
 
     names: tuple
@@ -61,36 +64,37 @@ class JointTable:
         probs = np.array(self.probs, dtype=float)
         if probs.ndim != len(self.names):
             raise QueryError("probs must have one axis per variable")
+        for i, name in enumerate(self.names):
+            if name in self.names[:i]:
+                raise QueryError(f"variable {name!r} is named more than once")
+        if probs.size == 0:
+            raise QueryError("the table has no entries")
         if not (probs.min() >= -1e-12 and abs(probs.sum() - 1.0) <= 1e-9):  # NaN fails
             raise QueryError("probabilities must be nonnegative and sum to 1")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs.view())
-
-    def axes(self, variables) -> tuple:
-        """The axis of each of ``variables``, in their order."""
-        return _plan(self.names, tuple(variables))[0]
 
     def marginal(self, variables) -> np.ndarray:
         """The marginal table over ``variables``, one axis each in their
         order.  Its axes are planned once per names and variables (see
         :func:`_plan`), and the sum is ``probs.sum`` over the other axes,
         transposed when the variables are out of table order."""
-        _, drop, perm = _plan(self.names, tuple(variables))
+        drop, perm = _plan(self.names, tuple(variables))
         m = np.add.reduce(self.probs, axis=drop)  # what ndarray.sum calls
         return m if perm is None else np.transpose(m, perm)
 
 
-# (names, variables) -> (keep, drop, perm) of JointTable.marginal; every
-# table over the same names shares its plans
+# (names, variables) -> (drop, perm) of JointTable.marginal; every table
+# over the same names shares its plans
 _PLANS = {}
 _MAX_PLANS = 256  # enough for every subset order over a few names
 
 
 def _plan(names: tuple, variables: tuple) -> tuple:
-    """The axes to keep, in the order of ``variables``, the axes to sum out,
-    and the transpose that restores that order after the sum (None when it
-    is already table order), cached in ``_PLANS``.  An unknown or repeated
-    variable raises :class:`QueryError`, and is not cached."""
+    """The axes to sum out and the transpose that puts the kept axes in the
+    order of ``variables`` after the sum (None when they already are),
+    cached in ``_PLANS``.  An unknown or repeated variable raises
+    :class:`QueryError`, and is not cached."""
     key = (names, variables)
     try:
         return _PLANS[key]
@@ -112,8 +116,8 @@ def _plan(names: tuple, variables: tuple) -> tuple:
     perm = (None if all(a < b for a, b in zip(keep, keep[1:]))
             else tuple(sorted(keep).index(a) for a in keep))
     if cache:
-        _PLANS[key] = keep, drop, perm
-    return keep, drop, perm
+        _PLANS[key] = drop, perm
+    return drop, perm
 
 
 def _h(p: np.ndarray) -> float:
@@ -267,9 +271,10 @@ def random_markov_chain(rng) -> JointTable:
     p(x) p(z|x) p(y|z).
 
     The table skips :class:`JointTable`'s copy and its checks (one axis per
-    name, nonnegative cells that sum to 1), which a product of normalized
-    positive draws passes; it is frozen, its ``probs`` a view of a read-only
-    buffer, and its entropy memo starts empty, as the constructor leaves them.
+    distinct name, a nonempty table of nonnegative cells that sum to 1),
+    which a product of normalized positive draws passes; it is frozen, its
+    ``probs`` a view of a read-only buffer, and its entropy memo starts
+    empty, as the constructor leaves them.
     ``test_drawn_chains_pass_their_constructor`` holds drawn chains to that.
     """
     w = rng.uniform(0.05, 1.0, size=21)  # one draw, cut in draw order

@@ -155,12 +155,16 @@ class DiscreteSCM:
     ``exo_dists[v]`` is the pmf of v's exogenous input.  Exogenous variables
     are mutually independent; ``order`` must be topological.
 
-    The constructor checks this once: a topological order, 1-D nonnegative
-    pmfs that sum to 1, and integer tables of that shape with entries in
-    their node's domain.  It then freezes the model: views of read-only
-    copies of the tables and pmfs (float64), whose flags cannot be set back,
-    are held with the domains and parents (as tuples) in read-only mappings,
-    so no field can change after the check and the caller's arrays stay theirs.
+    The constructor checks this once: a topological order that names each
+    node once, domain sizes that are integers >= 1 (a bool is not), 1-D
+    nonnegative pmfs that sum to 1, and integer tables of that shape with
+    entries in their node's domain.  It then freezes the model: views of
+    read-only copies of the tables and pmfs (float64), whose flags cannot be
+    set back, are held with the domains and parents (as tuples) in read-only
+    mappings, so no field can change after the check and the caller's arrays
+    stay theirs.  The freeze stops writes to those arrays and flips of their
+    flags, but not a flip of the flag of an array's ``.base``, after which a
+    write through that buffer changes the model.
     :func:`random_scm` builds its model frozen and skips the checks, which
     its draws pass by construction.
     """
@@ -175,10 +179,16 @@ class DiscreteSCM:
         seen = set()
         tables, exo_dists = {}, {}
         for v in self.order:
+            if v in seen:
+                raise ValueError(f"order names {v} more than once")
             for p in self.parents[v]:
                 if p not in seen:
                     raise ValueError(f"order is not topological: {p} after {v}")
             seen.add(v)
+            size = self.domains[v]
+            if (isinstance(size, bool) or not isinstance(size, (int, np.integer))
+                    or size < 1):
+                raise ValueError(f"domain of {v} must be an integer >= 1, got {size!r}")
             pmf = np.array(self.exo_dists[v], dtype=float)
             weights = pmf.ravel().tolist()
             if (pmf.ndim != 1 or min(weights, default=0.0) < 0
@@ -263,9 +273,10 @@ def enumerate_joint(scm: DiscreteSCM, worlds=None):
     exogenous world in world order.  ``worlds`` is :func:`_worlds` of this
     model, built here when None.  The table skips :class:`JointTable`'s
     copy and checks: the model was checked once and cannot change since,
-    so its worlds' probabilities are nonnegative and sum to 1 up to
-    roundoff.  It is frozen, its ``probs`` a view of a read-only buffer, and
-    its entropy memo starts empty, as the constructor leaves them.
+    so its nodes are distinct, every domain is nonempty, and its worlds'
+    probabilities are nonnegative and sum to 1 up to roundoff.  It is
+    frozen, its ``probs`` a view of a read-only buffer, and its entropy memo
+    starts empty, as the constructor leaves them.
     """
     from .infometrics import JointTable  # local import to avoid a cycle
 

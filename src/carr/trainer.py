@@ -241,42 +241,37 @@ def _resolve_dataset(cfg: RunConfig):
     return train_split, val, test
 
 
-def run_experiment(config: RunConfig, out_path=None, aggregate_path=None) -> dict:
-    """Synthesize/load data, train, evaluate, and persist the report."""
+def run_experiment(config: RunConfig) -> dict:
+    """Synthesize/load data, train and evaluate; returns the report."""
     start = time.time()
     train_split, val_split, test_split = _resolve_dataset(config)
     params, history = train(config, train_split, val_split)
     metrics = evaluate(params, test_split, config.eval_attack)
-    report = {
+    return {
         "config": asdict(config),
         "metrics": asdict(metrics),
         "history": history,
         "wall_clock_s": time.time() - start,
     }
-    if out_path is not None:
-        dataio.save_report(report, out_path)
-    if aggregate_path is not None:
-        row = {"method": config.method, "mode": config.training_mode,
-               "p": config.eval_attack.p, "seed": config.seed}
-        row.update({k: v for k, v in report["metrics"].items() if v is not None})
-        dataio.append_aggregate_row(aggregate_path, row)
-    return report
 
 
 def sweep(config: RunConfig, n_seeds: int, out_dir=None) -> dict:
-    """Run ``n_seeds`` independent seeds and aggregate mean/std per metric."""
+    """Run ``n_seeds`` independent seeds and aggregate mean/std per metric,
+    writing each seed's report and row to ``out_dir`` as it ends."""
     if n_seeds < 1:
         raise ConfigurationError(f"n_seeds must be at least 1, got {n_seeds}")
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     reports = []
     for k in range(n_seeds):
         cfg = replace(config, seed=config.seed + k)
-        out_path = None
-        agg_path = None
+        reports.append(run_experiment(cfg))
         if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
-            out_path = os.path.join(out_dir, f"run_seed{cfg.seed}.json")
-            agg_path = os.path.join(out_dir, "aggregate.csv")
-        reports.append(run_experiment(cfg, out_path, agg_path))
+            name = f"run_seed{cfg.seed}.json"
+            dataio.save_report(reports[-1], os.path.join(out_dir, name))
+            row = {"method": cfg.method, "mode": cfg.training_mode,
+                   "p": cfg.eval_attack.p, "seed": cfg.seed, **reports[-1]["metrics"]}
+            dataio.append_aggregate_row(os.path.join(out_dir, "aggregate.csv"), row)
 
     keys = [k for k, v in reports[0]["metrics"].items() if v is not None]
     aggregate = {}

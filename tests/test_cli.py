@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, outputs, and the seed override."""
 
+import csv
 import json
 
 import numpy as np
@@ -41,7 +42,7 @@ def test_synth_invalid_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_train_from_config(tmp_path, capsys):
+def test_train_from_config(tmp_path, capsys, monkeypatch):
     config = {
         "method": "base",
         "training_mode": "standard",
@@ -54,12 +55,29 @@ def test_train_from_config(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
     report_path = tmp_path / "report.json"
+    reports, _ = _record_reports(monkeypatch, carr.cli)
     code = main(["train", "--config", str(cfg_path), "--out", str(report_path)])
     assert code == 0
     printed = json.loads(capsys.readouterr().out)
     on_disk = json.loads(report_path.read_text())
+    assert on_disk == json.loads(json.dumps(reports[0]))  # the report returned
     assert printed == on_disk["metrics"]
     assert on_disk["config"]["epochs"] == 2
+
+
+def _record_reports(monkeypatch, module, out_dir=None):
+    """Wrap ``module.run_experiment``; returns the list of the reports it
+    returns and the list of the files in ``out_dir`` as each run starts."""
+    reports, seen, run = [], [], module.run_experiment
+
+    def recording(cfg):
+        if out_dir is not None:
+            seen.append(sorted(p.name for p in out_dir.iterdir()))
+        reports.append(run(cfg))
+        return reports[-1]
+
+    monkeypatch.setattr(module, "run_experiment", recording)
+    return reports, seen
 
 
 def test_train_seed_flag_overrides_config(tmp_path, capsys):
@@ -371,6 +389,56 @@ def test_sweep_command(tmp_path, capsys):
     assert (out_dir / "sweep_summary.json").exists()
 
 
+@pytest.mark.parametrize("kind", ["synthetic", "tabular"])
+def test_sweep_writes_each_seed_as_it_finishes(tmp_path, capsys, monkeypatch, kind):
+    doc = dict(_SMALL, seed=3)
+    if kind == "tabular":  # no ground-truth blocks, so no dcor values
+        doc["dataset"] = {"kind": "tabular", "paths": {
+            "train": _write_tabular(tmp_path / "feats.csv", 120, 3, seed=2)}}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "runs"
+    reports, seen = _record_reports(monkeypatch, carr.trainer, out_dir)
+    assert main(["sweep", "--config", str(cfg_path), "--seeds", "2",
+                 "--out", str(out_dir)]) == 0, capsys.readouterr().err
+    # a seed's report and row are written before the next seed runs, and
+    # the summary last
+    assert seen == [[], ["aggregate.csv", "run_seed3.json"]]
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "aggregate.csv", "run_seed3.json", "run_seed4.json", "sweep_summary.json"]
+    with open(out_dir / "aggregate.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["method", "mode", "p", "seed", "auc", "acc", "adv_auc",
+                       "adv_acc", "dcor_pa", "dcor_nd", "dcor_dc"]
+    assert len(rows) == 1 + len(reports) == 3
+    for row, report in zip(rows[1:], reports):
+        cfg = report["config"]
+        assert row == [cfg["method"], cfg["training_mode"], cfg["eval_attack"]["p"],
+                       str(cfg["seed"])] + ["" if v is None else str(v)
+                                            for v in report["metrics"].values()]
+        on_disk = json.loads((out_dir / f"run_seed{cfg['seed']}.json").read_text())
+        assert on_disk == json.loads(json.dumps(report))
+    assert (reports[0]["metrics"]["dcor_pa"] is None) == (kind == "tabular")
+
+
+def test_sweep_into_another_aggregate_header_exit_2(tmp_path, capsys):
+    # rows used to be appended under whatever header the file had
+    out_dir = tmp_path / "runs"
+    out_dir.mkdir()
+    agg = out_dir / "aggregate.csv"
+    agg.write_text("method,seed,auc\ncarr,0,0.9\n")
+    before = agg.read_bytes()
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(_SMALL))
+    assert main(["sweep", "--config", str(cfg_path), "--seeds", "2",
+                 "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert ("header 'method,seed,auc' differs from the row's "
+            "'method,mode,p,seed,auc,acc,adv_auc,adv_acc,dcor_pa,dcor_nd,dcor_dc'") in err
+    assert agg.read_bytes() == before
+
+
 @pytest.mark.parametrize("seeds", ["0", "-2"])
 def test_sweep_without_seeds_exit_2(tmp_path, capsys, seeds):
     # used to exit 1 with "list index out of range"
@@ -514,10 +582,31 @@ def test_audit_pns_counts_every_failed_trial(monkeypatch, capsys, shift):
 
 
 def test_audit_pns_counts_audited_and_skipped_trials(capsys):
-    assert carr.cli._audit("pns", 10, 0) == (*run_audit("pns", 10, 0), 4)
+    assert carr.cli._audit("pns", 10, 0) == (*run_audit("pns", 10, 0), 4, None)
     assert main(["audit", "--what", "pns", "--trials", "10", "--seed", "0"]) == 0
     assert capsys.readouterr().out.startswith(
         "pns: 4/4 hold, 6 skipped (zero-probability event), worst margin ")
+
+
+def test_audit_returns_lemma2s_second_margin_alone(capsys):
+    failures, worst, audited, worst2 = carr.cli._audit("lemma2", 5, 0, "b")
+    assert (failures, worst) == run_audit("lemma2", 5, 0, "b") and audited == 5
+    assert abs(worst2) < 1e-12 and worst2 <= worst
+    assert main(["audit", "--what", "lemma2", "--trials", "5", "--seed", "0",
+                 "--shape", "b"]) == 0
+    assert capsys.readouterr().out == (
+        f"lemma2: 5/5 hold, worst margin {worst:.3e}, "
+        f"inequality 2 alone {worst2:.3e} [ok]\n")
+    assert all(carr.cli._audit(what, 2, 0)[3] is None
+               for what in ("dpi", "lemma1", "pns", "gradcheck"))
+
+
+def test_audit_help_says_which_suites_check_theorems(capsys):
+    assert main(["audit", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert ("dpi (the data-processing inequality) and lemma2 (a consequence of "
+            "the chain rule) check theorems that hold for every table, so they "
+            "test mutual_info's arithmetic, not a claim of the paper") in text
 
 
 def test_audit_that_audits_no_trial_fails(capsys):

@@ -8,14 +8,12 @@ import numpy as np
 import pytest
 
 from carr.dataio import (
-    AGGREGATE_COLUMNS,
     DataError,
     DatasetSpec,
     Split,
     append_aggregate_row,
     batch_iter,
     load,
-    load_synthetic_csv,
     save_report,
     split_three_way,
     write_csv,
@@ -52,11 +50,15 @@ def test_dataset_spec_rejects_bad_stanza(kwargs, message):
     assert message in str(err.value)
 
 
+def _load_simulator_file(path) -> Split:
+    return load(DatasetSpec(kind="synthetic_csv", paths={"train": str(path)}))["train"]
+
+
 def test_synthetic_round_trip(tmp_path):
     data = generate(SynthConfig(beta=0.3, n=30, seed=1, nc_cols=2))
     path = tmp_path / "d.csv"
     write_csv(data, path)
-    split = load_synthetic_csv(path)
+    split = _load_simulator_file(path)
     assert np.allclose(split.x, data.x, atol=1e-7)  # %.9g formatting
     assert np.array_equal(split.y, data.y)
     assert np.allclose(split.pa, data.pa, atol=1e-7)
@@ -67,7 +69,7 @@ def test_synthetic_round_trip(tmp_path):
     again = tmp_path / "again.csv"
     write_csv(split, again)
     assert again.read_bytes() == path.read_bytes()
-    reloaded = load_synthetic_csv(again)
+    reloaded = _load_simulator_file(again)
     for name in ("x", "pa", "nd", "dc", "y"):
         a, b = getattr(split, name), getattr(reloaded, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
@@ -92,25 +94,25 @@ def test_synthetic_csv_errors(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("pa_0,zz_0,y\n0.1,0.2,1\n")
     with pytest.raises(DataError):
-        load_synthetic_csv(bad)
+        _load_simulator_file(bad)
     bad.write_text("pa_0,nd_0\n0.1,0.2\n")
     with pytest.raises(DataError):
-        load_synthetic_csv(bad)  # last column must be the label
+        _load_simulator_file(bad)  # last column must be the label
     bad.write_text("pa_0,y\n0.1,0.7\n")
     with pytest.raises(DataError):
-        load_synthetic_csv(bad)  # non-binary label
+        _load_simulator_file(bad)  # non-binary label
     bad.write_text("pa_0,y\nnope,1\n")
     with pytest.raises(DataError) as err:
-        load_synthetic_csv(bad)
+        _load_simulator_file(bad)
     assert ":2:" in str(err.value)  # line number in the message
     for value in ("nan", "inf", "-inf"):
         bad.write_text(f"pa_0,y\n0.1,1\n{value},0\n")
         with pytest.raises(DataError) as err:
-            load_synthetic_csv(bad)
+            _load_simulator_file(bad)
         assert ":3: non-finite value" in str(err.value)
     bad.write_text("")
     with pytest.raises(DataError):
-        load_synthetic_csv(bad)
+        _load_simulator_file(bad)
     # a header with no data rows used to load as a 1-D array and fail with
     # an IndexError on the first column slice
     for kind, header in (("synthetic_csv", "pa_0,y"), ("tabular", "f_0,label")):
@@ -132,9 +134,7 @@ def test_synthetic_csv_needs_every_block(tmp_path, header, missing):
     path.write_text(f"{header}\n" + "0.1," * width + "1\n" + "0.2," * width + "0\n")
     message = re.escape(f"blocks.csv: the header has no {missing} column")
     with pytest.raises(DataError, match=message):
-        load_synthetic_csv(path)
-    with pytest.raises(DataError, match=message):
-        load(DatasetSpec(kind="synthetic_csv", paths={"train": str(path)}))
+        _load_simulator_file(path)
 
 
 @pytest.mark.parametrize("kind, train_header, other_header", [
@@ -282,11 +282,30 @@ def test_save_report_and_aggregate(tmp_path):
 
     agg = tmp_path / "aggregate.csv"
     row = {"method": "carr", "mode": "robust", "p": "2", "seed": 0, "auc": 0.9,
-           "acc": 0.8, "adv_auc": 0.7, "adv_acc": 0.6}
+           "acc": 0.8, "adv_auc": 0.7, "adv_acc": 0.6, "dcor_pa": None}
     append_aggregate_row(agg, row)
     append_aggregate_row(agg, dict(row, seed=1))
     with open(agg, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == AGGREGATE_COLUMNS  # header written exactly once
+    assert rows[0] == list(row)  # header taken from the row, written once
     assert len(rows) == 3
-    assert rows[1][AGGREGATE_COLUMNS.index("auc")] == "0.9"
+    assert rows[1][list(row).index("auc")] == "0.9"
+    assert rows[2] == ["carr", "robust", "2", "1", "0.9", "0.8", "0.7", "0.6", ""]
+
+
+def test_aggregate_row_under_another_header_is_refused(tmp_path):
+    agg = tmp_path / "aggregate.csv"
+    row = {"method": "carr", "seed": 0, "auc": 0.9}
+    append_aggregate_row(agg, row)
+    before = agg.read_bytes()
+    for other in ({"seed": 1, "method": "carr", "auc": 0.9},  # same keys, reordered
+                  {"method": "carr", "seed": 1}):
+        with pytest.raises(DataError, match=re.escape(
+                f"header 'method,seed,auc' differs from the row's '{','.join(other)}'")):
+            append_aggregate_row(agg, other)
+        assert agg.read_bytes() == before
+    # an empty file has no header yet, so it gets the row's
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    append_aggregate_row(empty, row)
+    assert empty.read_bytes() == b"method,seed,auc\r\ncarr,0,0.9\r\n"

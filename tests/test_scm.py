@@ -242,6 +242,29 @@ def test_discrete_scm_rejects_bad_tables_and_pmfs(table, pmf, message):
         _one_node(table, pmf)
 
 
+def test_discrete_scm_rejects_an_order_that_names_a_node_twice():
+    # it used to be accepted, and enumerate_joint then built a table whose
+    # probabilities summed to 2, with an entropy of -0.0
+    with pytest.raises(ValueError, match="^order names a more than once$"):
+        DiscreteSCM(order=("a", "a"), domains={"a": 2}, parents={"a": ()},
+                    tables={"a": np.array([0, 1])},
+                    exo_dists={"a": np.array([0.5, 0.5])})
+
+
+@pytest.mark.parametrize("domain", [2.5, 2.0, "2", True, 0, -1, None])
+def test_discrete_scm_rejects_a_domain_that_is_not_an_integer_of_one_or_more(domain):
+    # 2.5 used to pass the constructor and fail inside enumerate_joint
+    with pytest.raises(ValueError, match=re.escape(
+            f"domain of x must be an integer >= 1, got {domain!r}")):
+        _one_node([0, 0], [0.5, 0.5], domain)
+
+
+@pytest.mark.parametrize("domain", [1, np.int64(3)])
+def test_discrete_scm_accepts_an_integer_domain(domain):
+    model = _one_node([0, 0], [0.5, 0.5], domain)
+    assert enumerate_joint(model).probs.tolist() == [1.0] + [0.0] * (domain - 1)
+
+
 def test_discrete_scm_accepts_a_table_at_its_domain_edges():
     assert _one_node([1, 0, 1], [0.25, 0.25, 0.5]).evaluate({"x": 2}) == {"x": 1}
 
